@@ -45,55 +45,55 @@ request() {
 }
 
 echo "== /health =="
-health=$(request GET /health 200)
+health=$(request GET /v1/health 200)
 jq -e '.status == "ok" and .users == 20' <<<"$health" >/dev/null
 
 echo "== /form (re-form under AV-SUM) =="
-formed=$(request POST /form 200 '{"semantics":"av","aggregation":"sum","ell":4}')
+formed=$(request POST /v1/form 200 '{"semantics":"av","aggregation":"sum","ell":4}')
 jq -e '.algorithm == "GRD-AV-SUM" and .groups <= 4 and .objective > 0' <<<"$formed" >/dev/null
 
 echo "== /group/3 =="
-group=$(request GET /group/3 200)
+group=$(request GET /v1/group/3 200)
 jq -e '.user == 3 and (.members | index(3) != null) and (.top_k | length) <= 3' <<<"$group" >/dev/null
 
 echo "== /group/3 pagination =="
-paged=$(request GET "/group/3?limit=1&offset=0" 200)
+paged=$(request GET "/v1/group/3?limit=1&offset=0" 200)
 full_size=$(jq -r '.members | length' <<<"$group")
 jq -e '(.members | length) <= 1 and .members_total == '"$full_size" <<<"$paged" >/dev/null
-request GET "/group/3?limit=bogus" 400 | jq -e '.error' >/dev/null
+request GET "/v1/group/3?limit=bogus" 400 | jq -e '.error' >/dev/null
 
 echo "== /recommend =="
 gi=$(jq -r '.group' <<<"$group")
-request GET "/recommend/$gi" 200 | jq -e '.top_k | length >= 1' >/dev/null
+request GET "/v1/recommend/$gi?exclude_rated=false" 200 | jq -e '.top_k | length >= 1' >/dev/null
 
 echo "== /rate (incremental update reaches a fresh snapshot) =="
 # Baseline must be read *after* /form (which already bumped the version),
 # immediately before the rate — otherwise this loop exits vacuously.
-version=$(request GET /health 200 | jq -r '.version')
-request POST /rate 202 '{"user":3,"item":1,"rating":5}' | jq -e '.accepted == true' >/dev/null
+version=$(request GET /v1/health 200 | jq -r '.version')
+request POST /v1/rate 202 '{"user":3,"item":1,"rating":5}' | jq -e '.accepted == true' >/dev/null
 new_version=$version
 for _ in $(seq 1 100); do
-  new_version=$(request GET /health 200 | jq -r '.version')
+  new_version=$(request GET /v1/health 200 | jq -r '.version')
   [ "$new_version" -gt "$version" ] && break
   sleep 0.1
 done
 [ "$new_version" -gt "$version" ] || { echo "FAIL: /rate never produced a new snapshot"; exit 1; }
 # The new snapshot must actually carry the applied rating.
-request GET /stats 200 | jq -e '.rates_applied >= 1' >/dev/null
+request GET /v1/stats 200 | jq -e '.rates_applied >= 1' >/dev/null
 
 echo "== /stats =="
 # The path counters increment before `refresh_passes` (and before the
 # snapshot install the earlier version-wait observed), so these checks
 # cannot flake on a mid-pass read.
-request GET /stats 200 | jq -e '.rates_applied >= 1 and .form_runs >= 1
+request GET /v1/stats 200 | jq -e '.rates_applied >= 1 and .form_runs >= 1
   and .refresh_incremental >= 1 and .refresh_cold == 0
   and (.refresh_incremental + .refresh_cold) >= .refresh_passes
   and .refresh_mode == "auto"' >/dev/null
 
 echo "== error paths stay JSON =="
-request GET /group/9999 404 | jq -e '.error' >/dev/null
-request POST /rate 400 '{"user":0,"item":0,"rating":99}' | jq -e '.error' >/dev/null
-request GET /nope 404 | jq -e '.error' >/dev/null
+request GET /v1/group/9999 404 | jq -e '.error' >/dev/null
+request POST /v1/rate 400 '{"user":0,"item":0,"rating":99}' | jq -e '.error' >/dev/null
+request GET /v1/nope 404 | jq -e '.error' >/dev/null
 
 # ---------------------------------------------------------------------------
 # Growth smoke: a second instance under --grow admits a never-seen user on a
@@ -119,35 +119,35 @@ done
 grep -q "listening on" "$GROW_LOG" || { echo "grow server never became ready"; exit 1; }
 
 echo "== growth: baseline shape =="
-request GET /stats 200 | jq -e '.n_users == 30 and .n_items == 10
+request GET /v1/stats 200 | jq -e '.n_users == 30 and .n_items == 10
   and .users_admitted == 0 and .items_admitted == 0' >/dev/null
 # The never-seen user is unknown until the admission applies.
-request GET /group/42 404 | jq -e '.error' >/dev/null
+request GET /v1/group/42 404 | jq -e '.error' >/dev/null
 
 echo "== growth: admit user 42 on item 25 via /rate =="
-version=$(request GET /health 200 | jq -r '.version')
-request POST /rate 202 '{"user":42,"item":25,"rating":4}' | jq -e '.accepted == true' >/dev/null
+version=$(request GET /v1/health 200 | jq -r '.version')
+request POST /v1/rate 202 '{"user":42,"item":25,"rating":4}' | jq -e '.accepted == true' >/dev/null
 new_version=$version
 for _ in $(seq 1 100); do
-  new_version=$(request GET /health 200 | jq -r '.version')
+  new_version=$(request GET /v1/health 200 | jq -r '.version')
   [ "$new_version" -gt "$version" ] && break
   sleep 0.1
 done
 [ "$new_version" -gt "$version" ] || { echo "FAIL: admission never produced a new snapshot"; exit 1; }
 
 echo "== growth: /group/42 resolves after refresh =="
-request GET /group/42 200 | jq -e '.user == 42 and (.members | index(42) != null)' >/dev/null
+request GET /v1/group/42 200 | jq -e '.user == 42 and (.members | index(42) != null)' >/dev/null
 # A gap row admitted alongside (users 30..41 exist now, ratingless) serves too.
-request GET /group/35 200 | jq -e '.members_total >= 1' >/dev/null
+request GET /v1/group/35 200 | jq -e '.members_total >= 1' >/dev/null
 
 echo "== growth: /stats counters advanced =="
-request GET /stats 200 | jq -e '.n_users == 43 and .n_items == 26
+request GET /v1/stats 200 | jq -e '.n_users == 43 and .n_items == 26
   and .users_admitted == 13 and .items_admitted == 16
   and .rates_applied >= 1' >/dev/null
 
 echo "== growth: cap exhaustion is a clean 409 =="
-request POST /rate 409 '{"user":9999,"item":0,"rating":3}' | jq -e '.error' >/dev/null
-request GET /stats 200 | jq -e '.n_users == 43' >/dev/null
+request POST /v1/rate 409 '{"user":9999,"item":0,"rating":3}' | jq -e '.error' >/dev/null
+request GET /v1/stats 200 | jq -e '.n_users == 43' >/dev/null
 
 # ---------------------------------------------------------------------------
 # Persist smoke: a durable (--data-dir) instance is rated, SIGKILLed
@@ -184,18 +184,18 @@ start_persist_server
 grep -q "recovery: cold start" "$PERSIST_LOG" || { echo "FAIL: no cold-start recovery line"; exit 1; }
 
 echo "== persist: journal three ratings (one admission) =="
-request POST /rate 202 '{"user":3,"item":1,"rating":5}' | jq -e '.accepted == true' >/dev/null
-request POST /rate 202 '{"user":7,"item":2,"rating":2}' | jq -e '.accepted == true' >/dev/null
-request POST /rate 202 '{"user":50,"item":20,"rating":4}' | jq -e '.accepted == true' >/dev/null
+request POST /v1/rate 202 '{"user":3,"item":1,"rating":5}' | jq -e '.accepted == true' >/dev/null
+request POST /v1/rate 202 '{"user":7,"item":2,"rating":2}' | jq -e '.accepted == true' >/dev/null
+request POST /v1/rate 202 '{"user":50,"item":20,"rating":4}' | jq -e '.accepted == true' >/dev/null
 for _ in $(seq 1 100); do
-  applied=$(request GET /stats 200 | jq -r '.rates_applied')
+  applied=$(request GET /v1/stats 200 | jq -r '.rates_applied')
   [ "$applied" -eq 3 ] && break
   sleep 0.1
 done
 [ "$applied" -eq 3 ] || { echo "FAIL: ratings never applied"; exit 1; }
-request GET /stats 200 | jq -e '.wal_records == 3 and .wal_seq == 3' >/dev/null
-digest_before=$(request GET /digest 200 | jq -r '.digest')
-version_before=$(request GET /digest 200 | jq -r '.version')
+request GET /v1/stats 200 | jq -e '.wal_records == 3 and .wal_seq == 3' >/dev/null
+digest_before=$(request GET /v1/digest 200 | jq -r '.digest')
+version_before=$(request GET /v1/digest 200 | jq -r '.version')
 
 echo "== persist: kill -9, warm restart recovers every acked rating =="
 kill -9 "$SERVER_PID"
@@ -203,11 +203,11 @@ wait "$SERVER_PID" 2>/dev/null || true
 start_persist_server
 grep -q "recovery: checkpoint version 1 + 3 wal records replayed" "$PERSIST_LOG" \
   || { echo "FAIL: warm-restart recovery line missing/wrong"; exit 1; }
-request GET /stats 200 | jq -e '.recovery_replayed == 3 and .recovery_dropped_bytes == 0
+request GET /v1/stats 200 | jq -e '.recovery_replayed == 3 and .recovery_dropped_bytes == 0
   and .rates_applied == 3 and .users_admitted >= 1' >/dev/null
-request GET /digest 200 | jq -e '.digest == "'"$digest_before"'"
+request GET /v1/digest 200 | jq -e '.digest == "'"$digest_before"'"
   and .version == '"$version_before" >/dev/null
-request GET /group/50 200 | jq -e '.user == 50 and (.members | index(50) != null)' >/dev/null
+request GET /v1/group/50 200 | jq -e '.user == 50 and (.members | index(50) != null)' >/dev/null
 
 # ---------------------------------------------------------------------------
 # Multi-grouping smoke: one instance serving several named groupings with
@@ -236,53 +236,53 @@ done
 grep -q "listening on" "$MULTI_LOG" || { echo "multi-grouping server never became ready"; exit 1; }
 
 echo "== multi: boot registry has default + fair + cons =="
-request GET /health 200 | jq -e '.groupings == 3' >/dev/null
-request GET /stats 200 | jq -e '.groupings | keys == ["cons","default","fair"]
+request GET /v1/health 200 | jq -e '.groupings == 3' >/dev/null
+request GET /v1/stats 200 | jq -e '.groupings | keys == ["cons","default","fair"]
   and .default.algorithm == "GRD-LM-MIN"
   and .fair.algorithm == "GRD-AV-SUM"
   and .cons.algorithm == "GRD-CONS-MIN"' >/dev/null
 
 echo "== multi: every grouping answers /group/{name}/{u} =="
-request GET /group/3 200 | jq -e '.grouping == "default" and .user == 3' >/dev/null
-request GET /group/fair/3 200 | jq -e '.grouping == "fair" and .user == 3
+request GET /v1/group/3 200 | jq -e '.grouping == "default" and .user == 3' >/dev/null
+request GET /v1/group/fair/3 200 | jq -e '.grouping == "fair" and .user == 3
   and (.members | index(3) != null)' >/dev/null
-request GET /group/cons/3 200 | jq -e '.grouping == "cons" and .user == 3' >/dev/null
-gi=$(request GET /group/fair/3 200 | jq -r '.group')
-request GET "/recommend/fair/$gi" 200 | jq -e '.top_k | length >= 1' >/dev/null
+request GET /v1/group/cons/3 200 | jq -e '.grouping == "cons" and .user == 3' >/dev/null
+gi=$(request GET /v1/group/fair/3 200 | jq -r '.group')
+request GET "/v1/recommend/fair/$gi?exclude_rated=false" 200 | jq -e '.top_k | length >= 1' >/dev/null
 
 echo "== multi: POST /grouping registers a fourth live =="
-request POST /grouping 200 '{"name":"ldr","semantics":"ldr","k":2}' \
+request POST /v1/grouping 200 '{"name":"ldr","semantics":"ldr","k":2}' \
   | jq -e '.grouping == "ldr" and .algorithm == "GRD-LDR-MIN"' >/dev/null
-request GET /health 200 | jq -e '.groupings == 4' >/dev/null
-request GET /group/ldr/3 200 | jq -e '.grouping == "ldr"' >/dev/null
+request GET /v1/health 200 | jq -e '.groupings == 4' >/dev/null
+request GET /v1/group/ldr/3 200 | jq -e '.grouping == "ldr"' >/dev/null
 
 echo "== multi: unknown names 404 everywhere, /form never mints =="
-request GET /group/nope/3 404 | jq -e '.error' >/dev/null
-request POST "/form?name=nope" 404 | jq -e '.error' >/dev/null
-request GET /health 200 | jq -e '.groupings == 4' >/dev/null
+request GET /v1/group/nope/3 404 | jq -e '.error' >/dev/null
+request POST "/v1/form?name=nope" 404 | jq -e '.error' >/dev/null
+request GET /v1/health 200 | jq -e '.groupings == 4' >/dev/null
 
 echo "== multi: one /rate advances every grouping =="
-fair_v=$(request GET /stats 200 | jq -r '.groupings.fair.version')
-cons_v=$(request GET /stats 200 | jq -r '.groupings.cons.version')
-request POST /rate 202 '{"user":3,"item":1,"rating":1}' | jq -e '.accepted == true' >/dev/null
+fair_v=$(request GET /v1/stats 200 | jq -r '.groupings.fair.version')
+cons_v=$(request GET /v1/stats 200 | jq -r '.groupings.cons.version')
+request POST /v1/rate 202 '{"user":3,"item":1,"rating":1}' | jq -e '.accepted == true' >/dev/null
 for _ in $(seq 1 100); do
-  new_fair_v=$(request GET /stats 200 | jq -r '.groupings.fair.version')
+  new_fair_v=$(request GET /v1/stats 200 | jq -r '.groupings.fair.version')
   [ "$new_fair_v" -gt "$fair_v" ] && break
   sleep 0.1
 done
 [ "$new_fair_v" -gt "$fair_v" ] || { echo "FAIL: /rate never advanced grouping 'fair'"; exit 1; }
-request GET /stats 200 | jq -e '.groupings.cons.version > '"$cons_v"'
+request GET /v1/stats 200 | jq -e '.groupings.cons.version > '"$cons_v"'
   and .groupings.default.version == .groupings.fair.version' >/dev/null
 
 echo "== multi: /form?name= re-forms one grouping, not the others =="
-default_v=$(request GET /stats 200 | jq -r '.groupings.default.version')
-request POST "/form?name=fair" 200 '{"ell":3}' \
+default_v=$(request GET /v1/stats 200 | jq -r '.groupings.default.version')
+request POST "/v1/form?name=fair" 200 '{"ell":3}' \
   | jq -e '.grouping == "fair" and .groups <= 3' >/dev/null
-request GET /stats 200 | jq -e '.groupings.fair.version > .groupings.default.version
+request GET /v1/stats 200 | jq -e '.groupings.fair.version > .groupings.default.version
   and .groupings.default.version == '"$default_v" >/dev/null
 
 echo "== multi: /digest carries one fingerprint per grouping =="
-request GET /digest 200 | jq -e '.groupings | keys == ["cons","default","fair","ldr"]
+request GET /v1/digest 200 | jq -e '.groupings | keys == ["cons","default","fair","ldr"]
   and (to_entries | all(.value | test("^[0-9a-f]{16}$")))' >/dev/null
 
 # ---------------------------------------------------------------------------
@@ -290,13 +290,9 @@ request GET /digest 200 | jq -e '.groupings | keys == ["cons","default","fair","
 # instance — candidate-filtered /v1/recommend, journaled /v1/feedback,
 # and per-grouping quality counters advancing in /v1/stats.
 # ---------------------------------------------------------------------------
-echo "== quality: /v1 aliases answer, legacy carries a Deprecation header =="
+echo "== quality: /v1 answers, the unversioned legacy path is a 404 =="
 request GET /v1/health 200 | jq -e '.status == "ok"' >/dev/null
-curl -sS -D - -o /dev/null "$BASE/health" | grep -qi '^Deprecation:' \
-  || { echo "FAIL: legacy /health missing Deprecation header"; exit 1; }
-if curl -sS -D - -o /dev/null "$BASE/v1/health" | grep -qi '^Deprecation:'; then
-  echo "FAIL: /v1/health must not carry a Deprecation header"; exit 1
-fi
+request GET /health 404 | jq -e '.error.code == "unknown_endpoint"' >/dev/null
 
 echo "== quality: /v1/recommend filters rated items by default =="
 gi=$(request GET /v1/group/fair/3 200 | jq -r '.group')

@@ -16,8 +16,10 @@
 //!   onboarding wave costs vs the same-size dirty-only batch above.
 //! * `former_init` — building the standing former from scratch (what the
 //!   first incremental pass after a cold one pays).
-//! * `former_refresh_64` — the core-level refresh alone: bucket moves +
-//!   capped reselection + tail maintenance, no serve-layer overhead.
+//! * `former_refresh_64` — the core-level pass without serve-layer
+//!   overhead: the successor matrix and preference-index builds, then the
+//!   former refresh (bucket moves + capped reselection + tail
+//!   maintenance).
 //!
 //! Sizes follow `serve_throughput`: 50k users x 5k items at
 //! `GF_BENCH_SCALE=paper`, 2k x 200 at `quick`.
@@ -130,9 +132,12 @@ fn incremental_refresh_benches(c: &mut Criterion) {
     g.bench_function("former_refresh_64", |b| {
         b.iter(|| {
             let updates: Vec<(u32, u32, f64)> = (0..BATCH).map(|_| next_update()).collect();
-            let outcomes = matrix.upsert_batch(&updates).unwrap();
+            let (next, outcomes) = matrix
+                .with_upserts_under(&updates, GrowthPolicy::Fixed)
+                .unwrap();
             let users: Vec<u32> = updates.iter().map(|&(u, _, _)| u).collect();
-            prefs.patch_users(&matrix, &users);
+            prefs = prefs.patched(&next, &users);
+            matrix = next;
             let deltas: Vec<RatingDelta> = updates
                 .iter()
                 .zip(outcomes)

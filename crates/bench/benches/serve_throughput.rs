@@ -4,8 +4,9 @@
 //! formation) rather than socket overhead.
 //!
 //! * `group_lookup` / `recommend` — the lock-free read path under a
-//!   current snapshot (`GET /group/{u}`, `GET /recommend/{g}`).
-//! * `rate_enqueue` — accepting one `POST /rate` into the journal
+//!   current snapshot (`GET /v1/group/{u}`, and
+//!   `GET /v1/recommend/{g}?exclude_rated=false`: the stored list).
+//! * `rate_enqueue` — accepting one `POST /v1/rate` into the journal
 //!   (validation + journal push, no re-formation).
 //! * `refresh_pass_64` — one bounded background pass applying 64 pending
 //!   updates: incremental matrix/pref patching plus the re-formation.
@@ -19,23 +20,23 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gf_bench::Scale;
 use gf_core::{Aggregation, FormationConfig, GroupFormer, PrefIndex, Semantics, ShardedFormer};
 use gf_datasets::SynthConfig;
-use gf_serve::http::route;
+use gf_serve::http::route_full;
 use gf_serve::{HttpRequest, ServeConfig, ServeState};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn get(state: &ServeState, path: String) -> u16 {
-    route(
+fn get(state: &ServeState, path: String, query: &str) -> u16 {
+    route_full(
         state,
         &HttpRequest {
             method: "GET".into(),
             path,
-            query: String::new(),
+            query: query.into(),
             body: String::new(),
             keep_alive: true,
         },
     )
-    .0
+    .status
 }
 
 fn serve_benches(c: &mut Criterion) {
@@ -64,7 +65,7 @@ fn serve_benches(c: &mut Criterion) {
     g.bench_function("group_lookup", |b| {
         b.iter(|| {
             u = (u + 7919) % n_users;
-            assert_eq!(get(&state, format!("/group/{u}")), 200);
+            assert_eq!(get(&state, format!("/v1/group/{u}"), ""), 200);
         })
     });
     let groups = state.snapshot().default_grouping().formation.grouping.len();
@@ -72,7 +73,10 @@ fn serve_benches(c: &mut Criterion) {
     g.bench_function("recommend", |b| {
         b.iter(|| {
             gi = (gi + 3) % groups;
-            assert_eq!(get(&state, format!("/recommend/{gi}")), 200);
+            assert_eq!(
+                get(&state, format!("/v1/recommend/{gi}"), "exclude_rated=false"),
+                200
+            );
         })
     });
 

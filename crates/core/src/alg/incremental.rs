@@ -86,8 +86,7 @@ use std::cmp::Ordering;
 /// score it replaced — what [`IncrementalFormer::refresh`] needs to patch
 /// the tail aggregates without re-reading the pre-update matrix.
 ///
-/// Build it from [`RatingMatrix::upsert`]/
-/// [`RatingMatrix::upsert_batch`] outcomes (see
+/// Build it from [`RatingMatrix::with_upserts_under`] outcomes (see
 /// [`RatingDelta::from_upsert`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatingDelta {
@@ -589,8 +588,8 @@ impl IncrementalFormer {
 
     /// Patches the standing formation after a batch of rating updates.
     ///
-    /// `matrix` and `prefs` must already reflect the updates (apply them
-    /// with [`RatingMatrix::upsert_batch`] and [`PrefIndex::patch_users`]),
+    /// `matrix` and `prefs` must already reflect the updates (build them
+    /// with [`RatingMatrix::with_upserts_under`] and [`PrefIndex::patched`]),
     /// and `updates` must cover **every** rating that changed since the
     /// last refresh — a user mutated behind the former's back corrupts the
     /// bucket state. An empty batch is valid and lets a capped repair pass
@@ -1015,14 +1014,7 @@ mod tests {
         prefs: &mut PrefIndex,
         updates: &[(u32, u32, f64)],
     ) -> Vec<RatingDelta> {
-        let outcomes = matrix.upsert_batch(updates).unwrap();
-        let users: Vec<u32> = updates.iter().map(|&(u, _, _)| u).collect();
-        prefs.patch_users(matrix, &users);
-        updates
-            .iter()
-            .zip(outcomes)
-            .map(|(&(u, i, s), o)| RatingDelta::from_upsert(u, i, s, o))
-            .collect()
+        apply_grown(matrix, prefs, updates, crate::matrix::GrowthPolicy::Fixed)
     }
 
     fn assert_matches_cold(
@@ -1198,9 +1190,10 @@ mod tests {
         updates: &[(u32, u32, f64)],
         growth: crate::matrix::GrowthPolicy,
     ) -> Vec<RatingDelta> {
-        let outcomes = matrix.upsert_batch_under(updates, growth).unwrap();
+        let (m, outcomes) = matrix.with_upserts_under(updates, growth).unwrap();
         let users: Vec<u32> = updates.iter().map(|&(u, _, _)| u).collect();
-        prefs.patch_users(matrix, &users);
+        *prefs = prefs.patched(&m, &users);
+        *matrix = m;
         updates
             .iter()
             .zip(outcomes)

@@ -13,10 +13,10 @@ use crate::scale::RatingScale;
 /// Whether the user/item universe may grow when an update names an id
 /// beyond the current dimensions.
 ///
-/// Every growing entry point ([`RatingMatrix::upsert_batch_under`],
-/// [`RatingMatrix::with_upserts_under`], [`MatrixBuilder::with_growth`])
-/// takes the policy explicitly; the policy-free methods keep today's
-/// strict bounds-checking, so existing callers are unaffected. Growing a
+/// Every growing entry point ([`RatingMatrix::with_upserts_under`],
+/// [`MatrixBuilder::with_growth`]) takes the policy explicitly; the
+/// policy-free methods keep today's strict bounds-checking, so existing
+/// callers are unaffected. Growing a
 /// matrix by an out-of-range id `x` admits *every* id up to `x` — the new
 /// rows between the old edge and `x` simply hold no ratings yet, exactly
 /// as a cold build over the union universe would shape them.
@@ -410,109 +410,20 @@ impl RatingMatrix {
         }
     }
 
-    /// Inserts or replaces a single rating in place, validating exactly as
-    /// [`MatrixBuilder::push`] would.
+    /// Builds the successor matrix with `updates` applied in order, without
+    /// mutating `self`: one pass over the storage, no intermediate clone.
+    /// This is the serving layer's snapshot-succession primitive — the old
+    /// matrix stays live for concurrent readers while the successor is
+    /// assembled.
     ///
-    /// Replacing an existing rating is O(log d) (binary search + one
-    /// store); inserting a new one shifts the CSR tail, O(nnz) worst case.
-    /// This is the patch hook the serving layer (`gf-serve`) uses to apply
-    /// `POST /rate` updates without rebuilding the matrix; after an upsert
-    /// the affected user's preference list must be re-sorted via
-    /// [`crate::PrefIndex::patch_user`].
-    pub fn upsert(&mut self, user: u32, item: u32, score: f64) -> Result<Upsert> {
-        if user >= self.n_users {
-            return Err(GfError::UserOutOfRange {
-                user,
-                n_users: self.n_users,
-            });
-        }
-        if item >= self.n_items {
-            return Err(GfError::ItemOutOfRange {
-                item,
-                n_items: self.n_items,
-            });
-        }
-        if !score.is_finite() {
-            return Err(GfError::NonFiniteScore { user, item });
-        }
-        if !self.scale.contains(score) {
-            return Err(GfError::ScaleViolation { user, item, score });
-        }
-        let u = user as usize;
-        let (lo, hi) = (self.offsets[u], self.offsets[u + 1]);
-        match self.items[lo..hi].binary_search(&item) {
-            Ok(pos) => {
-                let previous = std::mem::replace(&mut self.scores[lo + pos], score);
-                Ok(Upsert::Updated { previous })
-            }
-            Err(pos) => {
-                self.items.insert(lo + pos, item);
-                self.scores.insert(lo + pos, score);
-                for o in &mut self.offsets[u + 1..] {
-                    *o += 1;
-                }
-                Ok(Upsert::Inserted)
-            }
-        }
-    }
-
-    /// Applies a batch of rating updates in one pass over the CSR storage.
-    ///
-    /// Equivalent to calling [`RatingMatrix::upsert`] once per update in
-    /// order (later updates to the same cell win, and each outcome reports
-    /// the value it replaced — including one written earlier in the same
-    /// batch), but degree-growing rows are rebuilt with a single splice:
-    /// O(nnz + b log b) total instead of O(b · nnz) element moves for a
-    /// batch of `b` inserts. Every update is validated before anything
-    /// mutates, so on `Err` the matrix is unchanged. Returns per-update
-    /// outcomes aligned with `updates`.
-    pub fn upsert_batch(&mut self, updates: &[(u32, u32, f64)]) -> Result<Vec<Upsert>> {
-        self.upsert_batch_under(updates, GrowthPolicy::Fixed)
-    }
-
-    /// [`RatingMatrix::upsert_batch`] under an explicit [`GrowthPolicy`]:
-    /// with [`GrowthPolicy::Grow`], updates naming users/items beyond the
+    /// Later updates to the same cell win, and each outcome reports the
+    /// value it replaced, including one written earlier in the same batch.
+    /// Every update is validated first, so on `Err` nothing is built.
+    /// Returns per-update outcomes aligned with `updates`. Under
+    /// [`GrowthPolicy::Grow`], updates naming users/items beyond the
     /// current dimensions extend `n_users`/`n_items` (appending empty CSR
     /// rows up to the named id) instead of erroring, as long as the caps
-    /// allow it. Same-batch semantics carry over unchanged: rating a
-    /// brand-new user's cell twice in one batch reports `Inserted` then
-    /// `Updated` with the first write as its previous value.
-    pub fn upsert_batch_under(
-        &mut self,
-        updates: &[(u32, u32, f64)],
-        growth: GrowthPolicy,
-    ) -> Result<Vec<Upsert>> {
-        let (written, outcomes, inserts, n_users, n_items) =
-            self.resolve_updates(updates, growth)?;
-        if inserts == 0 && n_users == self.n_users && n_items == self.n_items {
-            // Pure overwrites: patch scores in place, no storage reshaping.
-            for (&(user, item), &score) in &written {
-                let u = user as usize;
-                let (lo, hi) = (self.offsets[u], self.offsets[u + 1]);
-                let pos = self.items[lo..hi]
-                    .binary_search(&item)
-                    .expect("overwrite target exists");
-                self.scores[lo + pos] = score;
-            }
-            return Ok(outcomes);
-        }
-        *self = self.rebuilt_with(&written, inserts, n_users, n_items);
-        Ok(outcomes)
-    }
-
-    /// Builds the matrix that [`RatingMatrix::upsert_batch`] would leave
-    /// behind, without mutating `self`: one pass over the storage, no
-    /// intermediate clone. This is the serving layer's snapshot-succession
-    /// primitive — the old matrix stays live for concurrent readers while
-    /// the successor is assembled.
-    pub fn with_upserts(&self, updates: &[(u32, u32, f64)]) -> Result<(RatingMatrix, Vec<Upsert>)> {
-        self.with_upserts_under(updates, GrowthPolicy::Fixed)
-    }
-
-    /// [`RatingMatrix::with_upserts`] under an explicit [`GrowthPolicy`]:
-    /// the successor's dimensions grow to cover every admitted id (still
-    /// one pass over the storage — appending empty rows costs O(new rows),
-    /// not O(nnz), on top of the usual successor build).
+    /// allow it; appending costs O(new rows) on top of the O(nnz) build.
     pub fn with_upserts_under(
         &self,
         updates: &[(u32, u32, f64)],
@@ -529,7 +440,7 @@ impl RatingMatrix {
     /// Validates `updates` and resolves them sequentially into final cell
     /// values plus per-update outcomes: a later update of a cell written
     /// earlier in the batch replaces the earlier value, not the stored one
-    /// — exactly the per-call [`RatingMatrix::upsert`] semantics. Also
+    /// — exactly as if the updates were applied one at a time. Also
     /// resolves the grown dimensions the batch requires under `growth`.
     /// Nothing is mutated; on `Err` the caller's matrix is untouched.
     #[allow(clippy::type_complexity)] // private helper: (final cells, outcomes, insert count, grown dims)
@@ -694,7 +605,7 @@ impl RatingMatrix {
     }
 }
 
-/// What a [`RatingMatrix::upsert`] did.
+/// What one update of [`RatingMatrix::with_upserts_under`] did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Upsert {
     /// The `(user, item)` pair was already rated; the score was replaced.
@@ -1071,27 +982,31 @@ mod tests {
     }
 
     #[test]
-    fn upsert_replaces_in_place() {
-        let mut m = example1();
-        assert_eq!(
-            m.upsert(0, 1, 2.0).unwrap(),
-            Upsert::Updated { previous: 4.0 }
-        );
+    fn successor_replaces_existing_cell() {
+        let base = example1();
+        let (m, outcomes) = base
+            .with_upserts_under(&[(0, 1, 2.0)], GrowthPolicy::Fixed)
+            .unwrap();
+        assert_eq!(outcomes, vec![Upsert::Updated { previous: 4.0 }]);
         assert_eq!(m.get(0, 1), Some(2.0));
         assert_eq!(m.nnz(), 18);
+        // The predecessor stays live and unchanged for concurrent readers.
+        assert_eq!(base, example1());
     }
 
     #[test]
-    fn upsert_inserts_and_matches_cold_rebuild() {
-        let mut m = RatingMatrix::from_triples(
+    fn successor_inserts_and_matches_cold_rebuild() {
+        let base = RatingMatrix::from_triples(
             3,
             4,
             vec![(0, 0, 2.0), (0, 3, 4.0), (2, 1, 5.0)],
             RatingScale::one_to_five(),
         )
         .unwrap();
-        assert_eq!(m.upsert(0, 2, 3.0).unwrap(), Upsert::Inserted);
-        assert_eq!(m.upsert(1, 0, 1.0).unwrap(), Upsert::Inserted);
+        let (m, outcomes) = base
+            .with_upserts_under(&[(0, 2, 3.0), (1, 0, 1.0)], GrowthPolicy::Fixed)
+            .unwrap();
+        assert_eq!(outcomes, vec![Upsert::Inserted, Upsert::Inserted]);
         let cold = RatingMatrix::from_triples(
             3,
             4,
@@ -1109,30 +1024,41 @@ mod tests {
     }
 
     #[test]
-    fn upsert_validates_like_push() {
-        let mut m = example1();
+    fn successor_validates_like_push() {
+        let m = example1();
+        let fixed = GrowthPolicy::Fixed;
         assert!(matches!(
-            m.upsert(99, 0, 3.0),
+            m.with_upserts_under(&[(99, 0, 3.0)], fixed),
             Err(GfError::UserOutOfRange { .. })
         ));
         assert!(matches!(
-            m.upsert(0, 99, 3.0),
+            m.with_upserts_under(&[(0, 99, 3.0)], fixed),
             Err(GfError::ItemOutOfRange { .. })
         ));
         assert!(matches!(
-            m.upsert(0, 0, 9.0),
+            m.with_upserts_under(&[(0, 0, 9.0)], fixed),
             Err(GfError::ScaleViolation { .. })
         ));
         assert!(matches!(
-            m.upsert(0, 0, f64::NAN),
+            m.with_upserts_under(&[(0, 0, f64::NAN)], fixed),
             Err(GfError::NonFiniteScore { .. })
         ));
-        // Failed upserts leave the matrix untouched.
-        assert_eq!(m, example1());
+        // A bad update anywhere in the batch rejects the whole batch.
+        assert!(matches!(
+            m.with_upserts_under(&[(0, 0, 3.0), (99, 0, 3.0)], fixed),
+            Err(GfError::UserOutOfRange { .. })
+        ));
+        assert!(matches!(
+            m.with_upserts_under(&[(0, 0, 3.0), (0, 0, 9.0)], fixed),
+            Err(GfError::ScaleViolation { .. })
+        ));
+        let (same, outcomes) = m.with_upserts_under(&[], fixed).unwrap();
+        assert_eq!(outcomes, vec![]);
+        assert_eq!(same, m);
     }
 
     #[test]
-    fn upsert_batch_matches_sequential_upserts() {
+    fn successor_batch_matches_one_update_at_a_time() {
         let base = RatingMatrix::from_triples(
             4,
             5,
@@ -1150,13 +1076,18 @@ mod tests {
             (3, 0, 2.0),
             (2, 1, 1.0),
         ];
-        let mut batched = base.clone();
-        let outcomes = batched.upsert_batch(&updates).unwrap();
+        let (batched, outcomes) = base
+            .with_upserts_under(&updates, GrowthPolicy::Fixed)
+            .unwrap();
         let mut sequential = base.clone();
-        let expected: Vec<Upsert> = updates
-            .iter()
-            .map(|&(u, i, s)| sequential.upsert(u, i, s).unwrap())
-            .collect();
+        let mut expected = Vec::new();
+        for &update in &updates {
+            let (next, mut outcome) = sequential
+                .with_upserts_under(&[update], GrowthPolicy::Fixed)
+                .unwrap();
+            sequential = next;
+            expected.append(&mut outcome);
+        }
         assert_eq!(outcomes, expected);
         assert_eq!(batched, sequential);
         // The double write reports the first batch write as its previous.
@@ -1164,38 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn upsert_batch_pure_overwrites_avoid_rebuild() {
-        let mut m = example1();
-        let outcomes = m.upsert_batch(&[(0, 1, 1.0), (1, 0, 5.0)]).unwrap();
-        assert_eq!(
-            outcomes,
-            vec![
-                Upsert::Updated { previous: 4.0 },
-                Upsert::Updated { previous: 2.0 }
-            ]
-        );
-        assert_eq!(m.get(0, 1), Some(1.0));
-        assert_eq!(m.get(1, 0), Some(5.0));
-        assert_eq!(m.nnz(), example1().nnz());
-    }
-
-    #[test]
-    fn upsert_batch_validates_before_mutating() {
-        let mut m = example1();
-        assert!(matches!(
-            m.upsert_batch(&[(0, 0, 3.0), (99, 0, 3.0)]),
-            Err(GfError::UserOutOfRange { .. })
-        ));
-        assert!(matches!(
-            m.upsert_batch(&[(0, 0, 3.0), (0, 0, 9.0)]),
-            Err(GfError::ScaleViolation { .. })
-        ));
-        assert_eq!(m, example1());
-        assert_eq!(m.upsert_batch(&[]).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn upsert_batch_under_grows_to_cold_union_build() {
+    fn successor_grows_to_cold_union_build() {
         let base = RatingMatrix::from_triples(
             3,
             2,
@@ -1203,12 +1103,12 @@ mod tests {
             RatingScale::one_to_five(),
         )
         .unwrap();
-        let growth = GrowthPolicy::unbounded();
         // Admit user 5 (creating empty rows 3, 4) and item 3 (items 2 as a
         // gap column), mixing in an overwrite of an existing cell.
         let updates = [(5u32, 3u32, 4.0), (0, 0, 3.0), (4, 1, 1.0)];
-        let mut grown = base.clone();
-        let outcomes = grown.upsert_batch_under(&updates, growth).unwrap();
+        let (grown, outcomes) = base
+            .with_upserts_under(&updates, GrowthPolicy::unbounded())
+            .unwrap();
         assert_eq!(
             outcomes,
             vec![
@@ -1217,9 +1117,6 @@ mod tests {
                 Upsert::Inserted
             ]
         );
-        let (pure, pure_outcomes) = base.with_upserts_under(&updates, growth).unwrap();
-        assert_eq!(pure_outcomes, outcomes);
-        assert_eq!(pure, grown);
         let cold = RatingMatrix::from_triples(
             6,
             4,
@@ -1235,12 +1132,11 @@ mod tests {
     fn same_batch_create_then_rate_again() {
         let base = RatingMatrix::from_triples(2, 2, vec![(0, 0, 2.0)], RatingScale::one_to_five())
             .unwrap();
-        let mut m = base.clone();
         // A brand-new user's cell written twice in one batch: the second
-        // write reports the first as its previous value, and the final
-        // matrix carries the last write.
-        let outcomes = m
-            .upsert_batch_under(
+        // write reports the first as its previous value, and the successor
+        // carries the last write.
+        let (m, outcomes) = base
+            .with_upserts_under(
                 &[(4, 3, 2.0), (4, 3, 5.0)],
                 GrowthPolicy::Grow {
                     max_users: 8,
@@ -1258,16 +1154,15 @@ mod tests {
     }
 
     #[test]
-    fn growth_caps_are_enforced_and_atomic() {
+    fn growth_caps_are_enforced() {
         let base = RatingMatrix::from_triples(2, 2, vec![(0, 0, 2.0)], RatingScale::one_to_five())
             .unwrap();
         let growth = GrowthPolicy::Grow {
             max_users: 4,
             max_items: 3,
         };
-        let mut m = base.clone();
         assert_eq!(
-            m.upsert_batch_under(&[(1, 1, 3.0), (4, 0, 3.0)], growth)
+            base.with_upserts_under(&[(1, 1, 3.0), (4, 0, 3.0)], growth)
                 .unwrap_err(),
             GfError::GrowthExhausted {
                 axis: "user",
@@ -1276,18 +1171,16 @@ mod tests {
             }
         );
         assert_eq!(
-            m.upsert_batch_under(&[(0, 3, 3.0)], growth).unwrap_err(),
+            base.with_upserts_under(&[(0, 3, 3.0)], growth).unwrap_err(),
             GfError::GrowthExhausted {
                 axis: "item",
                 id: 3,
                 max: 3
             }
         );
-        // Failed batches leave the matrix untouched, even mid-growth.
-        assert_eq!(m, base);
         // Fixed policy keeps the historical errors.
         assert!(matches!(
-            m.upsert_batch_under(&[(5, 0, 3.0)], GrowthPolicy::Fixed),
+            base.with_upserts_under(&[(5, 0, 3.0)], GrowthPolicy::Fixed),
             Err(GfError::UserOutOfRange { .. })
         ));
     }

@@ -152,69 +152,15 @@ impl PrefIndex {
         self.ranked_scores(u).get(k - 1).copied()
     }
 
-    /// Re-sorts user `u`'s preference list from the matrix's current row,
-    /// leaving every other user's list untouched.
-    ///
-    /// This is the incremental counterpart of [`PrefIndex::build`] for use
-    /// after [`RatingMatrix::upsert`]: O(d log d) for the affected row,
-    /// plus an O(n) offset shift (and an O(nnz) splice) only when the
-    /// row's degree changed. The result is exactly what a full `build` of
-    /// the patched matrix would produce — the serving layer's
-    /// incremental-vs-cold equivalence test enforces this.
-    pub fn patch_user(&mut self, matrix: &RatingMatrix, u: u32) {
-        debug_assert_eq!(self.n_users(), matrix.n_users());
-        let mut row: Vec<(u32, f64)> = matrix.user_ratings(u).collect();
-        row.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let u = u as usize;
-        let (lo, hi) = (self.offsets[u], self.offsets[u + 1]);
-        if row.len() == hi - lo {
-            for (slot, (i, s)) in row.into_iter().enumerate() {
-                self.items[lo + slot] = i;
-                self.scores[lo + slot] = s;
-            }
-            return;
-        }
-        let delta = row.len() as i64 - (hi - lo) as i64;
-        self.items.splice(lo..hi, row.iter().map(|&(i, _)| i));
-        self.scores.splice(lo..hi, row.iter().map(|&(_, s)| s));
-        for o in &mut self.offsets[u + 1..] {
-            *o = (*o as i64 + delta) as usize;
-        }
-    }
-
-    /// Re-sorts several users' preference lists from the matrix in one
-    /// pass: the batched counterpart of [`PrefIndex::patch_user`].
-    ///
-    /// When no row's degree changed, each row is patched in place; when
-    /// degrees changed, the flat storage is rebuilt with a single O(nnz)
-    /// pass instead of one O(nnz) splice per degree-changing user. The
-    /// result is exactly what a full [`PrefIndex::build`] of the patched
-    /// matrix would produce. Duplicate user ids are fine.
-    ///
-    /// The matrix may have **grown** (see
-    /// [`crate::GrowthPolicy`]): rows the index has never seen are
-    /// appended — implicitly dirty, whether or not `users` names them.
-    pub fn patch_users(&mut self, matrix: &RatingMatrix, users: &[u32]) {
-        debug_assert!(matrix.n_users() >= self.n_users());
-        let mut dirty: Vec<u32> = users.to_vec();
-        dirty.sort_unstable();
-        dirty.dedup();
-        let degrees_stable = matrix.n_users() == self.n_users()
-            && dirty.iter().all(|&u| matrix.degree(u) == self.degree(u));
-        if degrees_stable {
-            for &u in &dirty {
-                self.patch_user(matrix, u);
-            }
-            return;
-        }
-        *self = self.rebuilt_with(matrix, &dirty);
-    }
-
-    /// Builds the index that [`PrefIndex::patch_users`] would leave
-    /// behind, without mutating `self`: one pass over the storage, no
+    /// Builds the successor index for `matrix`, in which `users`' rows
+    /// changed: their preference lists are re-sorted from the matrix, every
+    /// other list is copied verbatim. One pass over the storage, no
     /// intermediate clone — the snapshot-succession twin of
-    /// [`RatingMatrix::with_upserts`]. Duplicate user ids are fine, and a
-    /// grown matrix appends the new rows exactly as `patch_users` would.
+    /// [`RatingMatrix::with_upserts_under`]. The result is exactly what a
+    /// full [`PrefIndex::build`] of `matrix` would produce. Duplicate user
+    /// ids are fine. The matrix may have **grown** (see
+    /// [`crate::GrowthPolicy`]): rows the index has never seen are
+    /// appended, whether or not `users` names them.
     pub fn patched(&self, matrix: &RatingMatrix, users: &[u32]) -> PrefIndex {
         debug_assert!(matrix.n_users() >= self.n_users());
         let mut dirty: Vec<u32> = users.to_vec();
@@ -348,57 +294,26 @@ mod tests {
     }
 
     #[test]
-    fn patch_user_matches_cold_build() {
-        let mut matrix = example1();
-        let mut prefs = PrefIndex::build(&matrix);
-        // Same-degree patch: replace an existing rating.
-        matrix.upsert(1, 0, 4.0).unwrap();
-        prefs.patch_user(&matrix, 1);
-        // Degree-growing patch on a sparse matrix.
-        let mut sparse = crate::matrix::RatingMatrix::from_triples(
-            3,
-            4,
-            vec![(0, 1, 2.0), (2, 0, 5.0)],
-            RatingScale::one_to_five(),
-        )
-        .unwrap();
-        let mut sparse_prefs = PrefIndex::build(&sparse);
-        sparse.upsert(0, 3, 4.0).unwrap();
-        sparse.upsert(1, 2, 1.0).unwrap();
-        sparse_prefs.patch_user(&sparse, 0);
-        sparse_prefs.patch_user(&sparse, 1);
-        for (m, p) in [(&matrix, &prefs), (&sparse, &sparse_prefs)] {
-            let cold = PrefIndex::build(m);
-            for u in 0..m.n_users() {
-                assert_eq!(p.ranked_items(u), cold.ranked_items(u), "user {u}");
-                assert_eq!(p.ranked_scores(u), cold.ranked_scores(u), "user {u}");
-            }
-        }
-    }
-
-    #[test]
-    fn patch_users_matches_cold_build() {
-        // Degree-stable batch.
-        let mut stable = example1();
-        let mut stable_prefs = PrefIndex::build(&stable);
-        stable.upsert(1, 0, 4.0).unwrap();
-        stable.upsert(4, 2, 5.0).unwrap();
-        stable_prefs.patch_users(&stable, &[1, 4, 4]);
+    fn patched_matches_cold_build() {
+        use crate::matrix::GrowthPolicy;
+        // Degree-stable batch: overwrites only.
+        let stable = example1();
+        let updates = [(1u32, 0u32, 4.0), (4, 2, 5.0), (4, 2, 2.0)];
         // Degree-growing batch on a sparse matrix (one brand-new row).
-        let mut sparse = crate::matrix::RatingMatrix::from_triples(
+        let sparse = crate::matrix::RatingMatrix::from_triples(
             4,
             5,
             vec![(0, 1, 2.0), (2, 0, 5.0), (2, 3, 1.0)],
             RatingScale::one_to_five(),
         )
         .unwrap();
-        let mut sparse_prefs = PrefIndex::build(&sparse);
-        sparse.upsert(0, 3, 4.0).unwrap();
-        sparse.upsert(3, 2, 2.0).unwrap();
-        sparse.upsert(2, 0, 3.0).unwrap();
-        sparse_prefs.patch_users(&sparse, &[0, 3, 2]);
-        for (m, p) in [(&stable, &stable_prefs), (&sparse, &sparse_prefs)] {
-            let cold = PrefIndex::build(m);
+        let sparse_updates = [(0u32, 3u32, 4.0), (3, 2, 2.0), (2, 0, 3.0)];
+        for (base, batch) in [(&stable, &updates[..]), (&sparse, &sparse_updates[..])] {
+            let prefs = PrefIndex::build(base);
+            let (m, _) = base.with_upserts_under(batch, GrowthPolicy::Fixed).unwrap();
+            let users: Vec<u32> = batch.iter().map(|&(u, _, _)| u).collect();
+            let p = prefs.patched(&m, &users);
+            let cold = PrefIndex::build(&m);
             for u in 0..m.n_users() {
                 assert_eq!(p.ranked_items(u), cold.ranked_items(u), "user {u}");
                 assert_eq!(p.ranked_scores(u), cold.ranked_scores(u), "user {u}");
@@ -409,33 +324,30 @@ mod tests {
     #[test]
     fn patched_appends_rows_for_grown_matrices() {
         use crate::matrix::GrowthPolicy;
-        let mut matrix = crate::matrix::RatingMatrix::from_triples(
+        let base = crate::matrix::RatingMatrix::from_triples(
             3,
             3,
             vec![(0, 1, 2.0), (2, 0, 5.0)],
             RatingScale::one_to_five(),
         )
         .unwrap();
-        let mut prefs = PrefIndex::build(&matrix);
+        let prefs = PrefIndex::build(&base);
         // Admit users 3..=5 (4 stays an empty gap row) and item 4.
         let updates = [(5u32, 4u32, 4.0), (3, 0, 1.0), (0, 1, 3.0)];
-        let outcomes = matrix
-            .upsert_batch_under(&updates, GrowthPolicy::unbounded())
+        let (matrix, outcomes) = base
+            .with_upserts_under(&updates, GrowthPolicy::unbounded())
             .unwrap();
         assert_eq!(outcomes.len(), 3);
         let users: Vec<u32> = updates.iter().map(|&(u, _, _)| u).collect();
-        let pure = prefs.patched(&matrix, &users);
-        prefs.patch_users(&matrix, &users);
+        let p = prefs.patched(&matrix, &users);
         let cold = PrefIndex::build(&matrix);
         assert_eq!(cold.n_users(), 6);
-        for p in [&prefs, &pure] {
-            assert_eq!(p.n_users(), 6);
-            for u in 0..matrix.n_users() {
-                assert_eq!(p.ranked_items(u), cold.ranked_items(u), "user {u}");
-                assert_eq!(p.ranked_scores(u), cold.ranked_scores(u), "user {u}");
-            }
+        assert_eq!(p.n_users(), 6);
+        for u in 0..matrix.n_users() {
+            assert_eq!(p.ranked_items(u), cold.ranked_items(u), "user {u}");
+            assert_eq!(p.ranked_scores(u), cold.ranked_scores(u), "user {u}");
         }
-        assert_eq!(prefs.degree(4), 0);
+        assert_eq!(p.degree(4), 0);
     }
 
     #[test]

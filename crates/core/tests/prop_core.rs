@@ -5,8 +5,8 @@ use gf_core::alg::bucket::{
     build_buckets, build_buckets_threaded, canonical_buckets, personal_top_k,
 };
 use gf_core::{
-    Aggregation, FormationConfig, GreedyFormer, GroupFormer, GroupRecommender, MissingPolicy,
-    PrefIndex, RatingMatrix, RatingScale, Semantics, ShardedFormer,
+    Aggregation, FormationConfig, GreedyFormer, GroupFormer, GroupRecommender, GrowthPolicy,
+    MissingPolicy, PrefIndex, RatingMatrix, RatingScale, Semantics, ShardedFormer,
 };
 use proptest::prelude::*;
 
@@ -298,9 +298,10 @@ proptest! {
         prop_assert_eq!(m, m2);
     }
 
-    /// A stream of incremental upserts + per-user preference patches lands
-    /// on exactly the matrix and index a cold rebuild of the final ratings
-    /// produces — the invariant the serving layer's `/rate` path rests on.
+    /// A stream of one-update successor builds (matrix + preference index)
+    /// lands on exactly the matrix and index a cold rebuild of the final
+    /// ratings produces — the invariant the serving layer's `/rate` path
+    /// rests on.
     #[test]
     fn upsert_and_patch_match_cold_rebuild(
         inst in instance(8, 8),
@@ -310,8 +311,9 @@ proptest! {
         let mut prefs = PrefIndex::build(&m);
         for &(u, i, r) in &updates {
             let (u, i) = (u % inst.n, i % inst.m);
-            m.upsert(u, i, r as f64).unwrap();
-            prefs.patch_user(&m, u);
+            let (next, _) = m.with_upserts_under(&[(u, i, r as f64)], GrowthPolicy::Fixed).unwrap();
+            prefs = prefs.patched(&next, &[u]);
+            m = next;
         }
         // Cold rebuild from the final triple set.
         let mut finals: std::collections::HashMap<(u32, u32), f64> =

@@ -3,9 +3,9 @@
 //! existing cells — the grown state must equal a cold build over the final
 //! union universe at every step:
 //!
-//! * `RatingMatrix::upsert_batch_under` / `with_upserts_under` == a cold
-//!   `from_triples` over the union (and each other);
-//! * `PrefIndex::patch_users` / `patched` == a cold `PrefIndex::build`;
+//! * `RatingMatrix::with_upserts_under` == a cold `from_triples` over the
+//!   union;
+//! * `PrefIndex::patched` == a cold `PrefIndex::build`;
 //! * `IncrementalFormer` bucket state == a cold `build_buckets` run,
 //!   bit for bit, and the emitted grouping == the cold `GreedyFormer`
 //!   grouping exactly (unbounded repair).
@@ -120,20 +120,10 @@ proptest! {
             inst.triples.iter().map(|&(u, i, s)| ((u, i), s)).collect();
         let (mut union_n, mut union_m) = (inst.n, inst.m);
         for batch in partition(&updates, &sizes) {
-            // Pure (snapshot-succession) and in-place paths must agree.
-            let (pure_matrix, pure_outcomes) =
-                matrix.with_upserts_under(&batch, growth).unwrap();
+            let (next, outcomes) = matrix.with_upserts_under(&batch, growth).unwrap();
             let users: Vec<u32> = batch.iter().map(|&(u, _, _)| u).collect();
-            let pure_prefs = prefs.patched(&pure_matrix, &users);
-            let outcomes = matrix.upsert_batch_under(&batch, growth).unwrap();
-            prop_assert_eq!(&outcomes, &pure_outcomes);
-            prop_assert_eq!(&pure_matrix, &matrix);
-            prefs.patch_users(&matrix, &users);
-            prop_assert_eq!(pure_prefs.n_users(), prefs.n_users());
-            for u in 0..prefs.n_users() {
-                prop_assert_eq!(pure_prefs.ranked_items(u), prefs.ranked_items(u));
-                prop_assert_eq!(pure_prefs.ranked_scores(u), prefs.ranked_scores(u));
-            }
+            prefs = prefs.patched(&next, &users);
+            matrix = next;
             for &(u, i, s) in &batch {
                 finals.insert((u, i), s);
                 union_n = union_n.max(u + 1);
@@ -176,8 +166,9 @@ proptest! {
         }
     }
 
-    /// Growth caps are atomic: a batch that would blow past the cap leaves
-    /// matrix, prefs and former untouched and keeps serving the old state.
+    /// Growth caps are atomic: a batch that would blow past the cap is
+    /// rejected whole, so no successor is built and the old state keeps
+    /// serving.
     #[test]
     fn exhausted_caps_reject_atomically(
         inst in instance(5, 4),
@@ -185,24 +176,20 @@ proptest! {
         overflow_user in 9u32..20,
     ) {
         let growth = GrowthPolicy::Grow { max_users: 7, max_items: 6 };
-        let mut matrix = matrix_of(&inst);
         let good: Vec<(u32, u32, f64)> = good
             .into_iter()
             .map(|(u, i, r)| (u, i, r as f64))
             .collect();
-        matrix.upsert_batch_under(&good, growth).unwrap();
-        let before = matrix.clone();
+        let (matrix, _) = matrix_of(&inst).with_upserts_under(&good, growth).unwrap();
         let mut bad = good.clone();
         bad.push((overflow_user, 0, 3.0));
         prop_assert!(matches!(
-            matrix.upsert_batch_under(&bad, growth),
+            matrix.with_upserts_under(&bad, growth),
             Err(gf_core::GfError::GrowthExhausted { axis: "user", .. })
         ));
-        prop_assert_eq!(&matrix, &before);
         prop_assert!(matches!(
-            matrix.upsert_batch_under(&[(0, 6, 3.0)], growth),
+            matrix.with_upserts_under(&[(0, 6, 3.0)], growth),
             Err(gf_core::GfError::GrowthExhausted { axis: "item", .. })
         ));
-        prop_assert_eq!(&matrix, &before);
     }
 }

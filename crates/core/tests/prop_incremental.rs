@@ -9,8 +9,8 @@
 
 use gf_core::alg::bucket::{build_buckets, canonical_buckets};
 use gf_core::{
-    Aggregation, FormationConfig, GreedyFormer, GroupFormer, IncrementalFormer, MissingPolicy,
-    PrefIndex, RatingDelta, RatingMatrix, RatingScale, Semantics,
+    Aggregation, FormationConfig, GreedyFormer, GroupFormer, GrowthPolicy, IncrementalFormer,
+    MissingPolicy, PrefIndex, RatingDelta, RatingMatrix, RatingScale, Semantics,
 };
 use proptest::prelude::*;
 
@@ -72,16 +72,19 @@ fn config(sem_lm: bool, agg_ix: usize, k: usize, ell: usize, policy_ix: usize) -
     FormationConfig::new(sem, Aggregation::paper_set()[agg_ix], k, ell).with_policy(policy)
 }
 
-/// Applies one dirty batch through the batched core hooks and returns the
-/// deltas the former needs.
+/// Applies one dirty batch through the successor builders the serving
+/// layer runs and returns the deltas the former needs.
 fn apply_batch(
     matrix: &mut RatingMatrix,
     prefs: &mut PrefIndex,
     batch: &[(u32, u32, f64)],
 ) -> Vec<RatingDelta> {
-    let outcomes = matrix.upsert_batch(batch).unwrap();
+    let (m, outcomes) = matrix
+        .with_upserts_under(batch, GrowthPolicy::Fixed)
+        .unwrap();
     let users: Vec<u32> = batch.iter().map(|&(u, _, _)| u).collect();
-    prefs.patch_users(matrix, &users);
+    *prefs = prefs.patched(&m, &users);
+    *matrix = m;
     batch
         .iter()
         .zip(outcomes)
@@ -207,30 +210,50 @@ proptest! {
         prop_assert_eq!(former.result(), &cold);
     }
 
-    /// The batched hooks themselves: `upsert_batch` + `patch_users` agree
-    /// with per-update `upsert` + a cold `PrefIndex::build`.
+    /// The batch builder against its reference: one `with_upserts_under`
+    /// call over a batch equals applying the same updates one at a time
+    /// through one-element calls (cells, dimensions and per-update
+    /// outcomes, same-batch rewrites included), under both `Fixed` and
+    /// `Grow`; `patched` over the batch equals a cold `PrefIndex::build`.
     #[test]
-    fn batched_hooks_match_sequential(
+    fn batch_successor_matches_one_update_at_a_time(
         inst in instance(7, 6),
-        updates in proptest::collection::vec((0u32..7, 0u32..6, 1u8..=5), 1..16),
+        updates in proptest::collection::vec((0u32..10, 0u32..9, 1u8..=5), 1..16),
+        rewrite in 1u8..=5,
+        grow in any::<bool>(),
     ) {
-        let updates: Vec<(u32, u32, f64)> = updates
+        let growth = if grow {
+            GrowthPolicy::Grow { max_users: inst.n + 3, max_items: inst.m + 3 }
+        } else {
+            GrowthPolicy::Fixed
+        };
+        // Fixed keeps ids in range; Grow may name up to 3 ids past each edge.
+        let (n_ids, m_ids) = if grow { (inst.n + 3, inst.m + 3) } else { (inst.n, inst.m) };
+        let mut updates: Vec<(u32, u32, f64)> = updates
             .into_iter()
-            .map(|(u, i, r)| (u % inst.n, i % inst.m, r as f64))
+            .map(|(u, i, r)| (u % n_ids, i % m_ids, r as f64))
             .collect();
-        let mut batched = matrix_of(&inst);
-        let mut prefs = PrefIndex::build(&batched);
-        let outcomes = batched.upsert_batch(&updates).unwrap();
-        let users: Vec<u32> = updates.iter().map(|&(u, _, _)| u).collect();
-        prefs.patch_users(&batched, &users);
-        let mut sequential = matrix_of(&inst);
-        for (ix, &(u, i, s)) in updates.iter().enumerate() {
-            let outcome = sequential.upsert(u, i, s).unwrap();
-            prop_assert_eq!(outcomes[ix], outcome, "update {}", ix);
+        // Always rewrite the first update's cell later in the same batch.
+        updates.push((updates[0].0, updates[0].1, rewrite as f64));
+        let base = matrix_of(&inst);
+        let (batched, outcomes) = base.with_upserts_under(&updates, growth).unwrap();
+        let mut sequential = base.clone();
+        for (ix, &update) in updates.iter().enumerate() {
+            let (next, outcome) = sequential.with_upserts_under(&[update], growth).unwrap();
+            prop_assert_eq!(outcome.len(), 1);
+            prop_assert_eq!(outcomes[ix], outcome[0], "update {}", ix);
+            sequential = next;
         }
+        prop_assert_eq!(
+            (batched.n_users(), batched.n_items()),
+            (sequential.n_users(), sequential.n_items())
+        );
         prop_assert_eq!(&batched, &sequential);
+        let users: Vec<u32> = updates.iter().map(|&(u, _, _)| u).collect();
+        let prefs = PrefIndex::build(&base).patched(&batched, &users);
         let cold = PrefIndex::build(&batched);
-        for u in 0..inst.n {
+        prop_assert_eq!(prefs.n_users(), cold.n_users());
+        for u in 0..batched.n_users() {
             prop_assert_eq!(prefs.ranked_items(u), cold.ranked_items(u));
             prop_assert_eq!(prefs.ranked_scores(u), cold.ranked_scores(u));
         }

@@ -473,12 +473,23 @@ fn encode_feedback(w: &OnlineEval) -> Vec<u8> {
     out.into_bytes()
 }
 
+/// Encoded size of a feedback event without a scope: user 4 + item 4 +
+/// scope marker 1 bytes.
+const FEEDBACK_EVENT_MIN_BYTES: usize = 9;
+
 fn decode_feedback(body: &[u8]) -> Result<OnlineEval> {
     let mut r = Reader::new(body);
     let capacity = r.u64("feedback capacity")? as usize;
     let observed_total = r.u64("feedback observed_total")?;
-    let count = r.u32("feedback count")?;
-    let mut events = Vec::with_capacity(count as usize);
+    let count = r.u32("feedback count")? as usize;
+    // Bound the count by the bytes present before sizing the `Vec`.
+    if count.saturating_mul(FEEDBACK_EVENT_MIN_BYTES) > r.remaining() {
+        return Err(PersistError::Corrupt(format!(
+            "feedback count {count} exceeds the {} bytes left",
+            r.remaining()
+        )));
+    }
+    let mut events = Vec::with_capacity(count);
     for _ in 0..count {
         let user = r.u32("feedback user")?;
         let item = r.u32("feedback item")?;
@@ -903,6 +914,18 @@ mod tests {
         assert_eq!(back.feedback.observed_total(), 17);
         assert_eq!(back.feedback.capacity(), 128);
         assert_eq!(back.feedback.events()[1].scope.as_deref(), Some("cons"));
+    }
+
+    #[test]
+    fn feedback_count_beyond_body_is_corrupt() {
+        let mut w = Writer::new();
+        w.u64(128);
+        w.u64(0);
+        w.u32(u32::MAX);
+        assert!(matches!(
+            decode_feedback(&w.into_bytes()),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

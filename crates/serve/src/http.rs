@@ -13,12 +13,8 @@
 //!
 //! ## Endpoints (`/v1`)
 //!
-//! The surface lives under the versioned `/v1/` namespace. Every
-//! unversioned path (`/health`, `/rate`, …) remains a thin alias for its
-//! `/v1` twin: same handler, same body, plus a `Deprecation: true`
-//! response header. The aliases differ in exactly one default —
-//! `exclude_rated` is off on the legacy `/recommend` so pre-`/v1`
-//! clients keep seeing unfiltered lists.
+//! The surface lives under the versioned `/v1/` namespace; any other
+//! path answers 404 `unknown_endpoint`.
 //!
 //! | method & path | body | answer |
 //! |---------------|------|--------|
@@ -123,48 +119,32 @@ pub const ROUTE_TABLE: &[(&str, &str)] = &[
     ("POST", "/v1/feedback"),
 ];
 
-/// A fully resolved response: status, JSON body, and whether the request
-/// arrived through a deprecated (unversioned) alias — the connection
-/// handler turns the flag into a `Deprecation: true` response header.
+/// A fully resolved response: status and JSON body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteOutcome {
     /// HTTP status code.
     pub status: u16,
     /// JSON response body.
     pub body: Json,
-    /// The request used a legacy unversioned path.
-    pub deprecated: bool,
-}
-
-/// Routes one request to `(status, JSON body)` — [`route_full`] without
-/// the deprecation flag, kept for embedders and tests that only care
-/// about the payload.
-pub fn route(state: &ServeState, req: &HttpRequest) -> (u16, Json) {
-    let outcome = route_full(state, req);
-    (outcome.status, outcome.body)
 }
 
 /// Routes one request. Pure apart from the state it queries/mutates —
 /// exercised directly by unit tests, no socket required.
 ///
-/// The canonical surface is `/v1/...`; an unversioned path dispatches to
-/// the identical handler (so every route has a legacy alias) but is
-/// flagged deprecated, and its `/recommend` alias defaults
-/// `exclude_rated` off where `/v1` defaults it on.
+/// Every endpoint lives under `/v1/...`; any other path answers 404
+/// `unknown_endpoint` (405 `method_not_allowed` for a method no route
+/// takes).
 pub fn route_full(state: &ServeState, req: &HttpRequest) -> RouteOutcome {
-    let (path, versioned) = match req.path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => (rest, true),
-        _ => (req.path.as_str(), false),
+    let path = match req.path.strip_prefix("/v1") {
+        Some(rest) if rest.starts_with('/') => rest,
+        // No route matches "", so this reaches the 404/405 arms.
+        _ => "",
     };
-    let (status, body) = dispatch(state, req, path, versioned);
-    RouteOutcome {
-        status,
-        body,
-        deprecated: !versioned,
-    }
+    let (status, body) = dispatch(state, req, path);
+    RouteOutcome { status, body }
 }
 
-fn dispatch(state: &ServeState, req: &HttpRequest, path: &str, versioned: bool) -> (u16, Json) {
+fn dispatch(state: &ServeState, req: &HttpRequest, path: &str) -> (u16, Json) {
     match (req.method.as_str(), path) {
         ("GET", "/health") => {
             let snap = state.snapshot();
@@ -316,10 +296,7 @@ fn dispatch(state: &ServeState, req: &HttpRequest, path: &str, versioned: bool) 
         }
         ("GET", path) if path.starts_with("/recommend/") => {
             let (name, id) = split_scoped(&path["/recommend/".len()..]);
-            // The one default the alias disagrees on: `/v1` filters to
-            // candidate items unless told otherwise, the legacy route
-            // keeps its historical unfiltered list.
-            match (id.parse(), parse_recommend_params(&req.query, versioned)) {
+            match (id.parse(), parse_recommend_params(&req.query)) {
                 (Ok(group), Ok(params)) => recommend(state, name, group, params),
                 (Err(_), _) => (
                     400,
@@ -408,8 +385,8 @@ fn split_scoped(rest: &str) -> (&str, &str) {
 
 /// Query parameters of `/recommend`: the shared `limit`/`offset` window
 /// plus `top_k` (how much of the stored list to recommend, clamped to
-/// its length) and `exclude_rated` (filter to candidate items — on by
-/// default under `/v1`, off on the legacy alias).
+/// its length) and `exclude_rated` (filter to candidate items, on by
+/// default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RecommendParams {
     page: Page,
@@ -417,14 +394,11 @@ struct RecommendParams {
     exclude_rated: bool,
 }
 
-fn parse_recommend_params(
-    query: &str,
-    versioned: bool,
-) -> std::result::Result<RecommendParams, String> {
+fn parse_recommend_params(query: &str) -> std::result::Result<RecommendParams, String> {
     let mut params = RecommendParams {
         page: parse_page(query)?,
         top_k: None,
-        exclude_rated: versioned,
+        exclude_rated: true,
     };
     for pair in query.split('&').filter(|p| !p.is_empty()) {
         let (name, value) = pair.split_once('=').unwrap_or((pair, ""));
@@ -901,36 +875,36 @@ mod tests {
         ServeState::new(matrix, cfg).unwrap()
     }
 
-    fn get(state: &ServeState, path: &str) -> (u16, Json) {
-        route(
+    fn send(state: &ServeState, method: &str, path: &str, query: &str, body: &str) -> (u16, Json) {
+        let out = route_full(
             state,
             &HttpRequest {
-                method: "GET".into(),
+                method: method.into(),
                 path: path.into(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: true,
-            },
-        )
-    }
-
-    fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
-        route(
-            state,
-            &HttpRequest {
-                method: "POST".into(),
-                path: path.into(),
-                query: String::new(),
+                query: query.into(),
                 body: body.into(),
                 keep_alive: true,
             },
-        )
+        );
+        (out.status, out.body)
+    }
+
+    fn get(state: &ServeState, path: &str) -> (u16, Json) {
+        send(state, "GET", path, "", "")
+    }
+
+    fn get_query(state: &ServeState, path: &str, query: &str) -> (u16, Json) {
+        send(state, "GET", path, query, "")
+    }
+
+    fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
+        send(state, "POST", path, "", body)
     }
 
     #[test]
     fn health_reports_shape() {
         let s = test_state();
-        let (status, body) = get(&s, "/health");
+        let (status, body) = get(&s, "/v1/health");
         assert_eq!(status, 200);
         assert_eq!(body.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(body.get("users").and_then(Json::as_u64), Some(9));
@@ -941,28 +915,15 @@ mod tests {
     fn group_lookup_round_trips_assignment() {
         let s = test_state();
         for u in 0..9u32 {
-            let (status, body) = get(&s, &format!("/group/{u}"));
+            let (status, body) = get(&s, &format!("/v1/group/{u}"));
             assert_eq!(status, 200, "user {u}");
             let gi = body.get("group").and_then(Json::as_u64).unwrap() as usize;
             let members = body.get("members").and_then(Json::as_arr).unwrap();
             assert!(members.iter().any(|m| m.as_u64() == Some(u as u64)));
-            let (rs, rbody) = get(&s, &format!("/recommend/{gi}"));
+            let (rs, rbody) = get_query(&s, &format!("/v1/recommend/{gi}"), "exclude_rated=false");
             assert_eq!(rs, 200);
             assert_eq!(rbody.get("top_k"), body.get("top_k"));
         }
-    }
-
-    fn get_query(state: &ServeState, path: &str, query: &str) -> (u16, Json) {
-        route(
-            state,
-            &HttpRequest {
-                method: "GET".into(),
-                path: path.into(),
-                query: query.into(),
-                body: String::new(),
-                keep_alive: true,
-            },
-        )
     }
 
     #[test]
@@ -978,7 +939,7 @@ mod tests {
             1,
         ));
         let s = ServeState::new(matrix, cfg).unwrap();
-        let (status, body) = get_query(&s, "/group/0", "limit=3&offset=4");
+        let (status, body) = get_query(&s, "/v1/group/0", "limit=3&offset=4");
         assert_eq!(status, 200);
         assert_eq!(body.get("members_total").and_then(Json::as_u64), Some(9));
         assert_eq!(body.get("members_offset").and_then(Json::as_u64), Some(4));
@@ -991,7 +952,7 @@ mod tests {
             .collect();
         assert_eq!(members, vec![4, 5, 6]);
         // Out-of-range offsets clamp to an empty page, never an error.
-        let (status, body) = get_query(&s, "/group/0", "offset=99");
+        let (status, body) = get_query(&s, "/v1/group/0", "offset=99");
         assert_eq!(status, 200);
         assert!(body
             .get("members")
@@ -999,7 +960,7 @@ mod tests {
             .unwrap()
             .is_empty());
         // Same window semantics on the recommendation endpoint.
-        let (status, body) = get_query(&s, "/recommend/0", "limit=1");
+        let (status, body) = get_query(&s, "/v1/recommend/0", "exclude_rated=false&limit=1");
         assert_eq!(status, 200);
         assert_eq!(
             body.get("top_k").and_then(Json::as_arr).map(<[_]>::len),
@@ -1007,9 +968,9 @@ mod tests {
         );
         assert_eq!(body.get("items_total").and_then(Json::as_u64), Some(2));
         // Malformed paging parameters are a 400, unknown ones are ignored.
-        assert_eq!(get_query(&s, "/group/0", "limit=abc").0, 400);
-        assert_eq!(get_query(&s, "/group/0", "offset=-1").0, 400);
-        assert_eq!(get_query(&s, "/group/0", "foo=1").0, 200);
+        assert_eq!(get_query(&s, "/v1/group/0", "limit=abc").0, 400);
+        assert_eq!(get_query(&s, "/v1/group/0", "offset=-1").0, 400);
+        assert_eq!(get_query(&s, "/v1/group/0", "foo=1").0, 200);
     }
 
     #[test]
@@ -1029,11 +990,11 @@ mod tests {
     fn stats_reports_refresh_paths() {
         let s = test_state();
         assert_eq!(
-            post(&s, "/rate", r#"{"user":1,"item":2,"rating":5}"#).0,
+            post(&s, "/v1/rate", r#"{"user":1,"item":2,"rating":5}"#).0,
             202
         );
         s.flush().unwrap();
-        let (status, body) = get(&s, "/stats");
+        let (status, body) = get(&s, "/v1/stats");
         assert_eq!(status, 200);
         assert_eq!(
             body.get("refresh_incremental").and_then(Json::as_u64),
@@ -1049,44 +1010,34 @@ mod tests {
     #[test]
     fn unknown_user_group_and_path_are_404() {
         let s = test_state();
-        assert_eq!(get(&s, "/group/99").0, 404);
-        assert_eq!(get(&s, "/recommend/99").0, 404);
-        assert_eq!(get(&s, "/nope").0, 404);
-        assert_eq!(get(&s, "/group/abc").0, 400);
+        assert_eq!(get(&s, "/v1/group/99").0, 404);
+        assert_eq!(get(&s, "/v1/recommend/99").0, 404);
+        assert_eq!(get(&s, "/v1/nope").0, 404);
+        assert_eq!(get(&s, "/v1/group/abc").0, 400);
     }
 
     #[test]
     fn wrong_method_is_405() {
         let s = test_state();
-        let (status, _) = route(
-            &s,
-            &HttpRequest {
-                method: "DELETE".into(),
-                path: "/health".into(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: true,
-            },
-        );
-        assert_eq!(status, 405);
+        assert_eq!(send(&s, "DELETE", "/v1/health", "", "").0, 405);
     }
 
     #[test]
     fn rate_endpoint_accepts_and_rejects() {
         let s = test_state();
-        let (status, body) = post(&s, "/rate", r#"{"user":1,"item":2,"rating":5}"#);
+        let (status, body) = post(&s, "/v1/rate", r#"{"user":1,"item":2,"rating":5}"#);
         assert_eq!(status, 202);
         assert_eq!(body.get("pending").and_then(Json::as_u64), Some(1));
         assert_eq!(
-            post(&s, "/rate", r#"{"user":99,"item":0,"rating":5}"#).0,
+            post(&s, "/v1/rate", r#"{"user":99,"item":0,"rating":5}"#).0,
             404
         );
         assert_eq!(
-            post(&s, "/rate", r#"{"user":0,"item":0,"rating":99}"#).0,
+            post(&s, "/v1/rate", r#"{"user":0,"item":0,"rating":99}"#).0,
             400
         );
-        assert_eq!(post(&s, "/rate", "not json").0, 400);
-        assert_eq!(post(&s, "/rate", r#"{"user":0}"#).0, 400);
+        assert_eq!(post(&s, "/v1/rate", "not json").0, 400);
+        assert_eq!(post(&s, "/v1/rate", r#"{"user":0}"#).0, 400);
     }
 
     #[test]
@@ -1094,7 +1045,7 @@ mod tests {
         let s = test_state();
         let (status, body) = post(
             &s,
-            "/form",
+            "/v1/form",
             r#"{"semantics":"av","aggregation":"sum","ell":2}"#,
         );
         assert_eq!(status, 200);
@@ -1103,39 +1054,10 @@ mod tests {
             Some("GRD-AV-SUM")
         );
         assert!(body.get("groups").and_then(Json::as_u64).unwrap() <= 2);
-        assert_eq!(post(&s, "/form", r#"{"semantics":"bogus"}"#).0, 400);
-        assert_eq!(post(&s, "/form", r#"{"k":0}"#).0, 400);
+        assert_eq!(post(&s, "/v1/form", r#"{"semantics":"bogus"}"#).0, 400);
+        assert_eq!(post(&s, "/v1/form", r#"{"k":0}"#).0, 400);
         // Empty body re-forms under the current config.
-        assert_eq!(post(&s, "/form", "").0, 200);
-    }
-
-    #[test]
-    fn v1_paths_alias_legacy_paths_with_deprecation() {
-        let s = test_state();
-        for (method, v1_path) in [("GET", "/v1/health"), ("GET", "/v1/stats")] {
-            let req = |path: &str| HttpRequest {
-                method: method.into(),
-                path: path.into(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: true,
-            };
-            let v1 = route_full(&s, &req(v1_path));
-            let legacy = route_full(&s, &req(&v1_path["/v1".len()..]));
-            assert_eq!(v1.status, 200);
-            assert!(!v1.deprecated, "{v1_path} is the canonical surface");
-            assert!(legacy.deprecated, "unversioned alias must be flagged");
-            assert_eq!(v1.status, legacy.status);
-        }
-        // "/v1" without a following slash is not the namespace.
-        let (status, body) = get(&s, "/v1health");
-        assert_eq!(status, 404);
-        assert_eq!(
-            body.get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Json::as_str),
-            Some("unknown_endpoint")
-        );
+        assert_eq!(post(&s, "/v1/form", "").0, 200);
     }
 
     #[test]
@@ -1159,6 +1081,8 @@ mod tests {
             (404, "unknown_grouping".into())
         );
         assert_eq!(code(get(&s, "/v1/nope")), (404, "unknown_endpoint".into()));
+        // "/v1" without a following slash is not the namespace.
+        assert_eq!(code(get(&s, "/v1health")), (404, "unknown_endpoint".into()));
         assert_eq!(code(get(&s, "/v1/group/abc")), (400, "bad_request".into()));
         assert_eq!(
             code(post(&s, "/v1/rate", "not json")),
@@ -1168,17 +1092,7 @@ mod tests {
             code(post(&s, "/v1/rate", r#"{"user":99,"item":0,"rating":5}"#)),
             (404, "unknown_user".into())
         );
-        let (status, _) = route(
-            &s,
-            &HttpRequest {
-                method: "DELETE".into(),
-                path: "/v1/health".into(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: true,
-            },
-        );
-        assert_eq!(status, 405);
+        assert_eq!(send(&s, "DELETE", "/v1/health", "", "").0, 405);
     }
 
     #[test]
@@ -1225,21 +1139,18 @@ mod tests {
             body.get("excluded_rated").and_then(Json::as_bool),
             Some(true)
         );
-        // ...while the legacy alias (and an explicit opt-out) still see
-        // the stored list.
-        let (_, legacy) = get(&s, "/recommend/0");
+        // ...while an explicit opt-out still sees the stored list.
+        let (_, opt_out) = get_query(&s, "/v1/recommend/0", "exclude_rated=false");
         assert_eq!(
-            legacy.get("excluded_rated").and_then(Json::as_bool),
+            opt_out.get("excluded_rated").and_then(Json::as_bool),
             Some(false)
         );
-        assert!(legacy.get("items_total").and_then(Json::as_u64).unwrap() > 0);
-        let (_, opt_out) = get_query(&s, "/v1/recommend/0", "exclude_rated=false");
-        assert_eq!(opt_out.get("top_k"), legacy.get("top_k"));
+        assert!(opt_out.get("items_total").and_then(Json::as_u64).unwrap() > 0);
         // top_k clamps to the stored list length.
         let (_, clamped) = get_query(&s, "/v1/recommend/0", "exclude_rated=false&top_k=1");
         assert_eq!(clamped.get("items_total").and_then(Json::as_u64), Some(1));
         let (_, large) = get_query(&s, "/v1/recommend/0", "exclude_rated=false&top_k=999");
-        assert_eq!(large.get("top_k"), legacy.get("top_k"));
+        assert_eq!(large.get("top_k"), opt_out.get("top_k"));
         assert_eq!(
             get_query(&s, "/v1/recommend/0", "exclude_rated=maybe").0,
             400
@@ -1256,16 +1167,7 @@ mod tests {
                 .replace("{user}", "0")
                 .replace("{group}", "0")
                 .replace("{item}", "0");
-            let (status, _) = route(
-                &s,
-                &HttpRequest {
-                    method: (*method).into(),
-                    path,
-                    query: String::new(),
-                    body: String::new(),
-                    keep_alive: true,
-                },
-            );
+            let (status, _) = send(&s, method, &path, "", "");
             // Anything but unknown_endpoint/method_not_allowed proves the
             // row reaches a real handler (POSTs 400 on the empty body).
             assert!(

@@ -8,10 +8,9 @@
 //!
 //! * **A versioned API surface** — every endpoint lives under `/v1/...`
 //!   with one shared error envelope (`{"error":{"code","message"}}`) and
-//!   uniform `top_k`/`limit`/`offset` parameters; the original
-//!   unversioned paths remain as thin aliases that answer identically
-//!   but carry a `Deprecation: true` header ([`http`] module docs hold
-//!   the route table, mirrored by [`http::ROUTE_TABLE`]).
+//!   uniform `top_k`/`limit`/`offset` parameters; any other path is a
+//!   404 ([`http`] module docs hold the route table, mirrored by
+//!   [`http::ROUTE_TABLE`]).
 //! * **Snapshot serving** — queries (`GET /v1/group/{user}`,
 //!   `GET /v1/recommend/{group}`, `GET /v1/health`) read an immutable,
 //!   `Arc`-shared [`Snapshot`] and are lock-free after one brief
@@ -27,27 +26,27 @@
 //! * **A named-grouping registry** — one process serves many independent
 //!   formations (per-tenant `k`/`ℓ`/semantics) over **one** shared rating
 //!   matrix: the snapshot maps grouping names to [`state::GroupingState`]
-//!   entries that share the matrix/prefs `Arc`s, `POST /grouping`
-//!   registers new ones at runtime, and `GET /group/{name}/{user}`
+//!   entries that share the matrix/prefs `Arc`s, `POST /v1/grouping`
+//!   registers new ones at runtime, and `GET /v1/group/{name}/{user}`
 //!   queries each by name ([`state`] module docs).
-//! * **Request batching** — concurrent `POST /form` requests for the
+//! * **Request batching** — concurrent `POST /v1/form` requests for the
 //!   same grouping and configuration arriving within a small window
 //!   coalesce into a single formation run ([`batch`]).
-//! * **Incremental updates** — `POST /rate` enqueues a rating; a bounded
-//!   background pass patches the matrix ([`gf_core::RatingMatrix::upsert`])
-//!   and only the affected users' preference lists
-//!   ([`gf_core::PrefIndex::patch_user`]), re-forms, and atomically swaps
-//!   the snapshot. The incremental path converges to exactly what a cold
+//! * **Incremental updates** — `POST /v1/rate` enqueues a rating; a bounded
+//!   background pass builds the successor matrix
+//!   ([`gf_core::RatingMatrix::with_upserts_under`]) and re-sorts only the
+//!   affected users' preference lists ([`gf_core::PrefIndex::patched`]),
+//!   re-forms, and atomically swaps the snapshot. The incremental path converges to exactly what a cold
 //!   rebuild over the same ratings produces — property-tested in
 //!   `tests/serve_props.rs`.
 //! * **Population growth** — under
-//!   [`gf_core::GrowthPolicy::Grow`] a `POST /rate` naming a never-seen
+//!   [`gf_core::GrowthPolicy::Grow`] a `POST /v1/rate` naming a never-seen
 //!   user or item *admits* it (up to the caps): the journal entry carries
 //!   the grown id, the background pass extends matrix, preference index
-//!   and standing formation, and `GET /group/{new_user}` resolves after
-//!   the refresh — no restart. `/stats` reports
+//!   and standing formation, and `GET /v1/group/{new_user}` resolves after
+//!   the refresh — no restart. `/v1/stats` reports
 //!   `users_admitted`/`items_admitted`.
-//! * **Durability** — with `--data-dir`, every accepted `POST /rate` is
+//! * **Durability** — with `--data-dir`, every accepted `POST /v1/rate` is
 //!   journaled to an fsync'd write-ahead log *before* acknowledgment, a
 //!   background thread checkpoints the immutable snapshot without pausing
 //!   serving, and a restart warm-loads the newest checkpoint and replays

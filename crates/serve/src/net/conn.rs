@@ -74,14 +74,7 @@ pub(crate) struct Conn {
 /// Batch-triggering routes sleep out the batching window inside the
 /// handler — milliseconds of wall-clock the epoll loop cannot afford.
 fn is_slow_route(req: &HttpRequest) -> bool {
-    if req.method != "POST" {
-        return false;
-    }
-    let path = match req.path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => rest,
-        _ => req.path.as_str(),
-    };
-    path == "/form" || path == "/grouping"
+    req.method == "POST" && (req.path == "/v1/form" || req.path == "/v1/grouping")
 }
 
 impl Conn {
@@ -198,7 +191,7 @@ impl Conn {
 
     fn finish_request(&mut self, keep_alive: bool, out: &RouteOutcome) {
         let keep = keep_alive && out.status < 500;
-        self.encode_response(out.status, &out.body, keep, out.deprecated);
+        self.encode_response(out.status, &out.body, keep);
         if !keep {
             self.close_after_flush = true;
         }
@@ -206,7 +199,7 @@ impl Conn {
 
     fn respond_error(&mut self, status: u16, code: &'static str, message: &str) {
         let body = error_body(code, message);
-        self.encode_response(status, &body, false, false);
+        self.encode_response(status, &body, false);
         self.close_after_flush = true;
         // Whatever follows the rejected prefix is untrusted; drop it.
         self.rbuf.clear();
@@ -227,14 +220,13 @@ impl Conn {
 
     /// Serializes one response into the write buffer — same wire format
     /// the blocking `write_response` produced, byte for byte.
-    fn encode_response(&mut self, status: u16, body: &Json, keep_alive: bool, deprecated: bool) {
+    fn encode_response(&mut self, status: u16, body: &Json, keep_alive: bool) {
         let payload = body.to_string();
         let head = format!(
-            "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n{}\r\n",
+            "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
             status_text(status),
             payload.len(),
             if keep_alive { "keep-alive" } else { "close" },
-            if deprecated { "deprecation: true\r\n" } else { "" },
         );
         self.wbuf.extend_from_slice(head.as_bytes());
         self.wbuf.extend_from_slice(payload.as_bytes());

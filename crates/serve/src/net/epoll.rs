@@ -13,7 +13,7 @@
 //!   `EPOLLOUT` and the remainder goes out when the peer drains. Above
 //!   the high-water mark the machine stops parsing and the worker drops
 //!   read interest — per-connection backpressure, not global stalls.
-//! * **Slow routes**: `POST /form`/`POST /grouping` sleep out the batch
+//! * **Slow routes**: `POST /v1/form`/`POST /v1/grouping` sleep out the batch
 //!   window, so they are shipped to a small [`OffloadPool`] of blocking
 //!   threads; the connection pauses (preserving pipelined response
 //!   order) and a generation-tagged completion re-enters through the

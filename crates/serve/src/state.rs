@@ -28,9 +28,9 @@
 //! Rating updates (`/rate`) are **eventually consistent**: they enqueue
 //! into a pending journal and return immediately; the background
 //! re-formation pass (one bounded batch of updates per pass, see
-//! [`ServeConfig::max_updates_per_pass`]) patches the matrix
-//! ([`RatingMatrix::upsert_batch`]) and the affected users' preference
-//! lists ([`PrefIndex::patch_users`]) **once**, then fans the dirty set
+//! [`ServeConfig::max_updates_per_pass`]) builds the successor matrix
+//! ([`RatingMatrix::with_upserts_under`]) and re-sorts the affected users'
+//! preference lists ([`PrefIndex::patched`]) **once**, then fans the dirty set
 //! out to each registered grouping, which re-forms one of two ways,
 //! chosen per grouping per pass by [`gf_core::RefreshMode`] from the
 //! dirty-set size:
@@ -237,7 +237,7 @@ pub struct GroupingState {
 ///
 /// The matrix and preference index are `Arc`-shared because snapshot
 /// succession never mutates them: a background pass *builds* the patched
-/// successors ([`RatingMatrix::with_upserts`], [`PrefIndex::patched`])
+/// successors ([`RatingMatrix::with_upserts_under`], [`PrefIndex::patched`])
 /// while the old structures stay live for concurrent readers, and a
 /// `/form` (which changes only one grouping) shares them wholesale. All
 /// registered groupings read the same two `Arc`s — one O(nnz) rating

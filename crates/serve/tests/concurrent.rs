@@ -1,9 +1,9 @@
-//! Concurrency tests: many reader threads querying `/group` and
-//! `/recommend` through the real routing layer while `/rate` updates
+//! Concurrency tests: many reader threads querying `/v1/group` and
+//! `/v1/recommend` through the real routing layer while rating updates
 //! stream in and the background worker swaps snapshots underneath them.
 
 use gf_core::{Aggregation, FormationConfig, RatingMatrix, RatingScale, Semantics};
-use gf_serve::http::route;
+use gf_serve::http::route_full;
 use gf_serve::{HttpRequest, Json, ServeConfig, ServeState};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,17 +21,19 @@ fn dense_matrix(n: u32, m: u32) -> RatingMatrix {
     RatingMatrix::from_dense(&refs, RatingScale::one_to_five()).unwrap()
 }
 
-fn get(state: &ServeState, path: &str) -> (u16, Json) {
-    route(
+fn get(state: &ServeState, target: &str) -> (u16, Json) {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let out = route_full(
         state,
         &HttpRequest {
             method: "GET".into(),
             path: path.into(),
-            query: String::new(),
+            query: query.into(),
             body: String::new(),
             keep_alive: true,
         },
-    )
+    );
+    (out.status, out.body)
 }
 
 /// 6 reader threads hammer lookups while a writer streams 200 rating
@@ -65,7 +67,7 @@ fn readers_stay_consistent_under_rating_stream() {
                 let mut lookups = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let u = (lookups * 7 + r as u64) % N_USERS as u64;
-                    let (status, body) = get(&state, &format!("/group/{u}"));
+                    let (status, body) = get(&state, &format!("/v1/group/{u}"));
                     assert_eq!(status, 200, "reader {r} user {u}");
                     let members = body.get("members").and_then(Json::as_arr).unwrap();
                     assert!(
@@ -79,7 +81,8 @@ fn readers_stay_consistent_under_rating_stream() {
                     );
                     last_version = version;
                     let gi = body.get("group").and_then(Json::as_u64).unwrap();
-                    let (rs, rbody) = get(&state, &format!("/recommend/{gi}"));
+                    let (rs, rbody) =
+                        get(&state, &format!("/v1/recommend/{gi}?exclude_rated=false"));
                     // The group may have been re-formed between the two
                     // reads; the id must either resolve or 404, never
                     // panic or return malformed data.

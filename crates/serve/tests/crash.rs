@@ -148,7 +148,7 @@ fn rate(addr: &str, user: u32, item: u32, score: u32) {
     let (status, body) = http(
         addr,
         "POST",
-        "/rate",
+        "/v1/rate",
         &format!(r#"{{"user":{user},"item":{item},"rating":{score}}}"#),
     );
     assert_eq!(status, 202, "rate ({user},{item},{score}) refused: {body}");
@@ -228,7 +228,7 @@ struct Digest {
 }
 
 fn digest_of(addr: &str) -> Digest {
-    let (status, body) = http(addr, "GET", "/digest", "");
+    let (status, body) = http(addr, "GET", "/v1/digest", "");
     assert_eq!(status, 200, "{body}");
     let json = Json::parse(&body).unwrap();
     let num = |k: &str| json.get(k).and_then(Json::as_u64).unwrap();
@@ -237,7 +237,7 @@ fn digest_of(addr: &str) -> Digest {
             .iter()
             .map(|(name, d)| (name.clone(), d.as_str().unwrap().to_string()))
             .collect(),
-        other => panic!("/digest groupings map missing or not an object: {other:?}"),
+        other => panic!("/v1/digest groupings map missing or not an object: {other:?}"),
     };
     groupings.sort();
     Digest {
@@ -357,13 +357,13 @@ fn assert_recovered_equals_reference(addr: &str, dir: &Path) {
 }
 
 fn stat(addr: &str, key: &str) -> u64 {
-    let (status, body) = http(addr, "GET", "/stats", "");
+    let (status, body) = http(addr, "GET", "/v1/stats", "");
     assert_eq!(status, 200);
     Json::parse(&body)
         .unwrap()
         .get(key)
         .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("/stats missing {key}"))
+        .unwrap_or_else(|| panic!("/v1/stats missing {key}"))
 }
 
 /// Kill point 1: before any periodic checkpoint — recovery is the boot

@@ -1,22 +1,17 @@
 //! Golden-file regression tests for the serve JSON codecs: a scripted,
-//! fully deterministic serving session renders `/health`, `/rate`,
-//! `/stats`, `/group` (plain and paged), `/recommend` and `/v1/feedback`
-//! bodies — plus the shared `{"error":{...}}` envelope — and each
-//! byte-compares against a committed fixture. Codec drift — a renamed
-//! field, a reordered object, a number formatting change — fails loudly
-//! here instead of silently changing the wire format.
-//!
-//! Success bodies are fixture-shared between `/v1/...` and the
-//! unversioned aliases (the surfaces differ only in `/recommend`'s
-//! `exclude_rated` default and the `Deprecation` header, which is not
-//! part of the body).
+//! fully deterministic serving session renders `/v1/health`, `/v1/rate`,
+//! `/v1/stats`, `/v1/group` (plain and paged), `/v1/recommend` and
+//! `/v1/feedback` bodies — plus the shared `{"error":{...}}` envelope —
+//! and each byte-compares against a committed fixture. Codec drift — a
+//! renamed field, a reordered object, a number formatting change — fails
+//! loudly here instead of silently changing the wire format.
 //!
 //! To regenerate after an *intentional* format change:
 //! `GF_UPDATE_GOLDEN=1 cargo test -p gf-serve --test golden` and commit
 //! the rewritten `tests/golden/*.json`.
 
 use gf_core::{Aggregation, FormationConfig, GrowthPolicy, RatingMatrix, RatingScale, Semantics};
-use gf_serve::http::route;
+use gf_serve::http::route_full;
 use gf_serve::{HttpRequest, Json, ServeConfig, ServeState};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -53,7 +48,7 @@ fn assert_golden(name: &str, status: u16, expected_status: u16, body: &Json) {
 }
 
 fn request(state: &ServeState, method: &str, path: &str, query: &str, body: &str) -> (u16, Json) {
-    route(
+    let out = route_full(
         state,
         &HttpRequest {
             method: method.into(),
@@ -62,7 +57,8 @@ fn request(state: &ServeState, method: &str, path: &str, query: &str, body: &str
             body: body.into(),
             keep_alive: true,
         },
-    )
+    );
+    (out.status, out.body)
 }
 
 /// The scripted session: Example-1 ratings (Table 1 of the paper), one
@@ -95,38 +91,38 @@ fn scripted_state() -> Arc<ServeState> {
 fn serve_json_bodies_match_committed_fixtures() {
     let state = scripted_state();
 
-    let (status, body) = request(&state, "GET", "/health", "", "");
+    let (status, body) = request(&state, "GET", "/v1/health", "", "");
     assert_golden("health.json", status, 200, &body);
 
     let (status, body) = request(
         &state,
         "POST",
-        "/rate",
+        "/v1/rate",
         "",
         r#"{"user":1,"item":0,"rating":5}"#,
     );
     assert_golden("rate.json", status, 202, &body);
     state.flush().unwrap();
 
-    let (status, body) = request(&state, "GET", "/stats", "", "");
+    let (status, body) = request(&state, "GET", "/v1/stats", "", "");
     assert_golden("stats.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/group/3", "", "");
+    let (status, body) = request(&state, "GET", "/v1/group/3", "", "");
     assert_golden("group.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/group/3", "limit=1&offset=1", "");
+    let (status, body) = request(&state, "GET", "/v1/group/3", "limit=1&offset=1", "");
     assert_golden("group_paged.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/recommend/0", "", "");
+    let (status, body) = request(&state, "GET", "/v1/recommend/0", "exclude_rated=false", "");
     assert_golden("recommend.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/group/99", "", "");
+    let (status, body) = request(&state, "GET", "/v1/group/99", "", "");
     assert_golden("error_unknown_user.json", status, 404, &body);
 }
 
 /// The registry-scripted session: the Example-1 ratings with a consensus
-/// grouping registered at runtime (`POST /grouping`), re-formed by name
-/// (`POST /form?name=`), then one rating fanned out to both groupings.
+/// grouping registered at runtime (`POST /v1/grouping`), re-formed by name
+/// (`POST /v1/form?name=`), then one rating fanned out to both groupings.
 /// Pins the named-endpoint wire formats and the per-grouping digest map.
 #[test]
 fn multi_grouping_json_bodies_match_committed_fixtures() {
@@ -135,42 +131,48 @@ fn multi_grouping_json_bodies_match_committed_fixtures() {
     let (status, body) = request(
         &state,
         "POST",
-        "/grouping",
+        "/v1/grouping",
         "",
         r#"{"name":"cons","semantics":"cons","lambda":0.5,"aggregation":"min","ell":2}"#,
     );
     assert_golden("grouping_create.json", status, 200, &body);
 
-    let (status, body) = request(&state, "POST", "/form", "name=cons", "");
+    let (status, body) = request(&state, "POST", "/v1/form", "name=cons", "");
     assert_golden("form_named.json", status, 200, &body);
 
     let (status, _) = request(
         &state,
         "POST",
-        "/rate",
+        "/v1/rate",
         "",
         r#"{"user":0,"item":1,"rating":2}"#,
     );
     assert_eq!(status, 202);
     state.flush().unwrap();
 
-    let (status, body) = request(&state, "GET", "/group/cons/3", "", "");
+    let (status, body) = request(&state, "GET", "/v1/group/cons/3", "", "");
     assert_golden("group_named.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/recommend/cons/0", "", "");
+    let (status, body) = request(
+        &state,
+        "GET",
+        "/v1/recommend/cons/0",
+        "exclude_rated=false",
+        "",
+    );
     assert_golden("recommend_named.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/stats", "", "");
+    let (status, body) = request(&state, "GET", "/v1/stats", "", "");
     assert_golden("stats_multi.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/digest", "", "");
+    let (status, body) = request(&state, "GET", "/v1/digest", "", "");
     assert_golden("digest_multi.json", status, 200, &body);
 
     // Unknown grouping names are 404s, on queries and on /form alike
-    // (creation stays POST /grouping's job).
-    let (status, body) = request(&state, "GET", "/group/nope/0", "", "");
+    // (creation stays POST /v1/grouping's job).
+    let (status, body) = request(&state, "GET", "/v1/group/nope/0", "", "");
     assert_golden("error_unknown_grouping.json", status, 404, &body);
-    let (status, _) = request(&state, "POST", "/form", "name=nope", "");
+    let (status, _) = request(&state, "POST", "/v1/form", "name=nope", "");
     assert_eq!(status, 404);
 }
 
@@ -221,7 +223,7 @@ fn v1_quality_loop_bodies_match_committed_fixtures() {
 /// The growth-scripted session: the same Example-1 ratings serving under
 /// `GrowthPolicy::Grow { max_users: 8, max_items: 4 }`, one admission
 /// (never-seen user 7 rating never-seen item 3 — user 6 stays a gap row),
-/// one flush. Pins the admission-era `/stats` counters and the clean
+/// one flush. Pins the admission-era `/v1/stats` counters and the clean
 /// exhaustion errors at the caps.
 #[test]
 fn growth_json_bodies_match_committed_fixtures() {
@@ -251,24 +253,24 @@ fn growth_json_bodies_match_committed_fixtures() {
     let (status, body) = request(
         &state,
         "POST",
-        "/rate",
+        "/v1/rate",
         "",
         r#"{"user":7,"item":3,"rating":5}"#,
     );
     assert_golden("rate_admission.json", status, 202, &body);
     state.flush().unwrap();
 
-    let (status, body) = request(&state, "GET", "/stats", "", "");
+    let (status, body) = request(&state, "GET", "/v1/stats", "", "");
     assert_golden("stats_grown.json", status, 200, &body);
 
-    let (status, body) = request(&state, "GET", "/group/7", "", "");
+    let (status, body) = request(&state, "GET", "/v1/group/7", "", "");
     assert_golden("group_admitted.json", status, 200, &body);
 
     // Exhaustion on both axes: clean 409s, nothing enqueued.
     let (status, body) = request(
         &state,
         "POST",
-        "/rate",
+        "/v1/rate",
         "",
         r#"{"user":8,"item":0,"rating":5}"#,
     );
@@ -276,7 +278,7 @@ fn growth_json_bodies_match_committed_fixtures() {
     let (status, body) = request(
         &state,
         "POST",
-        "/rate",
+        "/v1/rate",
         "",
         r#"{"user":0,"item":4,"rating":5}"#,
     );

@@ -1,6 +1,6 @@
 //! End-to-end population growth: a serving instance under
 //! `GrowthPolicy::Grow` admits never-seen users and items through the
-//! ordinary `/rate` path — journal entry, background pass, snapshot
+//! ordinary `/v1/rate` path — journal entry, background pass, snapshot
 //! succession — without a restart, and keeps every snapshot equal to a
 //! cold rebuild over the union universe. Also exercises the capped-repair
 //! serving mode: a `--max-swaps`-style budget still converges to the
@@ -9,7 +9,7 @@
 use gf_core::{
     Aggregation, FormationConfig, GfError, GrowthPolicy, RatingMatrix, RatingScale, Semantics,
 };
-use gf_serve::http::route;
+use gf_serve::http::route_full;
 use gf_serve::{HttpRequest, Json, ServeConfig, ServeState};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,7 +40,7 @@ fn grow_state(n: u32, m: u32, max_users: u32, max_items: u32) -> Arc<ServeState>
 }
 
 fn get(state: &ServeState, path: &str) -> (u16, Json) {
-    route(
+    let out = route_full(
         state,
         &HttpRequest {
             method: "GET".into(),
@@ -49,11 +49,12 @@ fn get(state: &ServeState, path: &str) -> (u16, Json) {
             body: String::new(),
             keep_alive: true,
         },
-    )
+    );
+    (out.status, out.body)
 }
 
 fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
-    route(
+    let out = route_full(
         state,
         &HttpRequest {
             method: "POST".into(),
@@ -62,29 +63,30 @@ fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
             body: body.into(),
             keep_alive: true,
         },
-    )
+    );
+    (out.status, out.body)
 }
 
 /// The acceptance-criteria flow: a never-seen user rates (a never-seen
-/// item), `/group/{new_user}` resolves after the refresh, `/stats`
+/// item), `/v1/group/{new_user}` resolves after the refresh, `/v1/stats`
 /// counters advance — no restart anywhere.
 #[test]
 fn never_seen_user_is_admitted_and_served() {
     let s = grow_state(8, 4, 64, 64);
     // Unknown before admission: the growth policy defers to the refresh,
     // so queries 404 until the journal applies.
-    assert_eq!(get(&s, "/group/12").0, 404);
-    let (status, body) = post(&s, "/rate", r#"{"user":12,"item":9,"rating":5}"#);
+    assert_eq!(get(&s, "/v1/group/12").0, 404);
+    let (status, body) = post(&s, "/v1/rate", r#"{"user":12,"item":9,"rating":5}"#);
     assert_eq!(status, 202);
     assert_eq!(body.get("accepted"), Some(&Json::Bool(true)));
     s.flush().unwrap();
 
-    let (status, body) = get(&s, "/group/12");
+    let (status, body) = get(&s, "/v1/group/12");
     assert_eq!(status, 200, "admitted user must resolve: {body}");
     let members = body.get("members").and_then(Json::as_arr).unwrap();
     assert!(members.iter().any(|m| m.as_u64() == Some(12)));
 
-    let (status, stats) = get(&s, "/stats");
+    let (status, stats) = get(&s, "/v1/stats");
     assert_eq!(status, 200);
     assert_eq!(stats.get("n_users").and_then(Json::as_u64), Some(13));
     assert_eq!(stats.get("n_items").and_then(Json::as_u64), Some(10));
@@ -93,7 +95,7 @@ fn never_seen_user_is_admitted_and_served() {
 
     // Gap rows (users 8..12 admitted with no ratings) are served too.
     for u in 8..12u32 {
-        assert_eq!(get(&s, &format!("/group/{u}")).0, 200, "gap user {u}");
+        assert_eq!(get(&s, &format!("/v1/group/{u}")).0, 200, "gap user {u}");
     }
 
     // The grown snapshot equals a cold boot over the union universe.
@@ -179,7 +181,7 @@ fn cap_exhaustion_is_clean() {
     ));
     assert_eq!(s.pending_len(), 0);
     assert_eq!(
-        post(&s, "/rate", r#"{"user":6,"item":0,"rating":3}"#).0,
+        post(&s, "/v1/rate", r#"{"user":6,"item":0,"rating":3}"#).0,
         409
     );
     // In-range admissions still work right up to the cap.

@@ -75,13 +75,13 @@ fn full_request_cycle_over_tcp() {
     let server = start_server();
     let addr = server.addr();
 
-    let (status, body) = get(addr, "/health");
+    let (status, body) = get(addr, "/v1/health");
     assert_eq!(status, 200);
     let health = Json::parse(&body).expect("health is valid JSON");
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(health.get("users").and_then(Json::as_u64), Some(16));
 
-    let (status, body) = get(addr, "/group/7");
+    let (status, body) = get(addr, "/v1/group/7");
     assert_eq!(status, 200);
     let group = Json::parse(&body).unwrap();
     assert!(group
@@ -92,7 +92,7 @@ fn full_request_cycle_over_tcp() {
         .any(|m| m.as_u64() == Some(7)));
 
     // Pagination survives the wire: the query string reaches the router.
-    let (status, body) = get(addr, "/group/7?limit=1&offset=0");
+    let (status, body) = get(addr, "/v1/group/7?limit=1&offset=0");
     assert_eq!(status, 200);
     let paged = Json::parse(&body).unwrap();
     assert_eq!(
@@ -103,10 +103,10 @@ fn full_request_cycle_over_tcp() {
         paged.get("members_total").and_then(Json::as_u64),
         group.get("members_total").and_then(Json::as_u64)
     );
-    let (status, _) = get(addr, "/group/7?limit=bogus");
+    let (status, _) = get(addr, "/v1/group/7?limit=bogus");
     assert_eq!(status, 400);
 
-    let (status, body) = post(addr, "/rate", r#"{"user":7,"item":2,"rating":5}"#);
+    let (status, body) = post(addr, "/v1/rate", r#"{"user":7,"item":2,"rating":5}"#);
     assert_eq!(status, 202);
     assert_eq!(
         Json::parse(&body).unwrap().get("accepted"),
@@ -122,7 +122,7 @@ fn full_request_cycle_over_tcp() {
 
     let (status, body) = post(
         addr,
-        "/form",
+        "/v1/form",
         r#"{"semantics":"av","aggregation":"sum","ell":3}"#,
     );
     assert_eq!(status, 200);
@@ -132,16 +132,16 @@ fn full_request_cycle_over_tcp() {
         Some("GRD-AV-SUM")
     );
 
-    let (status, body) = get(addr, "/stats");
+    let (status, body) = get(addr, "/v1/stats");
     assert_eq!(status, 200);
     let stats = Json::parse(&body).unwrap();
     assert_eq!(stats.get("rates_applied").and_then(Json::as_u64), Some(1));
 
     // Error paths speak JSON too.
-    let (status, body) = get(addr, "/group/9999");
+    let (status, body) = get(addr, "/v1/group/9999");
     assert_eq!(status, 404);
     assert!(Json::parse(&body).unwrap().get("error").is_some());
-    let (status, _) = post(addr, "/rate", "{broken");
+    let (status, _) = post(addr, "/v1/rate", "{broken");
     assert_eq!(status, 400);
 
     server.stop();
@@ -158,7 +158,7 @@ fn keep_alive_serves_sequential_requests() {
     // Two requests on one connection; responses are length-delimited.
     for _ in 0..2 {
         stream
-            .write_all(b"GET /health HTTP/1.1\r\nhost: t\r\n\r\n")
+            .write_all(b"GET /v1/health HTTP/1.1\r\nhost: t\r\n\r\n")
             .unwrap();
         let mut header = Vec::new();
         let mut byte = [0u8; 1];
@@ -193,7 +193,7 @@ fn malformed_requests_get_400_not_a_hang() {
     assert_eq!(status, 400);
     let (status, _) = send(
         server.addr(),
-        "GET /health HTTP/1.1\r\ncontent-length: bogus\r\n\r\n",
+        "GET /v1/health HTTP/1.1\r\ncontent-length: bogus\r\n\r\n",
     );
     assert_eq!(status, 400);
     server.stop();
@@ -207,7 +207,7 @@ fn truncated_request_is_dropped_not_dispatched() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    stream.write_all(b"POST /form HTTP/1.1\r\n").unwrap();
+    stream.write_all(b"POST /v1/form HTTP/1.1\r\n").unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();

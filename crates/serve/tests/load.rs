@@ -1,5 +1,5 @@
 //! Socket-level keep-alive load generator: N persistent connections
-//! streaming interleaved `POST /rate` and `GET /group/{u}` (plus paged
+//! streaming interleaved `POST /v1/rate` and `GET /v1/group/{u}` (plus paged
 //! reads, `POST /v1/feedback` and `/v1/stats` reads) against a real
 //! [`Server`] — the accept loop, thread-per-connection handlers and
 //! background refresh worker the `gf-serve` binary runs — while
@@ -176,12 +176,12 @@ fn drive_connection(
                 let item = rng.gen_range(0..N_ITEMS);
                 let rating = rng.gen_range(1..=5);
                 let body = format!(r#"{{"user":{user},"item":{item},"rating":{rating}}}"#);
-                let (status, json) = client.request("POST", "/rate", &body)?;
+                let (status, json) = client.request("POST", "/v1/rate", &body)?;
                 if status != 202 {
-                    return Err(format!("/rate returned {status}: {json}"));
+                    return Err(format!("/v1/rate returned {status}: {json}"));
                 }
                 if json.get("accepted") != Some(&Json::Bool(true)) {
-                    return Err(format!("/rate not accepted: {json}"));
+                    return Err(format!("/v1/rate not accepted: {json}"));
                 }
                 observe_version(&json, &mut report)?;
                 report.rates_accepted += 1;
@@ -190,9 +190,9 @@ fn drive_connection(
             1 => {
                 let user = rng.gen_range(0..N_USERS);
                 let target = if rng.gen_bool(0.3) {
-                    format!("/group/{user}?limit=2&offset=1")
+                    format!("/v1/group/{user}?limit=2&offset=1")
                 } else {
-                    format!("/group/{user}")
+                    format!("/v1/group/{user}")
                 };
                 let (status, json) = client.request("GET", &target, "")?;
                 if status != 200 {
@@ -282,7 +282,7 @@ fn drive_admissions(
                     .get(rng.gen_range(0..admitted.len().max(1)))
                     .copied()
                     .unwrap_or_else(|| rng.gen_range(0..N_USERS));
-                let (status, json) = client.request("GET", &format!("/group/{user}"), "")?;
+                let (status, json) = client.request("GET", &format!("/v1/group/{user}"), "")?;
                 // An admitted user may still be journal-pending: 404 until
                 // the background pass lands, 200 with membership after.
                 if status == 200 {
@@ -295,7 +295,7 @@ fn drive_admissions(
                     }
                     last_version = version;
                 } else if status != 404 {
-                    return Err(format!("/group/{user} returned {status}: {json}"));
+                    return Err(format!("/v1/group/{user} returned {status}: {json}"));
                 }
                 report.versions_seen += 1;
                 report.requests += 1;
@@ -304,9 +304,9 @@ fn drive_admissions(
         };
         let rating = rng.gen_range(1..=5);
         let body = format!(r#"{{"user":{target_user},"item":{item},"rating":{rating}}}"#);
-        let (status, json) = client.request("POST", "/rate", &body)?;
+        let (status, json) = client.request("POST", "/v1/rate", &body)?;
         if status != 202 {
-            return Err(format!("/rate {body} returned {status}: {json}"));
+            return Err(format!("/v1/rate {body} returned {status}: {json}"));
         }
         let version = json
             .get("version")

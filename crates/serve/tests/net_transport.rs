@@ -346,7 +346,7 @@ fn transports_answer_byte_identically() {
 
 #[test]
 fn slow_route_pipelined_behind_fast_one_keeps_response_order() {
-    // `POST /form` is offloaded on the epoll path; a health check
+    // `POST /v1/form` is offloaded on the epoll path; a health check
     // pipelined *behind* it must still be answered second.
     for mode in modes() {
         let server = start(mode, |_| {});

@@ -19,7 +19,7 @@ use gf_core::{
     RatingScale, Semantics,
 };
 use gf_eval::{evaluate_holdout, HoldoutEvent};
-use gf_serve::http::route;
+use gf_serve::http::route_full;
 use gf_serve::{HttpRequest, Json, ServeConfig, ServeState};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -70,7 +70,7 @@ fn matrix_of(inst: &Instance) -> RatingMatrix {
 }
 
 fn get(state: &ServeState, path: &str, query: &str) -> (u16, Json) {
-    route(
+    let out = route_full(
         state,
         &HttpRequest {
             method: "GET".into(),
@@ -79,11 +79,12 @@ fn get(state: &ServeState, path: &str, query: &str) -> (u16, Json) {
             body: String::new(),
             keep_alive: false,
         },
-    )
+    );
+    (out.status, out.body)
 }
 
 fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
-    route(
+    let out = route_full(
         state,
         &HttpRequest {
             method: "POST".into(),
@@ -92,7 +93,8 @@ fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
             body: body.into(),
             keep_alive: false,
         },
-    )
+    );
+    (out.status, out.body)
 }
 
 proptest! {

@@ -2,11 +2,12 @@
 //! written down — [`gf_serve::ROUTE_TABLE`], the endpoint table in
 //! `src/http.rs`'s module docs, and the endpoint table in the repository
 //! `README.md` — must list exactly the same `(method, /v1 path)` rows,
-//! and every row must dispatch to a real handler. Documentation drifting
-//! from the implementation fails here, not in a user's terminal.
+//! every row must dispatch to a real handler, and nothing outside `/v1`
+//! may. Documentation drifting from the implementation fails here, not in
+//! a user's terminal.
 
 use gf_core::{Aggregation, FormationConfig, RatingMatrix, RatingScale, Semantics};
-use gf_serve::http::route;
+use gf_serve::http::route_full;
 use gf_serve::{HttpRequest, ServeConfig, ServeState, ROUTE_TABLE};
 use std::path::{Path, PathBuf};
 
@@ -88,7 +89,7 @@ fn readme_endpoint_table_matches_the_live_route_table() {
 }
 
 #[test]
-fn every_documented_route_reaches_a_handler_on_both_surfaces() {
+fn every_documented_route_reaches_a_handler_only_under_v1() {
     let matrix = RatingMatrix::from_dense(
         &[
             &[1.0, 4.0, 3.0][..],
@@ -106,35 +107,46 @@ fn every_documented_route_reaches_a_handler_on_both_surfaces() {
         2,
     ));
     let state = ServeState::new(matrix, cfg).unwrap();
+    let error_code = |method: &str, path: &str| {
+        let out = route_full(
+            &state,
+            &HttpRequest {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: String::new(),
+                body: String::new(),
+                keep_alive: false,
+            },
+        );
+        let code = out
+            .body
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(gf_serve::Json::as_str)
+            .map(str::to_string);
+        (out.status, code)
+    };
     for (method, pattern) in ROUTE_TABLE {
         let concrete = pattern
             .replace("{name}", "default")
             .replace("{user}", "0")
             .replace("{group}", "0");
-        // Both the canonical path and its unversioned alias must resolve
-        // past routing: any status except 404 unknown_endpoint / 405
-        // proves a handler ran (POSTs answer 400 to the empty body).
-        for path in [concrete.clone(), concrete["/v1".len()..].to_string()] {
-            let (status, body) = route(
-                &state,
-                &HttpRequest {
-                    method: (*method).to_string(),
-                    path: path.clone(),
-                    query: String::new(),
-                    body: String::new(),
-                    keep_alive: false,
-                },
-            );
-            assert_ne!(status, 405, "{method} {path} hit the wrong-method arm");
-            let code = body
-                .get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(gf_serve::Json::as_str)
-                .unwrap_or("");
-            assert_ne!(
-                code, "unknown_endpoint",
-                "{method} {path} fell through routing: {body}"
-            );
-        }
+        // The canonical path resolves past routing: any status except 404
+        // unknown_endpoint / 405 proves a handler ran (POSTs answer 400 to
+        // the empty body).
+        let (status, code) = error_code(method, &concrete);
+        assert_ne!(status, 405, "{method} {concrete} hit the wrong-method arm");
+        assert_ne!(
+            code.as_deref(),
+            Some("unknown_endpoint"),
+            "{method} {concrete} fell through routing"
+        );
+        // The same path without `/v1` is not an endpoint.
+        let bare = &concrete["/v1".len()..];
+        assert_eq!(
+            error_code(method, bare),
+            (404, Some("unknown_endpoint".to_string())),
+            "{method} {bare} must answer 404 unknown_endpoint"
+        );
     }
 }
