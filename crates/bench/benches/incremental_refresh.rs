@@ -11,6 +11,10 @@
 //! * `refresh_64_cold` — one bounded pass, full re-formation.
 //! * `refresh_64_incremental` — one bounded pass through the standing
 //!   former (steady state; the one-off former init is priced separately).
+//! * `refresh_64_incremental_cons` — the same pass with a Consensus
+//!   (λ = 0.5) grouping, whose tail group is scored from maintained
+//!   per-item moments: it must stay near the LM pass, and a fall back to
+//!   a full tail rescore shows here first.
 //! * `refresh_64_admissions` — the same bounded pass where all 64 updates
 //!   **admit never-seen users** (`GrowthPolicy::Grow`): what a population
 //!   onboarding wave costs vs the same-size dirty-only batch above.
@@ -75,9 +79,25 @@ fn incremental_refresh_benches(c: &mut Criterion) {
         )
     };
 
-    for (name, mode) in [
-        ("refresh_64_cold", RefreshMode::Cold),
-        ("refresh_64_incremental", RefreshMode::Incremental),
+    let consensus = FormationConfig::new(
+        Semantics::Consensus { lambda: 0.5 },
+        Aggregation::Min,
+        5,
+        10,
+    )
+    .with_threads(0);
+    for (name, formation, mode) in [
+        ("refresh_64_cold", formation, RefreshMode::Cold),
+        (
+            "refresh_64_incremental",
+            formation,
+            RefreshMode::Incremental,
+        ),
+        (
+            "refresh_64_incremental_cons",
+            consensus,
+            RefreshMode::Incremental,
+        ),
     ] {
         let state = serve_state(&corpus.matrix, formation, mode);
         // Prime: the incremental state's former initializes on the first

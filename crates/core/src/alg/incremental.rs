@@ -24,8 +24,12 @@
 //! every built-in [`crate::RatingScale`]) under [`MissingPolicy::Min`] or
 //! [`MissingPolicy::Skip`]/[`MissingPolicy::UserMean`] (the latter two
 //! rescore the tail with the full engine and are exact on any input; the
-//! `Min` fast path maintains tail sums incrementally, which off-grid can
-//! drift by one ulp per update). `tests/prop_incremental.rs` enforces both
+//! `Min` fast path maintains the tail's per-item count, sum, sum of
+//! squares and minimum incrementally, which off-grid can drift by one ulp
+//! per update). That holds for all four semantics: Consensus scores the
+//! maintained moments through the same `consensus_score` closed form the
+//! cold engine uses, and LeaderWeighted adds the lowest-id tail member's
+//! row to the maintained sum. `tests/prop_incremental.rs` enforces both
 //! properties across random rating streams and dirty-set partitions.
 //!
 //! ## Bounded repair pass and error bound
@@ -59,8 +63,10 @@
 //!   dirty batch for typical (small) buckets;
 //! * selection: `O(B + ell log ell)` over `B` standing buckets (a flat
 //!   scan of cached satisfactions);
-//! * tail scoring: `O(m)` under `MissingPolicy::Min` (maintained per-item
-//!   aggregates), `O(nnz_tail)` otherwise (full rescore);
+//! * tail scoring: `O(m)` under `MissingPolicy::Min` for every semantics
+//!   (maintained per-item moments; LeaderWeighted adds an `O(log d)`
+//!   lookup in the leader's row per item), `O(nnz_tail)` under
+//!   `Skip`/`UserMean` (full rescore);
 //! * tail membership churn: `O(Σ d_u)` over users that enter/leave the
 //!   tail;
 //! * emission: `O(n)` to materialize the tail member list (plus cloning
@@ -79,7 +85,7 @@ use crate::grouping::{Group, Grouping};
 use crate::grouprec::MissingPolicy;
 use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
-use crate::semantics::Semantics;
+use crate::semantics::{consensus_score, Semantics};
 use std::cmp::Ordering;
 
 /// One rating update that was already applied to the matrix, with the
@@ -117,12 +123,14 @@ impl RatingDelta {
 
 /// Incrementally-maintained per-item aggregates of the tail (merged
 /// remainder) group under [`MissingPolicy::Min`]: rater count, score sum
-/// (AV scoring) and rater minimum with lazy recomputation (LM scoring).
+/// (AV and LeaderWeighted scoring), sum of squares (Consensus scoring)
+/// and rater minimum with lazy recomputation (LM scoring).
 #[derive(Debug, Clone)]
 struct TailAgg {
     r_min: f64,
     count: Vec<u32>,
     sum: Vec<f64>,
+    sum_sq: Vec<f64>,
     min: Vec<f64>,
     /// How many raters sit at `min`; when removals drain it the minimum is
     /// marked stale and lazily recomputed at scoring time (only ever
@@ -137,10 +145,20 @@ impl TailAgg {
             r_min,
             count: vec![0; n_items],
             sum: vec![0.0; n_items],
+            sum_sq: vec![0.0; n_items],
             min: vec![f64::INFINITY; n_items],
             min_count: vec![0; n_items],
             stale: vec![false; n_items],
         }
+    }
+
+    /// The maintained tail for `cfg`: `Some` under `MissingPolicy::Min`,
+    /// for every semantics (the moments kept here cover all four closed
+    /// forms). `Skip`/`UserMean` fall back to exact tail rescoring through
+    /// the shared repair machinery.
+    fn for_config(cfg: &FormationConfig, matrix: &RatingMatrix) -> Option<Self> {
+        matches!(cfg.policy, MissingPolicy::Min)
+            .then(|| TailAgg::new(matrix.n_items() as usize, matrix.scale().min()))
     }
 
     /// Extends the per-item aggregates for newly admitted items (which no
@@ -148,6 +166,7 @@ impl TailAgg {
     fn grow_items(&mut self, n_items: usize) {
         self.count.resize(n_items, 0);
         self.sum.resize(n_items, 0.0);
+        self.sum_sq.resize(n_items, 0.0);
         self.min.resize(n_items, f64::INFINITY);
         self.min_count.resize(n_items, 0);
         self.stale.resize(n_items, false);
@@ -157,6 +176,7 @@ impl TailAgg {
         let i = item as usize;
         self.count[i] += 1;
         self.sum[i] += score;
+        self.sum_sq[i] += score * score;
         if self.stale[i] {
             return;
         }
@@ -173,9 +193,11 @@ impl TailAgg {
         debug_assert!(self.count[i] > 0, "removing unseen rating");
         self.count[i] -= 1;
         self.sum[i] -= score;
+        self.sum_sq[i] -= score * score;
         if self.count[i] == 0 {
             // Empty items reset exactly, killing any off-grid sum drift.
             self.sum[i] = 0.0;
+            self.sum_sq[i] = 0.0;
             self.min[i] = f64::INFINITY;
             self.min_count[i] = 0;
             self.stale[i] = false;
@@ -218,7 +240,9 @@ impl TailAgg {
 
     /// The tail's top-`k` list, exactly as
     /// [`crate::GroupRecommender::top_k`] computes it under
-    /// `MissingPolicy::Min` for the current tail membership.
+    /// `MissingPolicy::Min` for the current tail membership: the same
+    /// closed form per semantics, with non-raters imputed at `r_min` and
+    /// items no member rated at the `r_min` floor.
     fn top_k(
         &mut self,
         matrix: &RatingMatrix,
@@ -227,25 +251,37 @@ impl TailAgg {
         semantics: Semantics,
         k: usize,
     ) -> Vec<(u32, f64)> {
+        let r_min = self.r_min;
+        let g = tail_len as f64;
+        // LeaderWeighted's leader: the lowest-id tail member.
+        let leader = in_tail.iter().position(|&t| t).unwrap_or(0) as u32;
         let m = self.count.len();
         let mut scored: Vec<(u32, f64)> = Vec::with_capacity(m);
         for i in 0..m {
+            let count = self.count[i] as usize;
+            let miss = (tail_len - count) as f64;
             let score = match semantics {
                 Semantics::LeastMisery => {
-                    if self.count[i] as usize == tail_len {
+                    if count == tail_len {
                         if self.stale[i] {
                             self.recompute_min(matrix, in_tail, i as u32);
                         }
                         self.min[i]
                     } else {
-                        self.r_min
+                        r_min
                     }
                 }
-                Semantics::AggregateVoting => {
-                    self.sum[i] + (tail_len - self.count[i] as usize) as f64 * self.r_min
-                }
-                Semantics::Consensus { .. } | Semantics::LeaderWeighted => {
-                    unreachable!("agg_tail is only maintained for decomposable semantics")
+                Semantics::AggregateVoting => self.sum[i] + miss * r_min,
+                _ if count == 0 => r_min,
+                Semantics::Consensus { lambda } => consensus_score(
+                    lambda,
+                    g,
+                    self.sum[i] + miss * r_min,
+                    self.sum_sq[i] + miss * r_min * r_min,
+                ),
+                Semantics::LeaderWeighted => {
+                    let s_l = matrix.get(leader, i as u32).unwrap_or(r_min);
+                    (self.sum[i] + miss * r_min + s_l) / (g + 1.0)
                 }
             };
             scored.push((i as u32, score));
@@ -340,12 +376,7 @@ impl IncrementalFormer {
             cfg.k,
             cfg.n_threads,
         );
-        // The maintained fast path only models the decomposable paper
-        // semantics; Consensus/LeaderWeighted fall back to exact tail
-        // rescoring through the shared repair machinery.
-        let agg_tail = (matches!(cfg.policy, MissingPolicy::Min)
-            && cfg.semantics.is_decomposable())
-        .then(|| TailAgg::new(matrix.n_items() as usize, matrix.scale().min()));
+        let agg_tail = TailAgg::for_config(&cfg, matrix);
         let mut former = IncrementalFormer {
             cfg,
             n_items: matrix.n_items(),
@@ -550,8 +581,7 @@ impl IncrementalFormer {
             selected: Vec::new(),
             in_tail: vec![false; n],
             tail_len: 0,
-            agg_tail: (matches!(cfg.policy, MissingPolicy::Min) && cfg.semantics.is_decomposable())
-                .then(|| TailAgg::new(matrix.n_items() as usize, matrix.scale().min())),
+            agg_tail: TailAgg::for_config(&cfg, matrix),
             result: FormationResult {
                 grouping: Grouping::default(),
                 objective: 0.0,
@@ -641,12 +671,23 @@ impl IncrementalFormer {
         //    longer — no untouched bucket survives that, so rebuild the
         //    Step-1 state cold (exact by construction) and keep going with
         //    the usual selection machinery below via a fresh former.
+        //    Under `UserMean` a sparse user's padding imputes its own mean,
+        //    which can outrank its low-rated items, so a new item id can
+        //    enter an untouched sparse user's padded top-k: every user
+        //    rated fewer than `k.min(m)` items is re-bucketed with the
+        //    dirty users (`Min`/`Skip` pad at `r_min`, which never outranks
+        //    a rated item of lower id).
         let old_n = self.user_keys.len() as u32;
+        let mut padded: Vec<u32> = Vec::new();
         if matrix.n_items() != self.n_items {
-            if self.cfg.k.min(self.n_items as usize) != self.cfg.k.min(matrix.n_items() as usize) {
+            let want = self.cfg.k.min(matrix.n_items() as usize);
+            if self.cfg.k.min(self.n_items as usize) != want {
                 let max_swaps = self.max_swaps;
                 *self = IncrementalFormer::new(matrix, prefs, self.cfg)?.with_max_swaps(max_swaps);
                 return Ok(&self.result);
+            }
+            if matches!(self.cfg.policy, MissingPolicy::UserMean) {
+                padded.extend((0..old_n).filter(|&u| prefs.degree(u) < want));
             }
             if let Some(agg) = &mut self.agg_tail {
                 agg.grow_items(matrix.n_items() as usize);
@@ -706,6 +747,7 @@ impl IncrementalFormer {
         //    re-removing/re-inserting each from the shared empty-signature
         //    bucket would be quadratic busywork.
         let mut dirty: Vec<u32> = updates.iter().map(|d| d.user).collect();
+        dirty.extend(padded);
         dirty.extend(old_n..matrix.n_users());
         dirty.sort_unstable();
         dirty.dedup();

@@ -73,6 +73,7 @@ pub mod metrics;
 pub mod ndcg;
 pub mod online;
 pub mod prefs;
+mod rows;
 pub mod scale;
 pub mod semantics;
 pub mod threads;

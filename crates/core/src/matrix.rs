@@ -5,9 +5,12 @@
 //! the algorithms need — iterate a user's ratings in item order (for group
 //! top-k merges) and O(log d) point lookup — while keeping memory at
 //! O(#ratings), which is what makes the paper's 200,000-user scalability
-//! experiments feasible.
+//! experiments feasible. The rows sit in fixed-size copy-on-write chunks
+//! (see `rows`), so a successor matrix shares every chunk its batch did
+//! not touch with its predecessor.
 
 use crate::error::{GfError, Result};
+use crate::rows::Rows;
 use crate::scale::RatingScale;
 
 /// Whether the user/item universe may grow when an update names an id
@@ -98,15 +101,11 @@ impl GrowthPolicy {
 /// A sparse, immutable user–item rating matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RatingMatrix {
-    n_users: u32,
     n_items: u32,
     scale: RatingScale,
-    /// Row offsets; `offsets[u]..offsets[u+1]` indexes `items`/`scores`.
-    offsets: Vec<usize>,
-    /// Item ids per row, strictly increasing within a row.
-    items: Vec<u32>,
-    /// Scores aligned with `items`.
-    scores: Vec<f64>,
+    /// One row per user: item ids strictly increasing within a row,
+    /// scores aligned with them.
+    rows: Rows,
 }
 
 impl RatingMatrix {
@@ -192,18 +191,22 @@ impl RatingMatrix {
             }
         }
         Ok(RatingMatrix {
-            n_users,
             n_items,
             scale,
-            offsets: (0..=n).map(|u| u * m).collect(),
-            items: (0..n).flat_map(|_| 0..n_items).collect(),
-            scores,
+            rows: Rows::from_fn(
+                n_users,
+                |_| m,
+                |u, items, row| {
+                    items.extend(0..n_items);
+                    row.extend_from_slice(&scores[u as usize * m..(u as usize + 1) * m]);
+                },
+            ),
         })
     }
 
     /// Rebuilds a matrix from raw CSR storage — the inverse of
-    /// [`RatingMatrix::csr_parts`], used by the `gf-persist` checkpoint
-    /// loader. Every invariant the builders enforce is re-validated here
+    /// [`RatingMatrix::csr_offsets`] and [`RatingMatrix::csr_runs`], used
+    /// by the `gf-persist` checkpoint loader. Every invariant the builders enforce is re-validated here
     /// (monotone offsets, strictly increasing item ids per row, finite
     /// in-scale scores), so a corrupted or hand-edited checkpoint cannot
     /// smuggle an invalid matrix into a serving process.
@@ -274,26 +277,30 @@ impl RatingMatrix {
             }
         }
         Ok(RatingMatrix {
-            n_users,
             n_items,
             scale,
-            offsets,
-            items,
-            scores,
+            rows: Rows::from_flat(&offsets, &items, &scores),
         })
     }
 
-    /// The raw CSR storage `(offsets, items, scores)` — the exact bytes a
-    /// checkpoint serializes. `offsets[u]..offsets[u+1]` indexes the
-    /// parallel `items`/`scores` slices for user `u`.
-    pub fn csr_parts(&self) -> (&[usize], &[u32], &[f64]) {
-        (&self.offsets, &self.items, &self.scores)
+    /// The `n_users + 1` row offsets of the flat CSR a checkpoint
+    /// serializes: `offsets[u]..offsets[u+1]` indexes user `u`'s entries
+    /// in the concatenated [`RatingMatrix::csr_runs`].
+    pub fn csr_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows.offsets()
+    }
+
+    /// The rating storage as consecutive `(items, scores)` runs in user
+    /// order; concatenated, they are the flat CSR `items` and `scores`
+    /// arrays a checkpoint serializes.
+    pub fn csr_runs(&self) -> impl Iterator<Item = (&[u32], &[f64])> + Clone + '_ {
+        self.rows.runs()
     }
 
     /// Number of users `n`.
     #[inline]
     pub fn n_users(&self) -> u32 {
-        self.n_users
+        self.rows.n_rows()
     }
 
     /// Number of items `m`.
@@ -311,36 +318,33 @@ impl RatingMatrix {
     /// Total number of stored ratings.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.items.len()
+        self.rows.nnz()
     }
 
     /// Fraction of the full `n x m` matrix that is rated.
     pub fn density(&self) -> f64 {
-        if self.n_users == 0 || self.n_items == 0 {
+        if self.n_users() == 0 || self.n_items == 0 {
             return 0.0;
         }
-        self.nnz() as f64 / (self.n_users as f64 * self.n_items as f64)
+        self.nnz() as f64 / (self.n_users() as f64 * self.n_items as f64)
     }
 
     /// Number of ratings by user `u`.
     #[inline]
     pub fn degree(&self, u: u32) -> usize {
-        let u = u as usize;
-        self.offsets[u + 1] - self.offsets[u]
+        self.rows.len(u)
     }
 
     /// The items rated by `u`, in increasing item order.
     #[inline]
     pub fn user_items(&self, u: u32) -> &[u32] {
-        let u = u as usize;
-        &self.items[self.offsets[u]..self.offsets[u + 1]]
+        self.rows.items(u)
     }
 
     /// The scores of user `u`, aligned with [`RatingMatrix::user_items`].
     #[inline]
     pub fn user_scores(&self, u: u32) -> &[f64] {
-        let u = u as usize;
-        &self.scores[self.offsets[u]..self.offsets[u + 1]]
+        self.rows.scores(u)
     }
 
     /// Iterates `(item, score)` pairs of user `u` in increasing item order.
@@ -372,10 +376,11 @@ impl RatingMatrix {
 
     /// Mean over all stored ratings, or the scale midpoint if empty.
     pub fn global_mean(&self) -> f64 {
-        if self.scores.is_empty() {
+        if self.nnz() == 0 {
             return (self.scale.min() + self.scale.max()) / 2.0;
         }
-        self.scores.iter().sum::<f64>() / self.scores.len() as f64
+        let sum: f64 = self.rows.runs().flat_map(|(_, s)| s).sum();
+        sum / self.nnz() as f64
     }
 
     /// Builds the item-major transpose: for each item, the `(user, score)`
@@ -384,17 +389,19 @@ impl RatingMatrix {
     pub fn transpose(&self) -> ItemMajor {
         let m = self.n_items as usize;
         let mut counts = vec![0usize; m + 1];
-        for &i in &self.items {
-            counts[i as usize + 1] += 1;
+        for (items, _) in self.rows.runs() {
+            for &i in items {
+                counts[i as usize + 1] += 1;
+            }
         }
         for i in 0..m {
             counts[i + 1] += counts[i];
         }
         let offsets = counts.clone();
         let mut cursor = counts;
-        let mut users = vec![0u32; self.items.len()];
-        let mut scores = vec![0f64; self.items.len()];
-        for u in 0..self.n_users {
+        let mut users = vec![0u32; self.nnz()];
+        let mut scores = vec![0f64; self.nnz()];
+        for u in 0..self.n_users() {
             for (i, s) in self.user_ratings(u) {
                 let slot = cursor[i as usize];
                 users[slot] = u;
@@ -423,18 +430,16 @@ impl RatingMatrix {
     /// [`GrowthPolicy::Grow`], updates naming users/items beyond the
     /// current dimensions extend `n_users`/`n_items` (appending empty CSR
     /// rows up to the named id) instead of erroring, as long as the caps
-    /// allow it; appending costs O(new rows) on top of the O(nnz) build.
+    /// allow it. The successor rebuilds only the row chunks holding an
+    /// updated or admitted user and shares the rest with `self`, so the
+    /// build costs O(touched chunks + new rows), not O(nnz).
     pub fn with_upserts_under(
         &self,
         updates: &[(u32, u32, f64)],
         growth: GrowthPolicy,
     ) -> Result<(RatingMatrix, Vec<Upsert>)> {
-        let (written, outcomes, inserts, n_users, n_items) =
-            self.resolve_updates(updates, growth)?;
-        Ok((
-            self.rebuilt_with(&written, inserts, n_users, n_items),
-            outcomes,
-        ))
+        let (written, outcomes, n_users, n_items) = self.resolve_updates(updates, growth)?;
+        Ok((self.rebuilt_with(&written, n_users, n_items), outcomes))
     }
 
     /// Validates `updates` and resolves them sequentially into final cell
@@ -443,7 +448,7 @@ impl RatingMatrix {
     /// — exactly as if the updates were applied one at a time. Also
     /// resolves the grown dimensions the batch requires under `growth`.
     /// Nothing is mutated; on `Err` the caller's matrix is untouched.
-    #[allow(clippy::type_complexity)] // private helper: (final cells, outcomes, insert count, grown dims)
+    #[allow(clippy::type_complexity)] // private helper: (final cells, outcomes, grown dims)
     fn resolve_updates(
         &self,
         updates: &[(u32, u32, f64)],
@@ -451,11 +456,10 @@ impl RatingMatrix {
     ) -> Result<(
         crate::fxhash::FxHashMap<(u32, u32), f64>,
         Vec<Upsert>,
-        usize,
         u32,
         u32,
     )> {
-        let mut n_users = self.n_users;
+        let mut n_users = self.n_users();
         let mut n_items = self.n_items;
         for &(user, item, score) in updates {
             n_users = growth.admit_user(user, n_users)?;
@@ -470,34 +474,27 @@ impl RatingMatrix {
         let mut written: crate::fxhash::FxHashMap<(u32, u32), f64> =
             crate::fxhash::FxHashMap::default();
         let mut outcomes = Vec::with_capacity(updates.len());
-        let mut inserts = 0usize;
         for &(user, item, score) in updates {
-            let stored = (user < self.n_users)
+            let stored = (user < self.n_users())
                 .then(|| self.get(user, item))
                 .flatten();
-            let outcome = match written.get(&(user, item)) {
-                Some(&previous) => Upsert::Updated { previous },
-                None => match stored {
-                    Some(previous) => Upsert::Updated { previous },
-                    None => {
-                        inserts += 1;
-                        Upsert::Inserted
-                    }
-                },
+            let outcome = match written.get(&(user, item)).copied().or(stored) {
+                Some(previous) => Upsert::Updated { previous },
+                None => Upsert::Inserted,
             };
             written.insert((user, item), score);
             outcomes.push(outcome);
         }
-        Ok((written, outcomes, inserts, n_users, n_items))
+        Ok((written, outcomes, n_users, n_items))
     }
 
-    /// Assembles the successor matrix in one pass, merging each dirty row
-    /// with its final cell values; clean rows are copied verbatim and rows
-    /// beyond the old edge start empty (then receive their cells).
+    /// Assembles the successor matrix: each dirty row is merged with its
+    /// final cell values, rows beyond the old edge start empty (then
+    /// receive their cells), and only the chunks holding such rows are
+    /// rebuilt.
     fn rebuilt_with(
         &self,
         written: &crate::fxhash::FxHashMap<(u32, u32), f64>,
-        inserts: usize,
         n_users: u32,
         n_items: u32,
     ) -> RatingMatrix {
@@ -506,55 +503,49 @@ impl RatingMatrix {
         for (&(user, item), &score) in written {
             per_user.entry(user).or_default().push((item, score));
         }
-        let mut items = Vec::with_capacity(self.items.len() + inserts);
-        let mut scores = Vec::with_capacity(self.scores.len() + inserts);
-        let mut offsets = Vec::with_capacity(n_users as usize + 1);
-        offsets.push(0usize);
-        for u in 0..n_users {
-            let (lo, hi) = if u < self.n_users {
-                (self.offsets[u as usize], self.offsets[u as usize + 1])
-            } else {
-                (0, 0) // brand-new row: no stored ratings to merge
-            };
-            match per_user.get_mut(&u) {
-                None => {
-                    items.extend_from_slice(&self.items[lo..hi]);
-                    scores.extend_from_slice(&self.scores[lo..hi]);
-                }
-                Some(cells) => {
-                    cells.sort_unstable_by_key(|&(i, _)| i);
-                    let mut ci = 0usize;
-                    for pos in lo..hi {
-                        let old_item = self.items[pos];
-                        while ci < cells.len() && cells[ci].0 < old_item {
-                            items.push(cells[ci].0);
-                            scores.push(cells[ci].1);
-                            ci += 1;
-                        }
-                        if ci < cells.len() && cells[ci].0 == old_item {
-                            items.push(old_item);
-                            scores.push(cells[ci].1);
-                            ci += 1;
-                        } else {
-                            items.push(old_item);
-                            scores.push(self.scores[pos]);
-                        }
-                    }
-                    for &(i, s) in &cells[ci..] {
-                        items.push(i);
-                        scores.push(s);
-                    }
-                }
-            }
-            offsets.push(items.len());
+        for cells in per_user.values_mut() {
+            cells.sort_unstable_by_key(|&(i, _)| i);
         }
-        RatingMatrix {
+        let mut dirty: Vec<u32> = per_user.keys().copied().collect();
+        dirty.sort_unstable();
+        let old_n = self.n_users();
+        let row_len = |u: u32| {
+            let old = if u < old_n { self.degree(u) } else { 0 };
+            old + per_user.get(&u).map_or(0, Vec::len)
+        };
+        let rows = self.rows.successor(
             n_users,
+            &dirty,
+            row_len,
+            |u, old_items, old_scores, items, scores| {
+                let Some(cells) = per_user.get(&u) else {
+                    return; // admitted gap row: no ratings yet
+                };
+                let mut ci = 0usize;
+                for (&old_item, &old_score) in old_items.iter().zip(old_scores) {
+                    while ci < cells.len() && cells[ci].0 < old_item {
+                        items.push(cells[ci].0);
+                        scores.push(cells[ci].1);
+                        ci += 1;
+                    }
+                    items.push(old_item);
+                    if ci < cells.len() && cells[ci].0 == old_item {
+                        scores.push(cells[ci].1);
+                        ci += 1;
+                    } else {
+                        scores.push(old_score);
+                    }
+                }
+                for &(i, s) in &cells[ci..] {
+                    items.push(i);
+                    scores.push(s);
+                }
+            },
+        );
+        RatingMatrix {
             n_items,
             scale: self.scale,
-            offsets,
-            items,
-            scores,
+            rows,
         }
     }
 
@@ -580,12 +571,12 @@ impl RatingMatrix {
             item_map[old as usize] = new as u32;
         }
         let mut b = MatrixBuilder::new(users.len() as u32, items.len() as u32, self.scale);
-        let mut seen = vec![false; self.n_users as usize];
+        let mut seen = vec![false; self.n_users() as usize];
         for (new_u, &old_u) in users.iter().enumerate() {
-            if old_u >= self.n_users {
+            if old_u >= self.n_users() {
                 return Err(GfError::UserOutOfRange {
                     user: old_u,
-                    n_users: self.n_users,
+                    n_users: self.n_users(),
                 });
             }
             if seen[old_u as usize] {
@@ -746,64 +737,37 @@ impl MatrixBuilder {
 
     /// Finalizes into a [`RatingMatrix`], sorting rows and rejecting
     /// duplicate `(user, item)` pairs.
-    pub fn build(mut self) -> Result<RatingMatrix> {
+    pub fn build(self) -> Result<RatingMatrix> {
         if self.n_users == 0 || self.n_items == 0 {
             return Err(GfError::EmptyMatrix);
         }
-        // Counting sort by user keeps this O(nnz) instead of O(nnz log nnz).
-        let n = self.n_users as usize;
-        let mut counts = vec![0usize; n + 1];
-        for &(u, _, _) in &self.triples {
-            counts[u as usize + 1] += 1;
-        }
-        for u in 0..n {
-            counts[u + 1] += counts[u];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let nnz = self.triples.len();
-        let mut items = vec![0u32; nnz];
-        let mut scores = vec![0f64; nnz];
-        for &(u, i, s) in &self.triples {
-            let slot = cursor[u as usize];
-            items[slot] = i;
-            scores[slot] = s;
-            cursor[u as usize] += 1;
-        }
-        self.triples.clear();
-        self.triples.shrink_to_fit();
-        // Sort each row by item id and detect duplicates.
-        for u in 0..n {
-            let (lo, hi) = (offsets[u], offsets[u + 1]);
-            if hi - lo <= 1 {
-                continue;
+        // Counting sort by user (inside `from_entries`) keeps this O(nnz)
+        // instead of O(nnz log nnz); then sort each row by item id and
+        // detect duplicates.
+        let mut row: Vec<(u32, f64)> = Vec::new();
+        let rows = Rows::from_entries(self.n_users, &self.triples, |u, items, scores| {
+            if items.len() <= 1 {
+                return Ok(());
             }
-            let mut row: Vec<(u32, f64)> = items[lo..hi]
-                .iter()
-                .copied()
-                .zip(scores[lo..hi].iter().copied())
-                .collect();
+            row.clear();
+            row.extend(items.iter().copied().zip(scores.iter().copied()));
             row.sort_unstable_by_key(|&(i, _)| i);
-            for w in row.windows(2) {
-                if w[0].0 == w[1].0 {
-                    return Err(GfError::DuplicateRating {
-                        user: u as u32,
-                        item: w[0].0,
-                    });
-                }
+            if let Some(w) = row.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(GfError::DuplicateRating {
+                    user: u,
+                    item: w[0].0,
+                });
             }
-            for (slot, (i, s)) in row.into_iter().enumerate() {
-                items[lo + slot] = i;
-                scores[lo + slot] = s;
+            for (slot, &(i, s)) in row.iter().enumerate() {
+                items[slot] = i;
+                scores[slot] = s;
             }
-        }
+            Ok(())
+        })?;
         Ok(RatingMatrix {
-            n_users: self.n_users,
             n_items: self.n_items,
             scale: self.scale,
-            offsets,
-            items,
-            scores,
+            rows,
         })
     }
 }
@@ -1226,6 +1190,147 @@ mod tests {
         assert_eq!((b.n_users(), b.n_items()), (2, 2));
         b.push(0, 0, 3.0).unwrap();
         assert_eq!(b.build().unwrap().n_users(), 2);
+    }
+
+    use crate::rows::CHUNK_ROWS;
+    use proptest::prelude::*;
+
+    /// `n` users over 7 items on the half-star grid; most users rate two
+    /// items, every ninth user rates nothing (empty rows inside chunks).
+    fn striped_triples(n: u32) -> Vec<(u32, u32, f64)> {
+        let grade = |x: u32| 0.5 + (x % 10) as f64 * 0.5;
+        let mut triples = Vec::new();
+        for u in (0..n).filter(|u| u % 9 != 4) {
+            let (a, b) = (u % 7, (u * 3 + 1) % 7);
+            triples.push((u, a, grade(u)));
+            if b != a {
+                triples.push((u, b, grade(u + 3)));
+            }
+        }
+        triples
+    }
+
+    fn striped(n: u32) -> RatingMatrix {
+        RatingMatrix::from_triples(n, 7, striped_triples(n), RatingScale::half_star()).unwrap()
+    }
+
+    /// The successor against a cold build over the same final cells.
+    fn assert_successor_is_cold(base_n: u32, updates: &[(u32, u32, f64)], growth: GrowthPolicy) {
+        let base = striped(base_n);
+        let (next, _) = base.with_upserts_under(updates, growth).unwrap();
+        let mut cells: std::collections::BTreeMap<(u32, u32), f64> = striped_triples(base_n)
+            .into_iter()
+            .map(|(u, i, s)| ((u, i), s))
+            .collect();
+        for &(u, i, s) in updates {
+            cells.insert((u, i), s);
+        }
+        let cold = MatrixBuilder::new(base_n, 7, RatingScale::half_star())
+            .with_growth(GrowthPolicy::unbounded());
+        let cold = cells
+            .into_iter()
+            .try_fold(cold, |mut b, ((u, i), s)| b.push(u, i, s).map(|_| b))
+            .unwrap()
+            .build()
+            .unwrap();
+        assert_eq!(next.n_users(), cold.n_users());
+        for u in 0..cold.n_users() {
+            assert_eq!(next.user_items(u), cold.user_items(u), "user {u}");
+            assert_eq!(next.user_scores(u), cold.user_scores(u), "user {u}");
+        }
+        assert_eq!(next.nnz(), cold.nnz());
+        assert_eq!(next, cold);
+    }
+
+    #[test]
+    fn successor_touches_first_and_last_row_of_a_chunk() {
+        let c = CHUNK_ROWS as u32;
+        let n = 3 * c + 17; // not a multiple of the chunk size
+        let updates = [
+            (0, 2, 4.5),         // first row of chunk 0
+            (c - 1, 6, 1.0),     // last row of chunk 0
+            (c, 0, 3.0),         // first row of chunk 1
+            (2 * c - 1, 5, 2.5), // last row of chunk 1
+            (n - 1, 3, 5.0),     // last row of the partial chunk 3
+        ];
+        assert_successor_is_cold(n, &updates, GrowthPolicy::Fixed);
+        let base = striped(n);
+        let (next, _) = base
+            .with_upserts_under(&updates, GrowthPolicy::Fixed)
+            .unwrap();
+        // Chunk 2 held no updated row: it is the very same allocation.
+        assert_eq!(
+            base.rows.shared_chunks(&next.rows),
+            vec![false, false, true, false]
+        );
+    }
+
+    #[test]
+    fn successor_shares_every_chunk_the_batch_did_not_touch() {
+        let c = CHUNK_ROWS as u32;
+        let n = 9 * c + 3;
+        let base = striped(n);
+        let updates = [(5u32, 1u32, 2.0), (4 * c + 9, 4, 4.0), (4 * c + 10, 0, 0.5)];
+        let (next, _) = base
+            .with_upserts_under(&updates, GrowthPolicy::Fixed)
+            .unwrap();
+        let touched: Vec<usize> = updates
+            .iter()
+            .map(|&(u, _, _)| u as usize / CHUNK_ROWS)
+            .collect();
+        let shared = base.rows.shared_chunks(&next.rows);
+        assert_eq!(shared.len(), 10);
+        for (chunk, &is_shared) in shared.iter().enumerate() {
+            assert_eq!(is_shared, !touched.contains(&chunk), "chunk {chunk}");
+        }
+        // An empty batch shares everything.
+        let (same, _) = base.with_upserts_under(&[], GrowthPolicy::Fixed).unwrap();
+        assert!(base.rows.shared_chunks(&same.rows).iter().all(|&s| s));
+    }
+
+    #[test]
+    fn grow_admissions_open_new_chunks() {
+        let c = CHUNK_ROWS as u32;
+        let grow = GrowthPolicy::unbounded();
+        // Fill the partial last chunk and open two more.
+        assert_successor_is_cold(2 * c - 3, &[(4 * c + 5, 6, 3.5), (1, 1, 1.0)], grow);
+        // Open exactly one new chunk from an exact multiple.
+        assert_successor_is_cold(2 * c, &[(2 * c, 0, 2.0)], grow);
+        let base = striped(2 * c - 3);
+        let (next, _) = base
+            .with_upserts_under(&[(4 * c + 5, 6, 3.5)], grow)
+            .unwrap();
+        assert_eq!(next.n_users(), 4 * c + 6);
+        // Chunk 0 is untouched; chunk 1 took the admitted gap rows.
+        assert_eq!(base.rows.shared_chunks(&next.rows), vec![true, false]);
+        assert_eq!(next.degree(4 * c), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Around every chunk multiple: any batch, with or without growth,
+        /// yields the cold build over the final cells.
+        #[test]
+        fn successor_equals_cold_near_chunk_multiples(
+            (mult, delta) in (1u32..4, 0u32..5),
+            below in any::<bool>(),
+            updates in proptest::collection::vec((0u32..1200, 0u32..7, 1u8..=10), 1..12),
+            grow in any::<bool>(),
+        ) {
+            let edge = mult * CHUNK_ROWS as u32;
+            let n = if below { edge - delta } else { edge + delta };
+            let (growth, ids) = if grow {
+                (GrowthPolicy::unbounded(), n + CHUNK_ROWS as u32 + 2)
+            } else {
+                (GrowthPolicy::Fixed, n)
+            };
+            let updates: Vec<(u32, u32, f64)> = updates
+                .into_iter()
+                .map(|(u, i, g)| (u % ids, i, g as f64 * 0.5))
+                .collect();
+            assert_successor_is_cold(n, &updates, growth);
+        }
     }
 
     #[test]

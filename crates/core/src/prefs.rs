@@ -8,50 +8,56 @@
 //!
 //! Ties are broken by ascending item id, making every preference list — and
 //! therefore every algorithm in this crate — deterministic.
+//!
+//! The lists sit in the same copy-on-write row chunks as the rating
+//! matrix, so [`PrefIndex::patched`] re-sorts only the chunks holding a
+//! changed user and shares the rest with its predecessor.
 
 use crate::error::{GfError, Result};
 use crate::matrix::RatingMatrix;
+use crate::rows::Rows;
 
-/// All users' preference lists, stored flat in CSR layout.
-#[derive(Debug, Clone)]
+/// All users' preference lists, stored in CSR layout.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefIndex {
-    offsets: Vec<usize>,
-    /// Item ids sorted by (score desc, item asc) within each user row.
-    items: Vec<u32>,
-    /// Scores aligned with `items` (non-increasing within a row).
-    scores: Vec<f64>,
+    /// One row per user: item ids sorted by (score desc, item asc), scores
+    /// aligned with them (non-increasing within a row).
+    rows: Rows,
+}
+
+/// Appends `u`'s ratings to `items`/`scores` in preference order: score
+/// descending, then item id ascending. `total_cmp` is safe because the
+/// matrix rejects non-finite scores.
+fn push_ranked(
+    matrix: &RatingMatrix,
+    u: u32,
+    row: &mut Vec<(u32, f64)>,
+    items: &mut Vec<u32>,
+    scores: &mut Vec<f64>,
+) {
+    row.clear();
+    row.extend(matrix.user_ratings(u));
+    row.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    items.extend(row.iter().map(|&(i, _)| i));
+    scores.extend(row.iter().map(|&(_, s)| s));
 }
 
 impl PrefIndex {
     /// Sorts every user's ratings into a preference list.
     pub fn build(matrix: &RatingMatrix) -> Self {
-        let n = matrix.n_users() as usize;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut items = Vec::with_capacity(matrix.nnz());
-        let mut scores = Vec::with_capacity(matrix.nnz());
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        for u in 0..matrix.n_users() {
-            row.clear();
-            row.extend(matrix.user_ratings(u));
-            // Score descending, then item id ascending. total_cmp is safe
-            // because the matrix rejects non-finite scores.
-            row.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            for &(i, s) in &row {
-                items.push(i);
-                scores.push(s);
-            }
-            offsets.push(items.len());
-        }
+        let mut row = Vec::new();
         PrefIndex {
-            offsets,
-            items,
-            scores,
+            rows: Rows::from_fn(
+                matrix.n_users(),
+                |u| matrix.degree(u),
+                |u, items, scores| push_ranked(matrix, u, &mut row, items, scores),
+            ),
         }
     }
 
     /// Rebuilds an index from raw CSR storage — the inverse of
-    /// [`PrefIndex::parts`], used by the `gf-persist` checkpoint loader.
+    /// [`PrefIndex::csr_offsets`] and [`PrefIndex::csr_runs`], used by the
+    /// `gf-persist` checkpoint loader.
     /// Re-validates the structural invariants ([`PrefIndex::build`]'s
     /// postconditions): monotone offsets covering the storage and, within
     /// each row, finite scores in non-increasing order with score ties
@@ -98,43 +104,45 @@ impl PrefIndex {
             }
         }
         Ok(PrefIndex {
-            offsets,
-            items,
-            scores,
+            rows: Rows::from_flat(&offsets, &items, &scores),
         })
     }
 
-    /// The raw CSR storage `(offsets, items, scores)` — the exact bytes a
+    /// The `n_users + 1` row offsets of the flat CSR a checkpoint
+    /// serializes, indexing the concatenated [`PrefIndex::csr_runs`].
+    pub fn csr_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows.offsets()
+    }
+
+    /// The lists as consecutive `(items, scores)` runs in user order;
+    /// concatenated, they are the flat CSR `items` and `scores` arrays a
     /// checkpoint serializes.
-    pub fn parts(&self) -> (&[usize], &[u32], &[f64]) {
-        (&self.offsets, &self.items, &self.scores)
+    pub fn csr_runs(&self) -> impl Iterator<Item = (&[u32], &[f64])> + Clone + '_ {
+        self.rows.runs()
     }
 
     /// Number of users indexed.
     #[inline]
     pub fn n_users(&self) -> u32 {
-        (self.offsets.len() - 1) as u32
+        self.rows.n_rows()
     }
 
     /// Number of rated items for user `u`.
     #[inline]
     pub fn degree(&self, u: u32) -> usize {
-        let u = u as usize;
-        self.offsets[u + 1] - self.offsets[u]
+        self.rows.len(u)
     }
 
     /// User `u`'s full preference list: items sorted by preference.
     #[inline]
     pub fn ranked_items(&self, u: u32) -> &[u32] {
-        let u = u as usize;
-        &self.items[self.offsets[u]..self.offsets[u + 1]]
+        self.rows.items(u)
     }
 
     /// Scores aligned with [`PrefIndex::ranked_items`] (non-increasing).
     #[inline]
     pub fn ranked_scores(&self, u: u32) -> &[f64] {
-        let u = u as usize;
-        &self.scores[self.offsets[u]..self.offsets[u + 1]]
+        self.rows.scores(u)
     }
 
     /// The first `k` entries of `u`'s preference list, fewer if `u` rated
@@ -153,9 +161,9 @@ impl PrefIndex {
     }
 
     /// Builds the successor index for `matrix`, in which `users`' rows
-    /// changed: their preference lists are re-sorted from the matrix, every
-    /// other list is copied verbatim. One pass over the storage, no
-    /// intermediate clone — the snapshot-succession twin of
+    /// changed: their preference lists are re-sorted from the matrix, and
+    /// only the row chunks holding them are rebuilt — every other chunk is
+    /// shared with `self`. The snapshot-succession twin of
     /// [`RatingMatrix::with_upserts_under`]. The result is exactly what a
     /// full [`PrefIndex::build`] of `matrix` would produce. Duplicate user
     /// ids are fine. The matrix may have **grown** (see
@@ -166,43 +174,14 @@ impl PrefIndex {
         let mut dirty: Vec<u32> = users.to_vec();
         dirty.sort_unstable();
         dirty.dedup();
-        self.rebuilt_with(matrix, &dirty)
-    }
-
-    /// One-pass successor build: dirty rows re-sorted from the matrix,
-    /// clean rows copied verbatim, rows beyond the index's old edge (a
-    /// grown matrix) treated as dirty. `dirty` must be sorted and deduped.
-    fn rebuilt_with(&self, matrix: &RatingMatrix, dirty: &[u32]) -> PrefIndex {
-        let mut is_dirty = vec![false; matrix.n_users() as usize];
-        for &u in dirty {
-            is_dirty[u as usize] = true;
-        }
-        for slot in &mut is_dirty[(self.offsets.len() - 1)..] {
-            *slot = true;
-        }
-        let mut items = Vec::with_capacity(matrix.nnz());
-        let mut scores = Vec::with_capacity(matrix.nnz());
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        offsets.push(0usize);
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        for u in 0..matrix.n_users() {
-            if is_dirty[u as usize] {
-                row.clear();
-                row.extend(matrix.user_ratings(u));
-                row.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                items.extend(row.iter().map(|&(i, _)| i));
-                scores.extend(row.iter().map(|&(_, s)| s));
-            } else {
-                let (lo, hi) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
-                items.extend_from_slice(&self.items[lo..hi]);
-                scores.extend_from_slice(&self.scores[lo..hi]);
-            }
-            offsets.push(items.len());
-        }
+        let mut row = Vec::new();
         PrefIndex {
-            offsets,
-            items,
-            scores,
+            rows: self.rows.successor(
+                matrix.n_users(),
+                &dirty,
+                |u| matrix.degree(u),
+                |u, _, _, items, scores| push_ranked(matrix, u, &mut row, items, scores),
+            ),
         }
     }
 
@@ -348,6 +327,123 @@ mod tests {
             assert_eq!(p.ranked_scores(u), cold.ranked_scores(u), "user {u}");
         }
         assert_eq!(p.degree(4), 0);
+    }
+
+    use crate::matrix::GrowthPolicy;
+    use crate::rows::CHUNK_ROWS;
+    use proptest::prelude::*;
+
+    /// `n` users over 6 items on the half-star grid, with ties and empty
+    /// rows so the (score desc, item asc) order is exercised.
+    fn banded(n: u32) -> RatingMatrix {
+        let triples = (0..n)
+            .filter(|u| u % 7 != 3)
+            .flat_map(|u| [(u, u % 6, 0.5 + (u % 4) as f64), (u, (u % 6 + 3) % 6, 2.5)]);
+        RatingMatrix::from_triples(n, 6, triples, RatingScale::half_star()).unwrap()
+    }
+
+    /// Applies `updates` to `banded(n)` and patches its index; returns
+    /// (old index, patched index, successor matrix).
+    fn patch(
+        n: u32,
+        updates: &[(u32, u32, f64)],
+        growth: GrowthPolicy,
+    ) -> (PrefIndex, PrefIndex, RatingMatrix) {
+        let base = banded(n);
+        let prefs = PrefIndex::build(&base);
+        let (matrix, _) = base.with_upserts_under(updates, growth).unwrap();
+        let users: Vec<u32> = updates.iter().map(|&(u, _, _)| u).collect();
+        let patched = prefs.patched(&matrix, &users);
+        (prefs, patched, matrix)
+    }
+
+    fn assert_is_cold(p: &PrefIndex, matrix: &RatingMatrix) {
+        let cold = PrefIndex::build(matrix);
+        assert_eq!(p.n_users(), cold.n_users());
+        for u in 0..cold.n_users() {
+            assert_eq!(p.ranked_items(u), cold.ranked_items(u), "user {u}");
+            assert_eq!(p.ranked_scores(u), cold.ranked_scores(u), "user {u}");
+        }
+        assert_eq!(p, &cold);
+    }
+
+    #[test]
+    fn patched_touches_first_and_last_row_of_a_chunk() {
+        let c = CHUNK_ROWS as u32;
+        let n = 2 * c + 5; // not a multiple of the chunk size
+        let updates = [
+            (c, 1, 5.0),
+            (2 * c - 1, 2, 0.5),
+            (n - 1, 0, 4.0),
+            (0, 4, 3.0),
+        ];
+        let (old, p, matrix) = patch(n, &updates, GrowthPolicy::Fixed);
+        assert_is_cold(&p, &matrix);
+        assert_eq!(old.rows.shared_chunks(&p.rows), vec![false, false, false]);
+        // Only the first and last row of chunk 1: chunks 0 and 2 shared.
+        let (old, p, matrix) = patch(n, &updates[..2], GrowthPolicy::Fixed);
+        assert_is_cold(&p, &matrix);
+        assert_eq!(old.rows.shared_chunks(&p.rows), vec![true, false, true]);
+    }
+
+    #[test]
+    fn patched_shares_every_chunk_the_batch_did_not_touch() {
+        let c = CHUNK_ROWS as u32;
+        let updates = [
+            (3 * c + 1, 5, 1.5),
+            (7 * c + 2, 0, 5.0),
+            (7 * c + 200, 1, 2.0),
+        ];
+        let (old, p, matrix) = patch(8 * c + 40, &updates, GrowthPolicy::Fixed);
+        assert_is_cold(&p, &matrix);
+        let shared = old.rows.shared_chunks(&p.rows);
+        assert_eq!(shared.len(), 9);
+        for (chunk, &is_shared) in shared.iter().enumerate() {
+            assert_eq!(is_shared, chunk != 3 && chunk != 7, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn patched_grow_admissions_open_new_chunks() {
+        let c = CHUNK_ROWS as u32;
+        let grow = GrowthPolicy::unbounded();
+        // From a partial last chunk, two chunks past it.
+        let (old, p, matrix) = patch(c + 9, &[(3 * c + 1, 2, 3.0)], grow);
+        assert_is_cold(&p, &matrix);
+        assert_eq!(p.n_users(), 3 * c + 2);
+        assert_eq!(old.rows.shared_chunks(&p.rows), vec![true, false]);
+        // From an exact multiple: the old chunks all stay shared.
+        let (old, p, matrix) = patch(2 * c, &[(2 * c, 2, 3.0)], grow);
+        assert_is_cold(&p, &matrix);
+        assert_eq!(old.rows.shared_chunks(&p.rows), vec![true, true]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Around every chunk multiple: any batch, with or without growth,
+        /// patches to the cold index of the successor matrix.
+        #[test]
+        fn patched_equals_cold_near_chunk_multiples(
+            (mult, delta) in (1u32..4, 0u32..5),
+            below in any::<bool>(),
+            updates in proptest::collection::vec((0u32..1200, 0u32..6, 1u8..=10), 1..12),
+            grow in any::<bool>(),
+        ) {
+            let edge = mult * CHUNK_ROWS as u32;
+            let n = if below { edge - delta } else { edge + delta };
+            let (growth, ids) = if grow {
+                (GrowthPolicy::unbounded(), n + CHUNK_ROWS as u32 + 2)
+            } else {
+                (GrowthPolicy::Fixed, n)
+            };
+            let updates: Vec<(u32, u32, f64)> = updates
+                .into_iter()
+                .map(|(u, i, g)| (u % ids, i, g as f64 * 0.5))
+                .collect();
+            let (_, p, matrix) = patch(n, &updates, growth);
+            assert_is_cold(&p, &matrix);
+        }
     }
 
     #[test]

@@ -24,9 +24,12 @@
 //! LM and AV are *decomposable*: the group score is a fold over member
 //! scores in any order ([`Semantics::fold`] / [`Semantics::identity`]).
 //! Consensus needs second moments and LeaderWeighted needs to know which
-//! member is the leader, so neither fits a plain fold — callers on the fold
-//! fast path must gate on [`Semantics::is_decomposable`] and fall back to
-//! [`Semantics::combine`] (or the scoring engines in `grouprec`).
+//! member is the leader, so neither fits a plain fold — callers of
+//! [`Semantics::fold`] must gate on [`Semantics::is_decomposable`] and fall
+//! back to [`Semantics::combine`] (or the scoring engines in `grouprec`).
+//! Code that keeps per-item moments instead of a fold (count, sum, sum of
+//! squares, plus the leader's row) covers all four semantics and needs no
+//! such gate: the incremental former's maintained tail does exactly that.
 //!
 //! ## Theorem-2-style bounds
 //!
@@ -329,6 +332,33 @@ mod tests {
         assert!(sc < 1.0, "consensus score {sc} must fall below r_min = 1");
         // It is still bounded above by the mean (λ ≥ 0), hence by r_max.
         assert!(sc <= 5.0);
+    }
+
+    #[test]
+    fn consensus_of_a_group_all_at_r_min_is_exactly_r_min() {
+        // The unrated-item floor: under `MissingPolicy::Min` every member
+        // of a group that did not rate an item imputes r_min, and the
+        // maintained tail scores those moments through `consensus_score`
+        // while the cold engine returns r_min directly. Both must agree
+        // bit for bit on every built-in scale.
+        use crate::scale::RatingScale;
+        for scale in [
+            RatingScale::one_to_five(),
+            RatingScale::zero_to_five(),
+            RatingScale::half_star(),
+            RatingScale::binary(),
+        ] {
+            let r_min = scale.min();
+            for lambda in [0.0, 0.5, 2.0] {
+                for n in 1..=4096u32 {
+                    let miss = n as f64;
+                    let sc = consensus_score(lambda, miss, miss * r_min, miss * r_min * r_min);
+                    assert_eq!(sc.to_bits(), r_min.to_bits(), "n {n}, λ {lambda}");
+                }
+                let sc = Semantics::Consensus { lambda }.combine(&[r_min; 7]);
+                assert_eq!(sc.to_bits(), r_min.to_bits());
+            }
+        }
     }
 
     #[test]

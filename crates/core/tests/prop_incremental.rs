@@ -58,18 +58,27 @@ fn matrix_of(inst: &Instance) -> RatingMatrix {
     .unwrap()
 }
 
-fn config(sem_lm: bool, agg_ix: usize, k: usize, ell: usize, policy_ix: usize) -> FormationConfig {
-    let sem = if sem_lm {
-        Semantics::LeastMisery
-    } else {
-        Semantics::AggregateVoting
-    };
-    let policy = [
-        MissingPolicy::Min,
-        MissingPolicy::Skip,
-        MissingPolicy::UserMean,
-    ][policy_ix];
-    FormationConfig::new(sem, Aggregation::paper_set()[agg_ix], k, ell).with_policy(policy)
+/// Every semantics the former serves: the paper's two, Consensus at
+/// three disagreement weights (λ = 0 is the plain mean) and
+/// LeaderWeighted.
+const SEMANTICS: [Semantics; 6] = [
+    Semantics::LeastMisery,
+    Semantics::AggregateVoting,
+    Semantics::Consensus { lambda: 0.0 },
+    Semantics::Consensus { lambda: 0.5 },
+    Semantics::Consensus { lambda: 2.0 },
+    Semantics::LeaderWeighted,
+];
+
+const POLICIES: [MissingPolicy; 3] = [
+    MissingPolicy::Min,
+    MissingPolicy::Skip,
+    MissingPolicy::UserMean,
+];
+
+fn config(sem_ix: usize, agg_ix: usize, k: usize, ell: usize, policy_ix: usize) -> FormationConfig {
+    FormationConfig::new(SEMANTICS[sem_ix], Aggregation::paper_set()[agg_ix], k, ell)
+        .with_policy(POLICIES[policy_ix])
 }
 
 /// Applies one dirty batch through the successor builders the serving
@@ -79,9 +88,16 @@ fn apply_batch(
     prefs: &mut PrefIndex,
     batch: &[(u32, u32, f64)],
 ) -> Vec<RatingDelta> {
-    let (m, outcomes) = matrix
-        .with_upserts_under(batch, GrowthPolicy::Fixed)
-        .unwrap();
+    apply_batch_under(matrix, prefs, batch, GrowthPolicy::Fixed)
+}
+
+fn apply_batch_under(
+    matrix: &mut RatingMatrix,
+    prefs: &mut PrefIndex,
+    batch: &[(u32, u32, f64)],
+    growth: GrowthPolicy,
+) -> Vec<RatingDelta> {
+    let (m, outcomes) = matrix.with_upserts_under(batch, growth).unwrap();
     let users: Vec<u32> = batch.iter().map(|&(u, _, _)| u).collect();
     *prefs = prefs.patched(&m, &users);
     *matrix = m;
@@ -135,10 +151,10 @@ proptest! {
         inst in instance(9, 7),
         updates in proptest::collection::vec((0u32..9, 0u32..7, 1u8..=5), 1..20),
         sizes in proptest::collection::vec(1usize..5, 1..4),
-        (sem_lm, agg_ix, policy_ix) in (any::<bool>(), 0usize..3, 0usize..3),
+        (sem_ix, agg_ix, policy_ix) in (0usize..6, 0usize..3, 0usize..3),
         (k, ell) in (1usize..4, 1usize..5),
     ) {
-        let cfg = config(sem_lm, agg_ix, k, ell, policy_ix);
+        let cfg = config(sem_ix, agg_ix, k, ell, policy_ix);
         let mut matrix = matrix_of(&inst);
         let mut prefs = PrefIndex::build(&matrix);
         let mut former = IncrementalFormer::new(&matrix, &prefs, cfg).unwrap();
@@ -173,10 +189,10 @@ proptest! {
         updates in proptest::collection::vec((0u32..8, 0u32..6, 1u8..=5), 1..16),
         sizes in proptest::collection::vec(1usize..4, 1..3),
         max_swaps in 0usize..3,
-        (sem_lm, agg_ix) in (any::<bool>(), 0usize..3),
+        (sem_ix, agg_ix) in (0usize..6, 0usize..3),
         (k, ell) in (1usize..3, 2usize..5),
     ) {
-        let cfg = config(sem_lm, agg_ix, k, ell, 0);
+        let cfg = config(sem_ix, agg_ix, k, ell, 0);
         let mut matrix = matrix_of(&inst);
         let mut prefs = PrefIndex::build(&matrix);
         let mut former = IncrementalFormer::new(&matrix, &prefs, cfg)
@@ -208,6 +224,51 @@ proptest! {
         prop_assert_eq!(former.selection_lag(), 0.0);
         let cold = GreedyFormer::new().form(&matrix, &prefs, &cfg).unwrap();
         prop_assert_eq!(former.result(), &cold);
+    }
+
+    /// Every semantics under every missing-rating policy, with growth:
+    /// batches that admit never-seen users and items while rewriting
+    /// existing cells. After **every** batch the former's whole result
+    /// equals a cold `GreedyFormer` run on the grown matrix, bit for bit —
+    /// under `Min` that is the maintained moment tail (count, sum, sum of
+    /// squares, minimum, leader row), under `Skip`/`UserMean` the full
+    /// tail rescore.
+    #[test]
+    fn every_semantics_and_policy_equals_cold_under_growth(
+        inst in instance(7, 5),
+        updates in proptest::collection::vec((0u32..10, 0u32..8, 1u8..=5), 1..14),
+        sizes in proptest::collection::vec(1usize..4, 1..3),
+        agg_ix in 0usize..3,
+        (k, ell) in (1usize..4, 1usize..5),
+    ) {
+        let (n_ids, m_ids) = (inst.n + 3, inst.m + 3);
+        let growth = GrowthPolicy::Grow { max_users: n_ids, max_items: m_ids };
+        let updates: Vec<(u32, u32, f64)> = updates
+            .into_iter()
+            .map(|(u, i, r)| (u % n_ids, i % m_ids, r as f64))
+            .collect();
+        for sem_ix in 0..SEMANTICS.len() {
+            for policy_ix in 0..POLICIES.len() {
+                let cfg = config(sem_ix, agg_ix, k, ell, policy_ix);
+                let mut matrix = matrix_of(&inst);
+                let mut prefs = PrefIndex::build(&matrix);
+                let mut former = IncrementalFormer::new(&matrix, &prefs, cfg).unwrap();
+                for batch in partition(&updates, &sizes) {
+                    let deltas = apply_batch_under(&mut matrix, &mut prefs, &batch, growth);
+                    former.refresh(&matrix, &prefs, &deltas).unwrap();
+                    let cold = GreedyFormer::new()
+                        .form(&matrix, &PrefIndex::build(&matrix), &cfg)
+                        .unwrap();
+                    prop_assert_eq!(former.result(), &cold, "{} {:?}", cfg.grd_name(), cfg.policy);
+                    for (x, y) in former.result().grouping.groups.iter().zip(&cold.grouping.groups) {
+                        prop_assert_eq!(x.satisfaction.to_bits(), y.satisfaction.to_bits());
+                        for (a, b) in x.top_k.iter().zip(&y.top_k) {
+                            prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The batch builder against its reference: one `with_upserts_under`

@@ -265,16 +265,47 @@ fn decode_config(body: &[u8], format: u32) -> Result<FormationConfig> {
 }
 
 fn encode_matrix(m: &RatingMatrix) -> Vec<u8> {
-    let (offsets, items, scores) = m.csr_parts();
     let mut w = Writer::new();
     w.u32(m.n_users());
     w.u32(m.n_items());
     w.f64(m.scale().min());
     w.f64(m.scale().max());
-    w.usize_slice(offsets);
-    w.u32_slice(items);
-    w.f64_slice(scores);
+    encode_csr(
+        &mut w,
+        m.n_users() as usize + 1,
+        m.csr_offsets(),
+        m.nnz(),
+        m.csr_runs(),
+    );
     w.into_bytes()
+}
+
+/// Streams chunked CSR storage into the flat layout `usize_slice(offsets)`,
+/// `u32_slice(items)`, `f64_slice(scores)` would write for the
+/// concatenated arrays.
+fn encode_csr<'a>(
+    w: &mut Writer,
+    n_offsets: usize,
+    offsets: impl Iterator<Item = usize>,
+    nnz: usize,
+    runs: impl Iterator<Item = (&'a [u32], &'a [f64])> + Clone,
+) {
+    w.usize(n_offsets);
+    for o in offsets {
+        w.usize(o);
+    }
+    w.usize(nnz);
+    for (items, _) in runs.clone() {
+        for &i in items {
+            w.u32(i);
+        }
+    }
+    w.usize(nnz);
+    for (_, scores) in runs {
+        for &s in scores {
+            w.f64(s);
+        }
+    }
 }
 
 fn decode_matrix(body: &[u8]) -> Result<RatingMatrix> {
@@ -292,11 +323,15 @@ fn decode_matrix(body: &[u8]) -> Result<RatingMatrix> {
 }
 
 fn encode_prefs(p: &PrefIndex) -> Vec<u8> {
-    let (offsets, items, scores) = p.parts();
     let mut w = Writer::new();
-    w.usize_slice(offsets);
-    w.u32_slice(items);
-    w.f64_slice(scores);
+    let nnz = p.csr_runs().map(|(items, _)| items.len()).sum();
+    encode_csr(
+        &mut w,
+        p.n_users() as usize + 1,
+        p.csr_offsets(),
+        nnz,
+        p.csr_runs(),
+    );
     w.into_bytes()
 }
 
@@ -875,9 +910,9 @@ mod tests {
         assert_eq!(a.applied, b.applied);
         assert_eq!(a.users_admitted, b.users_admitted);
         assert_eq!(a.items_admitted, b.items_admitted);
-        assert_eq!(a.matrix.csr_parts(), b.matrix.csr_parts());
+        assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.matrix.scale(), b.matrix.scale());
-        assert_eq!(a.prefs.parts(), b.prefs.parts());
+        assert_eq!(a.prefs, b.prefs);
         assert_eq!(a.groupings.len(), b.groupings.len());
         for (x, y) in a.groupings.iter().zip(&b.groupings) {
             assert_eq!(x.name, y.name);

@@ -99,7 +99,7 @@ impl Writer {
 
     /// Pads with zero bytes to the next multiple of `align`.
     pub fn pad_to(&mut self, align: usize) {
-        while self.buf.len() % align != 0 {
+        while !self.buf.len().is_multiple_of(align) {
             self.buf.push(0);
         }
     }

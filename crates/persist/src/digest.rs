@@ -88,17 +88,29 @@ impl StateDigest {
     /// Folds the full CSR of a rating matrix: dimensions, scale and
     /// every row's `(item, score)` pairs.
     pub fn matrix(&mut self, m: &RatingMatrix) -> &mut Self {
-        let (offsets, items, scores) = m.csr_parts();
         self.u32(m.n_users());
         self.u32(m.n_items());
         self.f64(m.scale().min());
         self.f64(m.scale().max());
-        self.usize(offsets.len());
-        for &o in offsets {
+        // The flat CSR `(offsets, items, scores)`, streamed chunk by chunk
+        // so the value does not depend on how the rows are stored.
+        self.usize(m.n_users() as usize + 1);
+        for o in m.csr_offsets() {
             self.usize(o);
         }
-        self.u32_slice(items);
-        self.f64_slice(scores)
+        self.usize(m.nnz());
+        for (items, _) in m.csr_runs() {
+            for &i in items {
+                self.u32(i);
+            }
+        }
+        self.usize(m.nnz());
+        for (_, scores) in m.csr_runs() {
+            for &s in scores {
+                self.f64(s);
+            }
+        }
+        self
     }
 
     /// Folds an emitted formation: objective, bucket count, and each

@@ -150,7 +150,7 @@ fn legacy_v1_checkpoint_loads_as_the_default_grouping() {
     let live = fixture_state();
     let live_g = live.default_grouping().unwrap();
     assert_eq!(g.config, live_g.config);
-    assert_eq!(state.matrix.csr_parts(), live.matrix.csr_parts());
+    assert_eq!(state.matrix, live.matrix);
     assert_eq!(g.former, live_g.former);
 }
 
@@ -255,5 +255,5 @@ fn golden_checkpoint_file_still_loads() {
         assert_eq!(a.config, b.config);
         assert_eq!(a.former, b.former);
     }
-    assert_eq!(state.matrix.csr_parts(), live.matrix.csr_parts());
+    assert_eq!(state.matrix, live.matrix);
 }

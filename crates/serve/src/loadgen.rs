@@ -276,7 +276,7 @@ pub fn run_sweep(addr: SocketAddr, cfg: &SweepConfig) -> Result<SweepReport, Swe
                     latencies.push(latency.as_micros() as u64);
                     match status {
                         202 => {
-                            if seq % 4 == 0 {
+                            if seq.is_multiple_of(4) {
                                 rates_accepted.fetch_add(1, Ordering::Relaxed);
                             }
                         }

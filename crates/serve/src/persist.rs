@@ -5,6 +5,10 @@
 //!
 //! [`boot`] is the single entry point for a `--data-dir` server:
 //!
+//! 0. take the exclusive lock on `DIR/LOCK`, so a second process on the
+//!    same directory fails its boot instead of interleaving WAL appends
+//!    (the returned state holds the lock until it is dropped; the kernel
+//!    releases it when the process dies, `kill -9` included);
 //! 1. load the newest *valid* checkpoint (corrupt ones are skipped with a
 //!    reason, falling back to the previous file — see
 //!    [`gf_persist::checkpoint::load_latest`]);
@@ -32,7 +36,8 @@ use crate::state::{ServeConfig, ServeState};
 use gf_core::{GfError, RatingMatrix, Result};
 use gf_persist::checkpoint::{self, CheckpointGrouping, CheckpointState};
 use gf_persist::wal::{SyncMode, Wal};
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions, TryLockError};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -98,6 +103,7 @@ pub fn boot(
 ) -> Result<(Arc<ServeState>, RecoveryReport)> {
     std::fs::create_dir_all(&opts.data_dir)
         .map_err(|e| GfError::Persist(format!("mkdir {}: {e}", opts.data_dir.display())))?;
+    let dir_lock = lock_data_dir(&opts.data_dir)?;
     let outcome = checkpoint::load_latest(&opts.data_dir).map_err(GfError::from)?;
     let skipped_checkpoints = outcome.skipped;
     let boot_groupings = cfg.groupings.clone();
@@ -150,7 +156,7 @@ pub fn boot(
         }
     }
     state.flush()?;
-    state.attach_wal(wal);
+    state.attach_wal(wal, dir_lock);
     state
         .stats
         .recovery_replayed
@@ -177,6 +183,28 @@ pub fn boot(
             skipped_checkpoints,
         },
     ))
+}
+
+/// Opens `dir/LOCK` and takes an exclusive advisory lock on it without
+/// blocking: one serving process per data directory.
+fn lock_data_dir(dir: &Path) -> Result<File> {
+    let path = dir.join("LOCK");
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(|e| GfError::Persist(format!("open {}: {e}", path.display())))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(TryLockError::WouldBlock) => Err(GfError::Persist(format!(
+            "{} is held by another process: only one gf-serve may use a data directory",
+            path.display()
+        ))),
+        Err(TryLockError::Error(e)) => {
+            Err(GfError::Persist(format!("lock {}: {e}", path.display())))
+        }
+    }
 }
 
 /// Writes a checkpoint of the current state to `opts.data_dir` unless the

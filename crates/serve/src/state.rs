@@ -389,6 +389,9 @@ struct PendingQueue {
     next_seq: u64,
     /// Durable journal, when `--data-dir` is configured.
     wal: Option<Wal>,
+    /// The exclusive lock on the data directory's `LOCK` file, held as
+    /// long as the WAL is attached (see [`crate::persist::boot`]).
+    dir_lock: Option<std::fs::File>,
     shutdown: bool,
 }
 
@@ -504,6 +507,7 @@ impl ServeState {
                 entries: Vec::new(),
                 next_seq: 1,
                 wal: None,
+                dir_lock: None,
                 shutdown: false,
             }),
             wakeup: Condvar::new(),
@@ -613,6 +617,7 @@ impl ServeState {
                 entries: Vec::new(),
                 next_seq: ck.wal_seq + 1,
                 wal: None,
+                dir_lock: None,
                 shutdown: false,
             }),
             wakeup: Condvar::new(),
@@ -875,10 +880,11 @@ impl ServeState {
     /// Attaches the durable journal. Call *after* replay has been
     /// enqueued and flushed: from here on every accepted rating appends
     /// to `wal` before acknowledgment, continuing its sequence.
-    pub(crate) fn attach_wal(&self, wal: Wal) {
+    pub(crate) fn attach_wal(&self, wal: Wal, dir_lock: std::fs::File) {
         let mut q = self.pending.lock().expect("pending lock poisoned");
         q.next_seq = wal.next_seq();
         q.wal = Some(wal);
+        q.dir_lock = Some(dir_lock);
     }
 
     /// Runs `f` against the attached WAL (pruning, forced syncs). Returns

@@ -269,3 +269,63 @@ fn lost_wal_behind_a_checkpoint_restarts_the_log() {
     assert_eq!(restored.digest(), reference(&script).digest());
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_data_dir_serves_one_process_at_a_time() {
+    let dir = tmpdir("lock");
+    let o = opts(&dir);
+    let (state, _) = boot(grow_config(), &o, || Ok(base_matrix())).unwrap();
+    // A second boot on the same directory is refused while the first
+    // state lives, before it reads or writes anything.
+    let err = boot(grow_config(), &o, || -> gf_core::Result<RatingMatrix> {
+        panic!("a refused boot must not load the dataset")
+    })
+    .err()
+    .expect("second boot on a locked data dir must fail");
+    let message = err.to_string();
+    assert!(message.contains("LOCK"), "{message}");
+    assert!(message.contains("another process"), "{message}");
+    state.rate(0, 0, 4.0).unwrap();
+    state.flush().unwrap();
+    let digest = state.digest();
+    // Dropping the state releases the lock: the next boot is warm.
+    drop(state);
+    let (restored, report) = boot(grow_config(), &o, || unreachable!()).unwrap();
+    assert!(!report.cold_start);
+    assert_eq!(restored.digest(), digest);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_second_server_process_on_a_data_dir_fails_its_boot() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let dir = tmpdir("lock-procs");
+    let serve = |dir: &Path| {
+        Command::new(env!("CARGO_BIN_EXE_gf-serve"))
+            .args(["--addr", "127.0.0.1", "--port", "0", "--synth", "40x10"])
+            .args(["--data-dir", dir.to_str().unwrap()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let mut first = serve(&dir);
+    let mut stdout = BufReader::new(first.stdout.take().unwrap());
+    let mut line = String::new();
+    while !line.contains("listening on") {
+        line.clear();
+        assert!(
+            stdout.read_line(&mut line).unwrap() > 0,
+            "first server exited"
+        );
+    }
+    let second = serve(&dir).wait_with_output().unwrap();
+    let _ = first.kill();
+    let _ = first.wait();
+    assert!(!second.status.success(), "second server must not boot");
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(stderr.contains("LOCK"), "{stderr}");
+    assert!(stderr.contains("another process"), "{stderr}");
+    fs::remove_dir_all(&dir).unwrap();
+}
