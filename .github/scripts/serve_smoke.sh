@@ -379,6 +379,68 @@ capture_transport epoll "$NET_PORT_A" "$EPOLL_OUT"
 capture_transport blocking "$NET_PORT_B" "$BLOCKING_OUT"
 diff -u "$EPOLL_OUT" "$BLOCKING_OUT" \
   || { echo "FAIL: transports served different bodies"; exit 1; }
+
+# ---------------------------------------------------------------------------
+# Refresh-mode parity: the same corpus booted under --refresh cold and
+# --refresh auto, two Step-1 workers each, takes the same /v1/rate writes
+# and must serve byte-identical /v1/group bodies for every user — the
+# refresh mode decides how a pass re-forms, never what it installs.
+# ---------------------------------------------------------------------------
+PARITY_WRITES=(
+  '{"user":3,"item":1,"rating":5}'
+  '{"user":7,"item":2,"rating":1}'
+  '{"user":12,"item":4,"rating":4}'
+  '{"user":0,"item":9,"rating":2}'
+  '{"user":19,"item":0,"rating":3}'
+)
+
+# capture_refresh MODE PORT OUTFILE — boots --refresh MODE, applies
+# PARITY_WRITES, appends one "GET /v1/group/U -> body" line per user,
+# checks the refresh counters, shuts down.
+capture_refresh() {
+  local mode=$1 port=$2 outfile=$3
+  local log; log=$(mktemp)
+  BASE="http://127.0.0.1:${port}"
+  "$BIN" --port "$port" --data "$FIXTURE" --ell 4 --k 3 --threads 2 --refresh "$mode" \
+    >"$log" 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 1 100); do
+    grep -q "listening on" "$log" && break
+    kill -0 "$SERVER_PID" 2>/dev/null || { echo "--refresh $mode server died during startup"; cat "$log"; exit 1; }
+    sleep 0.1
+  done
+  grep -q "listening on" "$log" || { echo "--refresh $mode server never became ready"; exit 1; }
+  local w applied=0
+  for w in "${PARITY_WRITES[@]}"; do
+    request POST /v1/rate 202 "$w" | jq -e '.accepted == true' >/dev/null
+  done
+  for _ in $(seq 1 100); do
+    applied=$(request GET /v1/stats 200 | jq -r '.rates_applied')
+    [ "$applied" -eq "${#PARITY_WRITES[@]}" ] && break
+    sleep 0.1
+  done
+  [ "$applied" -eq "${#PARITY_WRITES[@]}" ] || { echo "FAIL: --refresh $mode never applied the writes"; exit 1; }
+  request GET /v1/stats 200 | jq -e '.refresh_mode == "'"$mode"'"' >/dev/null
+  if [ "$mode" = cold ]; then
+    request GET /v1/stats 200 | jq -e '.refresh_cold >= 1 and .refresh_incremental == 0' >/dev/null \
+      || { echo "FAIL: --refresh cold took no cold pass"; exit 1; }
+  fi
+  : >"$outfile"
+  local u
+  for u in $(seq 0 19); do
+    printf 'GET /v1/group/%s -> %s\n' "$u" "$(request GET "/v1/group/$u" 200)" >>"$outfile"
+  done
+  kill "$SERVER_PID" 2>/dev/null || true
+  wait "$SERVER_PID" 2>/dev/null || true
+}
+
+echo "== refresh: identical groups under --refresh cold and --refresh auto =="
+COLD_OUT=$(mktemp)
+AUTO_OUT=$(mktemp)
+capture_refresh cold $((PORT + 6)) "$COLD_OUT"
+capture_refresh auto $((PORT + 7)) "$AUTO_OUT"
+diff -u "$COLD_OUT" "$AUTO_OUT" \
+  || { echo "FAIL: refresh modes served different groups"; exit 1; }
 trap 'rm -rf "$DATA_DIR"' EXIT
 
 echo "serve smoke: all checks passed"

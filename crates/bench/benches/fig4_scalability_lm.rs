@@ -8,14 +8,14 @@
 //! items, and always far below the clustering baseline, which grows
 //! super-linearly in users and is sensitive to items.
 //!
-//! Beyond the paper: the `SHARD-GRD` column runs the same greedy per
-//! user-shard on all cores ([`gf_core::ShardedFormer`], auto thread count),
-//! which is what lets the `GF_BENCH_SCALE=paper` sweep complete in
-//! CI-friendly time; the plain GRD column itself uses threaded Step-1
-//! bucket building (`n_threads = 0` = auto).
+//! Beyond the paper: the `INC-GRD` column forms the same grouping through
+//! [`gf_core::IncrementalFormer::new`], the formation `gf-serve` runs on
+//! boot and on every cold refresh, so its gap to GRD is the price of the
+//! standing bucket state. Both columns use threaded Step-1 bucket
+//! building (`n_threads = 0` = auto).
 
 use gf_bench::{
-    baseline_kmeans, grd, grd_sharded, run, scalability_instance, ScalabilityDefaults, Scale,
+    baseline_kmeans, grd, grd_incremental, run, scalability_instance, ScalabilityDefaults, Scale,
 };
 use gf_core::{Aggregation, FormationConfig, Semantics};
 use gf_datasets::SynthConfig;
@@ -39,23 +39,18 @@ fn main() {
             "Fig 4(a): run time vs # users (LM-Min, items={}, groups=10, k=5, scale {scale:?})",
             d.n_items
         ),
-        &[
-            "# users",
-            "GRD-LM-MIN",
-            "SHARD-GRD-LM-MIN",
-            "Baseline-LM-MIN",
-        ],
+        &["# users", "GRD-LM-MIN", "INC-GRD-LM-MIN", "Baseline-LM-MIN"],
     );
     for n in [1_000u32, 10_000, 100_000, 200_000] {
         let n = scale.shrink(n as usize, 10) as u32;
         let inst = scalability_instance(SynthConfig::yahoo_music(), n, d.n_items, 51);
         let g = run(grd().as_ref(), &inst, &cfg0, 1);
-        let s = run(grd_sharded().as_ref(), &inst, &cfg0, 1);
+        let inc = run(grd_incremental().as_ref(), &inst, &cfg0, 1);
         let b = run(baseline_kmeans(d.kmeans_iters).as_ref(), &inst, &cfg0, 1);
         table.push_row(vec![
             n.to_string(),
             fmt_duration(g.elapsed),
-            fmt_duration(s.elapsed),
+            fmt_duration(inc.elapsed),
             fmt_duration(b.elapsed),
         ]);
     }
@@ -67,23 +62,18 @@ fn main() {
             "Fig 4(b): run time vs # items (LM-Min, users={}, groups=10, k=5)",
             d.n_users
         ),
-        &[
-            "# items",
-            "GRD-LM-MIN",
-            "SHARD-GRD-LM-MIN",
-            "Baseline-LM-MIN",
-        ],
+        &["# items", "GRD-LM-MIN", "INC-GRD-LM-MIN", "Baseline-LM-MIN"],
     );
     for m in [10_000u32, 25_000, 50_000, 100_000] {
         let m = scale.shrink(m as usize, 10) as u32;
         let inst = scalability_instance(SynthConfig::yahoo_music(), d.n_users, m, 52);
         let g = run(grd().as_ref(), &inst, &cfg0, 1);
-        let s = run(grd_sharded().as_ref(), &inst, &cfg0, 1);
+        let inc = run(grd_incremental().as_ref(), &inst, &cfg0, 1);
         let b = run(baseline_kmeans(d.kmeans_iters).as_ref(), &inst, &cfg0, 1);
         table.push_row(vec![
             m.to_string(),
             fmt_duration(g.elapsed),
-            fmt_duration(s.elapsed),
+            fmt_duration(inc.elapsed),
             fmt_duration(b.elapsed),
         ]);
     }
@@ -99,7 +89,7 @@ fn main() {
         &[
             "# groups",
             "GRD-LM-MIN",
-            "SHARD-GRD-LM-MIN",
+            "INC-GRD-LM-MIN",
             "Baseline-LM-MIN",
         ],
     );
@@ -107,7 +97,7 @@ fn main() {
         let cfg = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, d.k, ell)
             .with_threads(0);
         let g = run(grd().as_ref(), &inst, &cfg, 1);
-        let s = run(grd_sharded().as_ref(), &inst, &cfg, 1);
+        let inc = run(grd_incremental().as_ref(), &inst, &cfg, 1);
         let b = if baseline_feasible(ell, inst.matrix.n_items()) {
             fmt_duration(run(baseline_kmeans(d.kmeans_iters).as_ref(), &inst, &cfg, 1).elapsed)
         } else {
@@ -116,7 +106,7 @@ fn main() {
         table.push_row(vec![
             ell.to_string(),
             fmt_duration(g.elapsed),
-            fmt_duration(s.elapsed),
+            fmt_duration(inc.elapsed),
             b,
         ]);
     }

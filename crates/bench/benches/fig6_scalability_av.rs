@@ -6,13 +6,13 @@
 //! (AV aggregates the satisfaction of every member), and a baseline that is
 //! insensitive to the semantics (clustering ignores them).
 //!
-//! As in Figure 4, the `SHARD-GRD` column is the parallel sharded path
-//! ([`gf_core::ShardedFormer`]) that keeps the `GF_BENCH_SCALE=paper`
-//! sweep CI-friendly, and the plain GRD column uses auto-threaded Step-1
+//! As in Figure 4, the `INC-GRD` column forms the same grouping through
+//! [`gf_core::IncrementalFormer::new`] (what `gf-serve` runs on boot and
+//! on every cold refresh), and both columns use auto-threaded Step-1
 //! bucket building.
 
 use gf_bench::{
-    baseline_kmeans, grd, grd_sharded, run, scalability_instance, ScalabilityDefaults, Scale,
+    baseline_kmeans, grd, grd_incremental, run, scalability_instance, ScalabilityDefaults, Scale,
 };
 use gf_core::{Aggregation, FormationConfig, Semantics};
 use gf_datasets::SynthConfig;
@@ -34,23 +34,18 @@ fn main() {
             "Fig 6(a): run time vs # users (AV-Min, items={}, groups=10, k=5, scale {scale:?})",
             d.n_items
         ),
-        &[
-            "# users",
-            "GRD-AV-MIN",
-            "SHARD-GRD-AV-MIN",
-            "Baseline-AV-MIN",
-        ],
+        &["# users", "GRD-AV-MIN", "INC-GRD-AV-MIN", "Baseline-AV-MIN"],
     );
     for n in [1_000u32, 10_000, 100_000, 200_000] {
         let n = scale.shrink(n as usize, 10) as u32;
         let inst = scalability_instance(SynthConfig::yahoo_music(), n, d.n_items, 71);
         let g = run(grd().as_ref(), &inst, &cfg0, 1);
-        let s = run(grd_sharded().as_ref(), &inst, &cfg0, 1);
+        let inc = run(grd_incremental().as_ref(), &inst, &cfg0, 1);
         let b = run(baseline_kmeans(d.kmeans_iters).as_ref(), &inst, &cfg0, 1);
         table.push_row(vec![
             n.to_string(),
             fmt_duration(g.elapsed),
-            fmt_duration(s.elapsed),
+            fmt_duration(inc.elapsed),
             fmt_duration(b.elapsed),
         ]);
     }
@@ -61,23 +56,18 @@ fn main() {
             "Fig 6(b): run time vs # items (AV-Min, users={}, groups=10, k=5)",
             d.n_users
         ),
-        &[
-            "# items",
-            "GRD-AV-MIN",
-            "SHARD-GRD-AV-MIN",
-            "Baseline-AV-MIN",
-        ],
+        &["# items", "GRD-AV-MIN", "INC-GRD-AV-MIN", "Baseline-AV-MIN"],
     );
     for m in [10_000u32, 25_000, 50_000, 100_000] {
         let m = scale.shrink(m as usize, 10) as u32;
         let inst = scalability_instance(SynthConfig::yahoo_music(), d.n_users, m, 72);
         let g = run(grd().as_ref(), &inst, &cfg0, 1);
-        let s = run(grd_sharded().as_ref(), &inst, &cfg0, 1);
+        let inc = run(grd_incremental().as_ref(), &inst, &cfg0, 1);
         let b = run(baseline_kmeans(d.kmeans_iters).as_ref(), &inst, &cfg0, 1);
         table.push_row(vec![
             m.to_string(),
             fmt_duration(g.elapsed),
-            fmt_duration(s.elapsed),
+            fmt_duration(inc.elapsed),
             fmt_duration(b.elapsed),
         ]);
     }
@@ -92,7 +82,7 @@ fn main() {
         &[
             "# groups",
             "GRD-AV-MIN",
-            "SHARD-GRD-AV-MIN",
+            "INC-GRD-AV-MIN",
             "Baseline-AV-MIN",
         ],
     );
@@ -100,7 +90,7 @@ fn main() {
         let cfg = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Min, d.k, ell)
             .with_threads(0);
         let g = run(grd().as_ref(), &inst, &cfg, 1);
-        let s = run(grd_sharded().as_ref(), &inst, &cfg, 1);
+        let inc = run(grd_incremental().as_ref(), &inst, &cfg, 1);
         let b = if baseline_feasible(ell, inst.matrix.n_items()) {
             fmt_duration(run(baseline_kmeans(d.kmeans_iters).as_ref(), &inst, &cfg, 1).elapsed)
         } else {
@@ -109,7 +99,7 @@ fn main() {
         table.push_row(vec![
             ell.to_string(),
             fmt_duration(g.elapsed),
-            fmt_duration(s.elapsed),
+            fmt_duration(inc.elapsed),
             b,
         ]);
     }

@@ -8,7 +8,8 @@
 //! with 64-update batches, plus the raw core-level former refresh, so
 //! EXPERIMENTS.md can record the cold-vs-incremental ratio per PR.
 //!
-//! * `refresh_64_cold` — one bounded pass, full re-formation.
+//! * `refresh_64_cold` — one bounded pass, full re-formation: the
+//!   `IncrementalFormer::new` rebuild every cold pass runs.
 //! * `refresh_64_incremental` — one bounded pass through the standing
 //!   former (steady state; the one-off former init is priced separately).
 //! * `refresh_64_incremental_cons` — the same pass with a Consensus
@@ -18,8 +19,8 @@
 //! * `refresh_64_admissions` — the same bounded pass where all 64 updates
 //!   **admit never-seen users** (`GrowthPolicy::Grow`): what a population
 //!   onboarding wave costs vs the same-size dirty-only batch above.
-//! * `former_init` — building the standing former from scratch (what the
-//!   first incremental pass after a cold one pays).
+//! * `former_init` — building the standing former from scratch (what
+//!   boot, `/form` and every cold pass pay per grouping).
 //! * `former_refresh_64` — the core-level pass without serve-layer
 //!   overhead: the successor matrix and preference-index builds, then the
 //!   former refresh (bucket moves + capped reselection + tail
@@ -100,8 +101,7 @@ fn incremental_refresh_benches(c: &mut Criterion) {
         ),
     ] {
         let state = serve_state(&corpus.matrix, formation, mode);
-        // Prime: the incremental state's former initializes on the first
-        // pass, outside the measured region.
+        // Prime: one pass outside the measured region.
         let (u, i, s) = next_update();
         state.rate(u, i, s).unwrap();
         state.flush().unwrap();

@@ -11,14 +11,15 @@
 //! * `refresh_pass_64` — one bounded background pass applying 64 pending
 //!   updates: incremental matrix/pref patching plus the re-formation.
 //! * `cold_rebuild` — what the same refresh would cost without the
-//!   incremental path (full `PrefIndex::build` + formation), for the
-//!   ratio the serving layer exists to win.
+//!   incremental path (full `PrefIndex::build` + the
+//!   `IncrementalFormer::new` a cold pass runs), for the ratio the serving
+//!   layer exists to win.
 //! * `form_coalesced_8` — eight concurrent same-config `/form` requests
 //!   answered by one batched formation run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gf_bench::Scale;
-use gf_core::{Aggregation, FormationConfig, GroupFormer, PrefIndex, Semantics, ShardedFormer};
+use gf_core::{Aggregation, FormationConfig, IncrementalFormer, PrefIndex, Semantics};
 use gf_datasets::SynthConfig;
 use gf_serve::http::route_full;
 use gf_serve::{HttpRequest, ServeConfig, ServeState};
@@ -107,9 +108,7 @@ fn serve_benches(c: &mut Criterion) {
     g.bench_function("cold_rebuild", |b| {
         b.iter(|| {
             let prefs = PrefIndex::build(&snapshot.matrix);
-            ShardedFormer::new()
-                .form(&snapshot.matrix, &prefs, &formation)
-                .unwrap()
+            IncrementalFormer::new(&snapshot.matrix, &prefs, formation).unwrap()
         })
     });
 

@@ -20,7 +20,10 @@
 #![forbid(unsafe_code)]
 
 use gf_baselines::{BaselineFormer, ClusterStrategy};
-use gf_core::{FormationConfig, GroupFormer, MissingPolicy, PrefIndex, RatingMatrix};
+use gf_core::{
+    FormationConfig, FormationResult, GroupFormer, IncrementalFormer, MissingPolicy, PrefIndex,
+    RatingMatrix, Result,
+};
 use gf_datasets::{sample, SynthConfig};
 use gf_eval::experiment::{run_timed, RunRecord};
 use gf_exact::{LocalSearch, LocalSearchConfig};
@@ -120,12 +123,33 @@ pub fn grd() -> Box<dyn GroupFormer> {
     Box::new(gf_core::GreedyFormer::new())
 }
 
-/// The sharded/parallel greedy: partitions the population into one shard
-/// per worker thread (resolved from `FormationConfig::n_threads`, `0` =
-/// auto) and runs a full GRD per shard concurrently. This is the path that
-/// makes the `GF_BENCH_SCALE=paper` fig4/fig6 sweeps CI-friendly.
-pub fn grd_sharded() -> Box<dyn GroupFormer> {
-    Box::new(gf_core::ShardedFormer::new())
+/// The greedy as `gf-serve` runs it on boot and on every cold refresh:
+/// [`IncrementalFormer::new`], which forms the [`grd`] grouping and also
+/// keeps the bucket state later refreshes patch. Timed against [`grd`],
+/// it prices that standing state.
+pub fn grd_incremental() -> Box<dyn GroupFormer> {
+    Box::new(IncrementalInit)
+}
+
+/// [`GroupFormer`] face of [`IncrementalFormer::new`] (see
+/// [`grd_incremental`]).
+struct IncrementalInit;
+
+impl GroupFormer for IncrementalInit {
+    fn name(&self, cfg: &FormationConfig) -> String {
+        format!("INC-{}", cfg.grd_name())
+    }
+
+    fn form(
+        &self,
+        matrix: &RatingMatrix,
+        prefs: &PrefIndex,
+        cfg: &FormationConfig,
+    ) -> Result<FormationResult> {
+        Ok(IncrementalFormer::new(matrix, prefs, *cfg)?
+            .result()
+            .clone())
+    }
 }
 
 /// The paper's clustering baseline, with an iteration cap suitable for
@@ -265,11 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lineup_runs_end_to_end() {
+    fn incremental_lineup_forms_the_grd_grouping() {
         let inst = scalability_instance(SynthConfig::yahoo_music(), 200, 60, 4);
         let cfg =
             FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 3, 8).with_threads(0);
-        let rec = run(grd_sharded().as_ref(), &inst, &cfg, 1);
-        assert!(rec.objective > 0.0, "{}", rec.algo);
+        let inc = grd_incremental()
+            .form(&inst.matrix, &inst.prefs, &cfg)
+            .unwrap();
+        let grd = grd().form(&inst.matrix, &inst.prefs, &cfg).unwrap();
+        assert_eq!(inc, grd);
+        assert_eq!(grd_incremental().name(&cfg), "INC-GRD-LM-MIN");
     }
 }

@@ -166,8 +166,8 @@ impl GroupFormer for GreedyFormer {
         }
 
         // Step 3: merge everything left into the final group and score it
-        // with the full recommendation engine (the shared repair-pass
-        // rescoring used by ShardedFormer and IncrementalFormer too).
+        // with the full recommendation engine (the rescoring
+        // IncrementalFormer shares).
         let mut remaining: Vec<u32> = heap
             .into_iter()
             .flat_map(|e| e.bucket.users.into_iter())
@@ -179,7 +179,7 @@ impl GroupFormer for GreedyFormer {
                 top_k: Vec::new(),
                 satisfaction: 0.0,
             };
-            super::shard::rescore_group(matrix, cfg, &mut tail);
+            rescore_group(matrix, cfg, &mut tail);
             groups.push(tail);
         }
 
@@ -248,6 +248,19 @@ pub(crate) fn bucket_to_group(bucket: Bucket, cfg: &FormationConfig) -> Group {
         top_k: bucket.items.iter().copied().zip(vector).collect(),
         satisfaction,
     }
+}
+
+/// Rescores `group` from its member list with the full recommendation
+/// engine under `cfg`: recomputes the top-`k` list and satisfaction. Scores
+/// the greedy's final merged group, and the incremental former's tail
+/// group under the policies without a maintained tail
+/// ([`super::incremental`]).
+pub(crate) fn rescore_group(matrix: &RatingMatrix, cfg: &FormationConfig, group: &mut Group) {
+    let rec = GroupRecommender::new(matrix, cfg.semantics).with_policy(cfg.policy);
+    let top_k = rec.top_k(&group.members, cfg.k);
+    let scores: Vec<f64> = top_k.iter().map(|&(_, s)| s).collect();
+    group.satisfaction = cfg.aggregation.apply(&scores);
+    group.top_k = top_k;
 }
 
 /// Spends leftover group budget splitting singletons out of existing groups

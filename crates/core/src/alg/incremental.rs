@@ -53,9 +53,9 @@
 //! exposed as [`IncrementalFormer::quality_bound`]; the proof is two
 //! lines: ideal-vs-actual selection loses exactly `selection_lag`, and
 //! swapping tail memberships moves its satisfaction within
-//! `[0, tail_bound]`. Eviction and tail splicing reuse the
-//! [`ShardedFormer`](super::ShardedFormer) repair machinery's group
-//! rescoring ([`super::shard`]) on the non-`Min` policies.
+//! `[0, tail_bound]`. On the non-`Min` policies, eviction and tail
+//! splicing rescore the tail with the cold greedy's own Step-3 group
+//! rescoring.
 //!
 //! ## Costs per refresh
 //!
@@ -76,8 +76,7 @@
 //!   (~3 ms at 50k users), not strictly `O(batch)`.
 
 use super::bucket::{self, Bucket, BucketKey};
-use super::greedy::bucket_to_group;
-use super::shard::rescore_group;
+use super::greedy::{bucket_to_group, rescore_group};
 use super::{FormationConfig, FormationResult};
 use crate::error::{GfError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -361,8 +360,8 @@ impl IncrementalFormer {
     ///
     /// Step 1 runs on `cfg.n_threads` workers via
     /// [`bucket::build_bucket_map_threaded`] — the sharded bucket build
-    /// plus a merge that also records per-user bucket keys — cutting the
-    /// lineage-break (re-initialization) penalty on multi-core hosts. The
+    /// plus a merge that also records per-user bucket keys — which is
+    /// what a serving layer pays on boot and on every cold pass. The
     /// default `n_threads = 1` keeps the sequential path.
     pub fn new(matrix: &RatingMatrix, prefs: &PrefIndex, cfg: FormationConfig) -> Result<Self> {
         cfg.validate(matrix)?;

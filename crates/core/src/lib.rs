@@ -83,7 +83,7 @@ pub mod weights;
 pub use aggregate::Aggregation;
 pub use alg::{
     FormationConfig, FormationResult, FormerBucket, FormerState, GreedyFormer, GroupFormer,
-    IncrementalFormer, RatingDelta, RefreshMode, ShardedFormer,
+    IncrementalFormer, RatingDelta, RefreshMode,
 };
 pub use candidates::{brute_force_candidates, CandidateEngine};
 pub use error::{GfError, Result};

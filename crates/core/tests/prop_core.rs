@@ -6,7 +6,7 @@ use gf_core::alg::bucket::{
 };
 use gf_core::{
     Aggregation, FormationConfig, GreedyFormer, GroupFormer, GroupRecommender, GrowthPolicy,
-    MissingPolicy, PrefIndex, RatingMatrix, RatingScale, Semantics, ShardedFormer,
+    MissingPolicy, PrefIndex, RatingMatrix, RatingScale, Semantics,
 };
 use proptest::prelude::*;
 
@@ -254,33 +254,6 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(&seq.grouping, &par.grouping, "threads={}", threads);
         }
-    }
-
-    /// Sharded formation always yields a valid partition into at most
-    /// `ell` groups whose stored objective matches a recomputation, for
-    /// shard counts below, at and above the group budget.
-    #[test]
-    fn sharded_former_is_valid_and_consistent(
-        inst in instance(17, 6),
-        k in 1usize..3,
-        ell in 1usize..5,
-        shards_ix in 0usize..3,
-        sem_lm in any::<bool>(),
-    ) {
-        let m = matrix_of(&inst);
-        let prefs = PrefIndex::build(&m);
-        let sem = if sem_lm { Semantics::LeastMisery } else { Semantics::AggregateVoting };
-        let shards = [1usize, 2, 7][shards_ix];
-        let cfg = FormationConfig::new(sem, Aggregation::Min, k, ell);
-        let r = ShardedFormer::new().with_shards(shards).form(&m, &prefs, &cfg).unwrap();
-        r.grouping.validate(m.n_users(), ell).unwrap();
-        let recomputed = gf_core::recompute_objective(&m, &r.grouping, sem,
-            Aggregation::Min, cfg.policy, k);
-        prop_assert!((recomputed - r.objective).abs() < 1e-9,
-            "shards={shards}: stored {} vs recomputed {recomputed}", r.objective);
-        // Determinism across repeated runs.
-        let again = ShardedFormer::new().with_shards(shards).form(&m, &prefs, &cfg).unwrap();
-        prop_assert_eq!(r.grouping, again.grouping);
     }
 
     /// The matrix builder round-trips triples regardless of insertion order.

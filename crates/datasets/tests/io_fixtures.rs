@@ -10,7 +10,6 @@
 
 use gf_core::{
     Aggregation, FormationConfig, GreedyFormer, GroupFormer, PrefIndex, RatingScale, Semantics,
-    ShardedFormer,
 };
 use gf_datasets::io::{read_movielens_csv, read_movielens_dat, read_tsv, write_tsv, Loaded};
 use std::fs::File;
@@ -85,7 +84,7 @@ fn csv_fixture_loads_half_stars() {
 #[test]
 fn loaded_fixture_supports_group_formation_end_to_end() {
     // The full paper pipeline on real-format data: load -> index -> form
-    // (plain and sharded) -> validate the partition.
+    // -> validate the partition.
     let loaded = load_dat();
     let prefs = PrefIndex::build(&loaded.matrix);
     let cfg = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 3, 5);
@@ -94,13 +93,8 @@ fn loaded_fixture_supports_group_formation_end_to_end() {
         .unwrap();
     plain.grouping.validate(20, 5).unwrap();
     assert!(plain.objective > 0.0);
-    let sharded = ShardedFormer::new()
-        .with_shards(4)
-        .form(&loaded.matrix, &prefs, &cfg)
-        .unwrap();
-    sharded.grouping.validate(20, 5).unwrap();
     // Report groups against the original MovieLens user ids.
-    for g in &sharded.grouping.groups {
+    for g in &plain.grouping.groups {
         for &u in &g.members {
             assert!(loaded.user_ids[u as usize] >= 101);
         }

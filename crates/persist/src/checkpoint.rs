@@ -13,8 +13,8 @@
 //! CSR, the preference-index CSR and — since format v2 — the **named
 //! grouping registry**: one record per grouping holding its name,
 //! per-grouping version, formation configuration, emitted formation and
-//! (when that grouping's standing former was in lineage at checkpoint
-//! time) the exported [`FormerState`]. Every array is length-prefixed
+//! the exported [`FormerState`] of the grouping's standing former
+//! (optional: readers accept a grouping without one). Every array is length-prefixed
 //! fixed-width little-endian and 8-byte aligned — the layout is
 //! mmap-ready, though this workspace reads it through the bounds-checked
 //! [`Reader`] (`forbid(unsafe_code)` rules out real `mmap`). **Unknown
@@ -89,8 +89,10 @@ pub struct CheckpointGrouping {
     pub config: FormationConfig,
     /// The emitted formation.
     pub formation: FormationResult,
-    /// The grouping's standing incremental-former state, when it was in
-    /// lineage (synced to exactly this grouping version) at export time.
+    /// The grouping's standing incremental-former state. `gf-serve`
+    /// writes it for every grouping that has a former; `None` restores
+    /// too, and the server rebuilds that grouping's former on its next
+    /// rating pass.
     pub former: Option<FormerState>,
 }
 

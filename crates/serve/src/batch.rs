@@ -2,23 +2,22 @@
 //!
 //! Formation is the expensive operation the serving layer exists to
 //! amortize: when many clients ask for a (re-)formation at once, running
-//! one `ShardedFormer` pass per request would melt the box for identical
-//! answers. The (crate-private) `Batcher` coalesces concurrent requests with the *same*
-//! [`FormationConfig`] arriving within a small window into one run: the
-//! first request becomes the **leader**, sleeps out the window so
+//! one formation per request would melt the box for identical answers.
+//! The (crate-private) `Batcher` coalesces concurrent requests for the
+//! *same* grouping with an *equal* [`FormationConfig`] (every field, via
+//! its derived `PartialEq`) arriving within a small window into one run:
+//! the first request becomes the **leader**, sleeps out the window so
 //! followers can join, executes once, and every member of the batch
 //! returns the same installed snapshot. Requests with different
-//! configurations never coalesce (they would produce different answers).
+//! configurations never coalesce (they would install different
+//! groupings).
 //!
 //! A leader removes its slot *before* running, so requests arriving while
 //! a long formation is executing open the next batch instead of latching
 //! onto a stale one.
 
 use crate::state::Snapshot;
-use gf_core::{
-    Aggregation, FormationConfig, FxHashMap, GfError, MissingPolicy, Result, Semantics,
-    WeightScheme,
-};
+use gf_core::{FormationConfig, GfError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -32,58 +31,6 @@ pub struct BatchOutcome {
     pub batch_size: u64,
     /// Whether this request executed the run (vs joining one).
     pub leader: bool,
-}
-
-/// Hashable identity of a formation request: the target grouping plus the
-/// full formation configuration; two requests coalesce iff their keys are
-/// equal. Requests for different groupings never coalesce even under the
-/// same configuration — they install different registry entries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct BatchKey {
-    grouping: String,
-    /// Semantics discriminant; [`Semantics::Consensus`]'s `lambda` is
-    /// keyed separately by bit pattern.
-    semantics: u8,
-    lambda: u64,
-    agg: u8,
-    k: usize,
-    ell: usize,
-    policy: u8,
-    n_threads: usize,
-}
-
-impl BatchKey {
-    fn of(grouping: &str, cfg: &FormationConfig) -> BatchKey {
-        let (semantics, lambda) = match cfg.semantics {
-            Semantics::LeastMisery => (0, 0.0),
-            Semantics::AggregateVoting => (1, 0.0),
-            Semantics::Consensus { lambda } => (2, lambda),
-            Semantics::LeaderWeighted => (3, 0.0),
-        };
-        BatchKey {
-            grouping: grouping.to_string(),
-            semantics,
-            lambda: lambda.to_bits(),
-            // Full discriminant, not a tag prefix: "MIN"/"MAX" share a
-            // first byte, and the weight scheme changes the answer too.
-            agg: match cfg.aggregation {
-                Aggregation::Min => 0,
-                Aggregation::Max => 1,
-                Aggregation::Sum => 2,
-                Aggregation::WeightedSum(WeightScheme::Uniform) => 3,
-                Aggregation::WeightedSum(WeightScheme::InversePosition) => 4,
-                Aggregation::WeightedSum(WeightScheme::InverseLog2) => 5,
-            },
-            k: cfg.k,
-            ell: cfg.ell,
-            policy: match cfg.policy {
-                MissingPolicy::Min => 0,
-                MissingPolicy::UserMean => 1,
-                MissingPolicy::Skip => 2,
-            },
-            n_threads: cfg.n_threads,
-        }
-    }
 }
 
 /// One in-flight batch; followers block on `done` until the leader
@@ -115,42 +62,48 @@ impl Drop for PublishOnUnwind<'_> {
     }
 }
 
-/// Coalesces same-configuration submissions within a time window.
+/// An open batch: the grouping and configuration it forms, and its slot.
+type OpenBatch = (String, FormationConfig, Arc<Slot>);
+
+/// Coalesces same-grouping, same-configuration submissions within a time
+/// window.
 pub(crate) struct Batcher {
     window: Duration,
-    slots: Mutex<FxHashMap<BatchKey, Arc<Slot>>>,
+    /// Open batches, scanned linearly: only a handful are ever open at
+    /// once (one per distinct in-flight request).
+    open: Mutex<Vec<OpenBatch>>,
 }
 
 impl Batcher {
     pub(crate) fn new(window: Duration) -> Batcher {
         Batcher {
             window,
-            slots: Mutex::new(FxHashMap::default()),
+            open: Mutex::new(Vec::new()),
         }
     }
 
-    /// Submits a formation request. The first submitter for a key becomes
-    /// the leader and executes `run` after waiting out the window; later
-    /// same-key submitters block until the leader's result is published
-    /// and share it.
+    /// Submits a formation request. The first submitter for a grouping
+    /// and configuration becomes the leader and executes `run` after
+    /// waiting out the window; later submitters for the same grouping and
+    /// an equal configuration block until the leader's result is
+    /// published and share it.
     pub(crate) fn submit(
         &self,
         grouping: &str,
         cfg: FormationConfig,
         run: impl FnOnce() -> Result<Arc<Snapshot>>,
     ) -> Result<BatchOutcome> {
-        let key = BatchKey::of(grouping, &cfg);
         let (slot, leader) = {
-            let mut slots = self.slots.lock().expect("batch slots poisoned");
-            match slots.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
+            let mut open = self.open.lock().expect("batch slots poisoned");
+            match open.iter().find(|(g, c, _)| g == grouping && *c == cfg) {
+                Some((_, _, slot)) => (Arc::clone(slot), false),
                 None => {
                     let slot = Arc::new(Slot {
                         result: Mutex::new(None),
                         done: Condvar::new(),
                         members: AtomicU64::new(0),
                     });
-                    slots.insert(key.clone(), Arc::clone(&slot));
+                    open.push((grouping.to_string(), cfg, Arc::clone(&slot)));
                     (slot, true)
                 }
             }
@@ -163,10 +116,10 @@ impl Batcher {
             }
             // Close the batch before the (potentially long) run so new
             // arrivals start the next one.
-            self.slots
+            self.open
                 .lock()
                 .expect("batch slots poisoned")
-                .remove(&key);
+                .retain(|(_, _, open)| !Arc::ptr_eq(open, &slot));
             // If `run` panics the guard publishes an error instead, so
             // followers get a response rather than waiting forever.
             let guard = PublishOnUnwind { slot: &slot };
@@ -200,53 +153,92 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gf_core::{
+        Aggregation, GrowthPolicy, MissingPolicy, RatingScale, RefreshMode, Semantics, WeightScheme,
+    };
 
     fn cfg(agg: Aggregation) -> FormationConfig {
         FormationConfig::new(Semantics::LeastMisery, agg, 3, 5)
     }
 
-    #[test]
-    fn keys_distinguish_every_aggregation() {
-        // Regression: Min and Max share a tag prefix ("MIN"/"MAX") and
-        // must still never coalesce; weighted-sum schemes differ too.
-        let aggs = [
-            Aggregation::Min,
-            Aggregation::Max,
-            Aggregation::Sum,
-            Aggregation::WeightedSum(WeightScheme::Uniform),
-            Aggregation::WeightedSum(WeightScheme::InversePosition),
-            Aggregation::WeightedSum(WeightScheme::InverseLog2),
-        ];
-        for (i, &a) in aggs.iter().enumerate() {
-            for &b in &aggs[i + 1..] {
-                assert_ne!(
-                    BatchKey::of("default", &cfg(a)),
-                    BatchKey::of("default", &cfg(b)),
-                    "{a:?} {b:?}"
-                );
+    /// Submits `first`, then `second` once `first`'s batch is open, each
+    /// answering with `snapshot`; returns whether `second` joined
+    /// `first`'s batch. The window is far longer than the join takes.
+    fn coalesces(
+        first: (&str, FormationConfig),
+        second: (&str, FormationConfig),
+        snapshot: &Arc<Snapshot>,
+    ) -> bool {
+        let batcher = Batcher::new(Duration::from_millis(500));
+        let run = || Ok(Arc::clone(snapshot));
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| batcher.submit(first.0, first.1, run).unwrap());
+            while batcher.open.lock().unwrap().is_empty() {
+                std::thread::yield_now();
             }
-        }
-        assert_eq!(
-            BatchKey::of("default", &cfg(Aggregation::Min)),
-            BatchKey::of("default", &cfg(Aggregation::Min))
-        );
+            let joined = !batcher.submit(second.0, second.1, run).unwrap().leader;
+            let leader = leader.join().unwrap();
+            assert!(leader.leader);
+            assert_eq!(leader.batch_size, if joined { 2 } else { 1 });
+            joined
+        })
     }
 
     #[test]
-    fn keys_distinguish_groupings_and_moment_semantics() {
-        let c = cfg(Aggregation::Min);
-        // Same configuration, different grouping: never coalesce.
-        assert_ne!(BatchKey::of("a", &c), BatchKey::of("b", &c));
-        // Consensus lambdas key by bit pattern.
-        let cons =
-            |lambda| FormationConfig::new(Semantics::Consensus { lambda }, Aggregation::Min, 3, 5);
-        assert_ne!(BatchKey::of("a", &cons(0.5)), BatchKey::of("a", &cons(0.7)));
-        assert_eq!(BatchKey::of("a", &cons(0.5)), BatchKey::of("a", &cons(0.5)));
-        // The two moment semantics never collide with the paper pair.
-        let ldr = FormationConfig::new(Semantics::LeaderWeighted, Aggregation::Min, 3, 5);
-        let av = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Min, 3, 5);
-        assert_ne!(BatchKey::of("a", &ldr), BatchKey::of("a", &av));
-        assert_ne!(BatchKey::of("a", &ldr), BatchKey::of("a", &cons(0.0)));
+    fn only_equal_requests_for_one_grouping_coalesce() {
+        let state = crate::ServeState::new(
+            gf_core::RatingMatrix::from_dense(&[&[3.0, 4.0]], RatingScale::one_to_five()).unwrap(),
+            crate::ServeConfig::new(cfg(Aggregation::Min)),
+        )
+        .unwrap();
+        let snapshot = &state.snapshot();
+        let base = cfg(Aggregation::Min);
+        let cons = |lambda| FormationConfig {
+            semantics: Semantics::Consensus { lambda },
+            ..base
+        };
+        // Each variant differs from `base` in one field that changes the
+        // answer. Regression: `refresh` and `growth` once fell outside the
+        // batch key, so those two coalesced with `base` and the second
+        // request got the first one's configuration.
+        let variants = [
+            cfg(Aggregation::Max), // shares Min's "M" tag prefix
+            cfg(Aggregation::Sum),
+            cfg(Aggregation::WeightedSum(WeightScheme::Uniform)),
+            cfg(Aggregation::WeightedSum(WeightScheme::InverseLog2)),
+            FormationConfig {
+                semantics: Semantics::AggregateVoting,
+                ..base
+            },
+            FormationConfig {
+                semantics: Semantics::LeaderWeighted,
+                ..base
+            },
+            cons(0.0),
+            FormationConfig { k: 4, ..base },
+            FormationConfig { ell: 6, ..base },
+            base.with_policy(MissingPolicy::Skip),
+            base.with_threads(2),
+            base.with_refresh(RefreshMode::Cold),
+            base.with_growth(GrowthPolicy::unbounded()),
+        ];
+        // (first, second, whether they coalesce).
+        let mut cases = vec![
+            (("a", base), ("a", base), true),
+            (("a", cons(0.5)), ("a", cons(0.5)), true),
+            (("a", base), ("b", base), false),
+            (("a", cons(0.5)), ("a", cons(0.7)), false),
+        ];
+        cases.extend(variants.iter().map(|&v| (("a", base), ("a", v), false)));
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = cases
+                .iter()
+                .map(|&(x, y, want)| (x, y, want, scope.spawn(move || coalesces(x, y, snapshot))))
+                .collect();
+            for (x, y, want, run) in runs {
+                assert_eq!(run.join().unwrap(), want, "{x:?} then {y:?}");
+            }
+        });
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper's end goal is *serving*: groups are formed so that
 //! precomputed group recommendations can be handed to users as they
 //! arrive (Roy, Lakshmanan, Liu — SIGMOD 2015, §1/§6). This crate is that
-//! online component, sitting on the parallel formation backend
-//! ([`gf_core::ShardedFormer`]):
+//! online component: every grouping it serves is formed, and kept
+//! current, by one standing [`gf_core::IncrementalFormer`]:
 //!
 //! * **A versioned API surface** — every endpoint lives under `/v1/...`
 //!   with one shared error envelope (`{"error":{"code","message"}}`) and

@@ -34,7 +34,7 @@
 
 use crate::state::{ServeConfig, ServeState};
 use gf_core::{GfError, RatingMatrix, Result};
-use gf_persist::checkpoint::{self, CheckpointGrouping, CheckpointState};
+use gf_persist::checkpoint::{self, CheckpointState};
 use gf_persist::wal::{SyncMode, Wal};
 use std::fs::{File, OpenOptions, TryLockError};
 use std::path::{Path, PathBuf};
@@ -227,17 +227,7 @@ pub fn checkpoint_now(state: &ServeState, opts: &DurabilityOptions) -> Result<Op
         items_admitted: exported.progress.items_admitted,
         matrix: (*exported.matrix).clone(),
         prefs: (*exported.prefs).clone(),
-        groupings: exported
-            .groupings
-            .into_iter()
-            .map(|g| CheckpointGrouping {
-                name: g.name,
-                version: g.version,
-                config: g.config,
-                formation: g.formation,
-                former: g.former,
-            })
-            .collect(),
+        groupings: exported.groupings,
         feedback: (*exported.feedback).clone(),
     };
     checkpoint::write(&opts.data_dir, &ck).map_err(GfError::from)?;

@@ -31,28 +31,33 @@
 //! [`ServeConfig::max_updates_per_pass`]) builds the successor matrix
 //! ([`RatingMatrix::with_upserts_under`]) and re-sorts the affected users'
 //! preference lists ([`PrefIndex::patched`]) **once**, then fans the dirty set
-//! out to each registered grouping, which re-forms one of two ways,
-//! chosen per grouping per pass by [`gf_core::RefreshMode`] from the
-//! dirty-set size:
+//! out to each registered grouping.
 //!
-//! * **incremental** — a standing [`gf_core::IncrementalFormer`] (one per
-//!   grouping, keyed by name) moves only the dirty users between their
-//!   greedy buckets and splices the result back into the grouping, making
-//!   refresh cost proportional to the update batch;
-//! * **cold** — a full re-formation over the whole population (also the
-//!   fallback whenever the standing former's lineage broke, e.g. after a
-//!   `/form` or a cold pass, and whenever an item admission moved the
-//!   grouping's effective top-`k` length — see below).
+//! ## One formation path
 //!
-//! Both paths are **test-enforced** to converge, per grouping, to exactly
-//! the snapshot a cold rebuild over the same ratings produces
+//! Every registered grouping owns one standing [`IncrementalFormer`]
+//! (keyed by name), and that former is the only thing in the server that
+//! produces a formation: boot, `/form` and every cold pass build it with
+//! [`IncrementalFormer::new`], incremental passes patch it with
+//! [`IncrementalFormer::refresh`], and the grouping installs its
+//! `result()`. A former that exists is therefore always in sync with its
+//! grouping — it is exported into every checkpoint as is. A pass picks the
+//! path per grouping from [`gf_core::RefreshMode`] and the dirty-set size:
+//!
+//! * **incremental** — the standing former moves only the dirty users
+//!   between their greedy buckets and splices the result back into the
+//!   grouping, making refresh cost proportional to the update batch;
+//! * **cold** — a fresh former over the whole population (also taken
+//!   whenever an item admission moved the grouping's effective top-`k`
+//!   length — see below).
+//!
+//! A grouping without a former — restored from a checkpoint that carried
+//! none, whose refresh returned an error, or left by a pass that failed
+//! midway — gets a fresh one on its next rating pass. Both paths are
+//! **test-enforced** to converge, per grouping, to exactly the snapshot a
+//! cold rebuild over the same ratings produces, whatever the refresh mode
 //! (`tests/serve_props.rs`); `/stats` reports which path each grouping
-//! refresh took. So that the two paths agree on grouping *shape* under
-//! any thread count, every snapshot an `Auto`/`Incremental` grouping
-//! installs comes from the plain greedy (Step-1 threaded); the
-//! population-sharded former serves
-//! [`RefreshMode::Cold`](gf_core::RefreshMode) groupings, where the
-//! incremental path never runs.
+//! refresh took.
 //!
 //! ## Admission-aware refresh scheduling
 //!
@@ -76,8 +81,8 @@
 //! the version by one per record just like a rating does — so crash
 //! digests stay chunking-invariant. A feedback-only pass never re-forms
 //! (the window is not an input to formation); it clones the groupings
-//! forward to the pass's version and re-syncs the standing formers so
-//! later rating passes still refresh incrementally. Candidate lists for
+//! forward to the pass's version, and the standing formers, which the
+//! window never touches, stay in sync. Candidate lists for
 //! `exclude_rated` filtering come from a [`CandidateEngine`] behind a
 //! per-`(grouping, group)` cache keyed by grouping version
 //! ([`ServeState::candidate_items`]): a version bump from any pass
@@ -86,12 +91,11 @@
 use crate::batch::{BatchOutcome, Batcher};
 use crate::remap::RawIdLayer;
 use gf_core::{
-    CandidateEngine, FeedbackEvent, FormationConfig, FormationResult, GfError, GroupFormer,
-    GrowthPolicy, IncrementalFormer, OnlineEval, PrefIndex, RatingDelta, RatingMatrix, Result,
-    ShardedFormer,
+    CandidateEngine, FeedbackEvent, FormationConfig, FormationResult, GfError, GrowthPolicy,
+    IncrementalFormer, OnlineEval, PrefIndex, RatingDelta, RatingMatrix, Result,
 };
 use gf_persist::wal::{Wal, WalPayload, WalRecord};
-use gf_persist::{CheckpointState, StateDigest};
+use gf_persist::{CheckpointGrouping, CheckpointState, StateDigest};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
@@ -233,6 +237,25 @@ pub struct GroupingState {
     pub version: u64,
 }
 
+impl GroupingState {
+    /// A grouping holding `formation` at `version`, with the assignment
+    /// of all `n_users` users derived from it.
+    fn new(
+        config: FormationConfig,
+        formation: FormationResult,
+        n_users: u32,
+        version: u64,
+    ) -> Arc<GroupingState> {
+        let assignment = formation.grouping.assignment(n_users);
+        Arc::new(GroupingState {
+            config,
+            formation,
+            assignment,
+            version,
+        })
+    }
+}
+
 /// One immutable, internally consistent view of the serving state.
 ///
 /// The matrix and preference index are `Arc`-shared because snapshot
@@ -282,6 +305,23 @@ impl Snapshot {
     /// Looks up a grouping by name.
     pub fn grouping(&self, name: &str) -> Option<&Arc<GroupingState>> {
         self.groupings.get(name)
+    }
+
+    /// The successor at `version` that swaps in `groupings` and shares
+    /// everything else.
+    fn with_groupings(
+        &self,
+        groupings: BTreeMap<String, Arc<GroupingState>>,
+        version: u64,
+    ) -> Snapshot {
+        Snapshot {
+            matrix: Arc::clone(&self.matrix),
+            prefs: Arc::clone(&self.prefs),
+            groupings,
+            version,
+            progress: self.progress,
+            feedback: Arc::clone(&self.feedback),
+        }
     }
 }
 
@@ -333,18 +373,6 @@ pub struct Stats {
     /// Connections closed by the idle/stall deadline (`--conn-timeout-ms`):
     /// socket timeouts on the blocking path, the timer wheel on epoll.
     pub conns_timed_out: AtomicU64,
-}
-
-/// A standing incremental former plus the per-grouping version its
-/// bucket state is synced to; any formation it did not produce breaks
-/// the lineage and forces a re-initialization on the next
-/// incremental-eligible pass.
-struct FormerSlot {
-    former: IncrementalFormer,
-    /// Must equal the grouping's [`GroupingState::version`] for the slot
-    /// to be reusable. Rating passes bump every grouping's version, so a
-    /// slot that missed a matrix change can never pass this check.
-    synced_version: u64,
 }
 
 /// One accepted-but-unapplied journal record: a rating update or a
@@ -410,27 +438,18 @@ struct CandidateCache {
     lists: BTreeMap<(String, usize), CachedList>,
 }
 
-/// One grouping frozen for checkpointing.
-pub(crate) struct ExportedGrouping {
-    pub name: String,
-    pub version: u64,
-    pub config: FormationConfig,
-    pub formation: FormationResult,
-    /// The standing former's exported bucket state, when its lineage is
-    /// current for this grouping.
-    pub former: Option<gf_core::FormerState>,
-}
-
 /// A consistent bundle frozen for checkpointing: the snapshot's pieces
-/// plus each grouping's standing-former state when its lineage is
-/// current. The matrix/prefs stay `Arc`-shared — the (expensive) deep
-/// copy into an owned [`CheckpointState`] happens outside every lock.
+/// plus each grouping's standing-former state. The matrix/prefs stay
+/// `Arc`-shared — the (expensive) deep copy into an owned
+/// [`CheckpointState`] happens outside every lock.
 pub(crate) struct ExportedState {
     pub version: u64,
     pub progress: Progress,
     pub matrix: Arc<RatingMatrix>,
     pub prefs: Arc<PrefIndex>,
-    pub groupings: Vec<ExportedGrouping>,
+    /// Every grouping with its standing former's exported state (`None`
+    /// only while a grouping is without a former — module docs).
+    pub groupings: Vec<CheckpointGrouping>,
     pub feedback: Arc<OnlineEval>,
 }
 
@@ -439,18 +458,16 @@ pub struct ServeState {
     snapshot: RwLock<Arc<Snapshot>>,
     /// Serializes snapshot *builders* (background passes and `/form`
     /// runs) so concurrent writers cannot interleave lost updates; held
-    /// across compute + install, never by readers.
-    writer: Mutex<()>,
+    /// across compute + install, never by readers. It guards the standing
+    /// formers, one per grouping name, each one's `result()` being its
+    /// grouping's current formation (module docs).
+    writer: Mutex<BTreeMap<String, IncrementalFormer>>,
     pending: Mutex<PendingQueue>,
     wakeup: Condvar,
     batcher: Batcher,
     max_updates_per_pass: usize,
-    /// Repair budget applied to every (re-)initialized standing former.
+    /// Repair budget applied to every standing former.
     max_swaps: Option<usize>,
-    /// Standing incremental formers, one per grouping name (built lazily
-    /// on a grouping's first incremental-eligible pass; only ever touched
-    /// under `writer`).
-    formers: Mutex<BTreeMap<String, FormerSlot>>,
     /// Raw-id translation (`--raw-ids`); absent means `/rate` ids are
     /// dense indices, set once at boot via
     /// [`ServeState::attach_raw_ids`].
@@ -462,8 +479,8 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Builds the initial snapshot (version 1) by running one full
-    /// formation per registered grouping over `matrix` — the `"default"`
+    /// Builds the initial snapshot (version 1) by building one standing
+    /// former per registered grouping over `matrix` — the `"default"`
     /// grouping from [`ServeConfig::formation`] plus every
     /// [`ServeConfig::with_grouping`] entry — and wraps it all in a
     /// shareable state.
@@ -479,18 +496,15 @@ impl ServeState {
             configs.insert(name.clone(), *fc);
         }
         let mut groupings = BTreeMap::new();
+        let mut formers = BTreeMap::new();
         for (name, fc) in configs {
-            let formation = build_formation(&matrix, &prefs, &fc)?;
-            let assignment = formation.grouping.assignment(matrix.n_users());
+            let former = fresh_former(&matrix, &prefs, fc, cfg.max_swaps)?;
+            let formation = former.result().clone();
             groupings.insert(
-                name,
-                Arc::new(GroupingState {
-                    config: fc,
-                    formation,
-                    assignment,
-                    version: 1,
-                }),
+                name.clone(),
+                GroupingState::new(fc, formation, matrix.n_users(), 1),
             );
+            formers.insert(name, former);
         }
         let snapshot = Snapshot {
             matrix,
@@ -500,35 +514,15 @@ impl ServeState {
             progress: Progress::default(),
             feedback: Arc::new(OnlineEval::new(cfg.feedback_window)),
         };
-        Ok(Arc::new(ServeState {
-            snapshot: RwLock::new(Arc::new(snapshot)),
-            writer: Mutex::new(()),
-            pending: Mutex::new(PendingQueue {
-                entries: Vec::new(),
-                next_seq: 1,
-                wal: None,
-                dir_lock: None,
-                shutdown: false,
-            }),
-            wakeup: Condvar::new(),
-            batcher: Batcher::new(cfg.batch_window),
-            max_updates_per_pass: cfg.max_updates_per_pass.max(1),
-            max_swaps: cfg.max_swaps,
-            formers: Mutex::new(BTreeMap::new()),
-            raw_ids: OnceLock::new(),
-            candidates: Mutex::new(CandidateCache {
-                engine: CandidateEngine::new(),
-                lists: BTreeMap::new(),
-            }),
-            stats: Stats::default(),
-        }))
+        Ok(Self::assemble(snapshot, formers, &cfg, Stats::default()))
     }
 
     /// Rebuilds serving state from a decoded checkpoint: every
     /// checkpointed grouping is restored verbatim (no re-formation) at
-    /// its checkpointed version, and any grouping whose checkpoint
-    /// carried a standing-former state is imported warm so its first
-    /// post-restart pass stays on the dirty-bucket path. Non-formation
+    /// its checkpointed version, and its standing-former state is
+    /// imported warm so its first post-restart pass stays on the
+    /// dirty-bucket path. A grouping checkpointed without one gets a
+    /// fresh former on its first rating pass instead. Non-formation
     /// knobs (batch window, pass bounds, repair budget) come from `cfg`;
     /// the *formation* configurations are the checkpoint's — they are
     /// part of the durable state a `/form` may have changed since boot
@@ -546,27 +540,13 @@ impl ServeState {
         let mut formers = BTreeMap::new();
         for g in ck.groupings {
             if let Some(state) = g.former {
-                let mut former = IncrementalFormer::import_state(&matrix, g.config, &state)?;
-                if let Some(max_swaps) = cfg.max_swaps {
-                    former = former.with_max_swaps(max_swaps);
-                }
-                formers.insert(
-                    g.name.clone(),
-                    FormerSlot {
-                        former,
-                        synced_version: g.version,
-                    },
-                );
+                let former = IncrementalFormer::import_state(&matrix, g.config, &state)?;
+                let max_swaps = cfg.max_swaps.unwrap_or(usize::MAX);
+                formers.insert(g.name.clone(), former.with_max_swaps(max_swaps));
             }
-            let assignment = g.formation.grouping.assignment(matrix.n_users());
             groupings.insert(
                 g.name,
-                Arc::new(GroupingState {
-                    config: g.config,
-                    formation: g.formation,
-                    assignment,
-                    version: g.version,
-                }),
+                GroupingState::new(g.config, g.formation, matrix.n_users(), g.version),
             );
         }
         if !groupings.contains_key(Snapshot::DEFAULT_GROUPING) {
@@ -610,28 +590,38 @@ impl ServeState {
         stats
             .feedback_applied
             .store(feedback_observed, Ordering::Relaxed);
-        Ok(Arc::new(ServeState {
-            snapshot: RwLock::new(Arc::new(snapshot)),
-            writer: Mutex::new(()),
+        Ok(Self::assemble(snapshot, formers, &cfg, stats))
+    }
+
+    /// Wraps a boot or restored snapshot and its standing formers in a
+    /// serving state whose journal continues after `snapshot`'s progress.
+    fn assemble(
+        snapshot: Snapshot,
+        formers: BTreeMap<String, IncrementalFormer>,
+        cfg: &ServeConfig,
+        stats: Stats,
+    ) -> Arc<ServeState> {
+        Arc::new(ServeState {
             pending: Mutex::new(PendingQueue {
                 entries: Vec::new(),
-                next_seq: ck.wal_seq + 1,
+                next_seq: snapshot.progress.wal_seq + 1,
                 wal: None,
                 dir_lock: None,
                 shutdown: false,
             }),
+            snapshot: RwLock::new(Arc::new(snapshot)),
+            writer: Mutex::new(formers),
             wakeup: Condvar::new(),
             batcher: Batcher::new(cfg.batch_window),
             max_updates_per_pass: cfg.max_updates_per_pass.max(1),
             max_swaps: cfg.max_swaps,
-            formers: Mutex::new(formers),
             raw_ids: OnceLock::new(),
             candidates: Mutex::new(CandidateCache {
                 engine: CandidateEngine::new(),
                 lists: BTreeMap::new(),
             }),
             stats,
-        }))
+        })
     }
 
     /// The current snapshot. Readers hold the lock only long enough to
@@ -906,7 +896,7 @@ impl ServeState {
     /// result. Returns how many updates were applied (0 when nothing was
     /// pending).
     pub fn process_pending(&self) -> Result<usize> {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
         let mut chunk: Vec<PendingEntry> = {
             let mut q = self.pending.lock().expect("pending lock poisoned");
             let take = q.entries.len().min(self.max_updates_per_pass);
@@ -984,42 +974,29 @@ impl ServeState {
 
         if updates.is_empty() {
             // Feedback-only chunk: the ratings, preference lists and every
-            // formation are untouched, so the successor shares them
-            // wholesale and skips the refresh machinery. Grouping versions
-            // still advance to the chunk-end version — exactly what a
-            // rating pass over the same records would do — so versioning
-            // (and the crash digest) stays chunking-invariant; standing
-            // formers with current lineage re-sync to follow.
-            let mut formers = self.formers.lock().expect("formers lock poisoned");
-            formers.retain(|name, _| current.groupings.contains_key(name));
-            let mut groupings = BTreeMap::new();
-            for (name, g) in &current.groupings {
-                if let Some(slot) = formers.get_mut(name) {
-                    if slot.synced_version == g.version && slot.former.config() == &g.config {
-                        slot.synced_version = next_version;
-                    }
-                }
-                groupings.insert(
-                    name.clone(),
-                    Arc::new(GroupingState {
-                        config: g.config,
-                        formation: g.formation.clone(),
-                        assignment: g.assignment.clone(),
-                        version: next_version,
-                    }),
-                );
-            }
-            drop(formers);
+            // formation (so every standing former) are untouched, so the
+            // successor shares them wholesale and skips the refresh
+            // machinery. Grouping versions still advance to the chunk-end
+            // version — exactly what a rating pass over the same records
+            // would do — so versioning (and the crash digest) stays
+            // chunking-invariant.
+            let n_users = current.matrix.n_users();
+            let groupings = current
+                .groupings
+                .iter()
+                .map(|(name, g)| {
+                    let formation = g.formation.clone();
+                    let g = GroupingState::new(g.config, formation, n_users, next_version);
+                    (name.clone(), g)
+                })
+                .collect();
             self.install(Snapshot {
-                matrix: Arc::clone(&current.matrix),
-                prefs: Arc::clone(&current.prefs),
-                groupings,
-                version: next_version,
                 progress: Progress {
                     wal_seq: last_seq,
                     ..current.progress
                 },
                 feedback,
+                ..current.with_groupings(groupings, next_version)
             });
             self.stats
                 .feedback_applied
@@ -1063,10 +1040,10 @@ impl ServeState {
             items_admitted: current.progress.items_admitted + admitted_items,
         };
         let n_users = matrix.n_users() as usize;
-        let mut formers = self.formers.lock().expect("formers lock poisoned");
-        // Slots for groupings that were dropped from the registry have no
-        // owner left to re-sync them; reclaim the memory.
-        formers.retain(|name, _| current.groupings.contains_key(name));
+        // The formers leave their slots for the pass and return with the
+        // snapshot they match: a pass that fails midway leaves every
+        // grouping without one, and the next pass builds fresh ones.
+        let mut formers = std::mem::take(&mut *writer);
         let mut groupings = BTreeMap::new();
         for (name, g) in &current.groupings {
             let cfg = g.config;
@@ -1075,59 +1052,35 @@ impl ServeState {
             // degenerate, so take the cold rebuild deliberately.
             let k_crossed = cfg.k.min(base_items as usize) != cfg.k.min(matrix.n_items() as usize);
             let incremental = !k_crossed && cfg.refresh.use_incremental(dirty.len(), n_users);
-            let formation = if incremental {
-                let reusable = formers
-                    .get(name)
-                    .is_some_and(|s| s.synced_version == g.version && s.former.config() == &cfg);
-                if reusable {
-                    let slot = formers.get_mut(name).expect("checked above");
-                    slot.former.refresh(&matrix, &prefs, &deltas)?;
-                    slot.synced_version = next_version;
-                } else {
-                    // (Re-)initialize this grouping's standing former on
-                    // the already patched matrix; subsequent passes patch
-                    // it in place.
-                    let mut former = IncrementalFormer::new(&matrix, &prefs, cfg)?;
-                    if let Some(max_swaps) = self.max_swaps {
-                        former = former.with_max_swaps(max_swaps);
-                    }
-                    formers.insert(
-                        name.clone(),
-                        FormerSlot {
-                            former,
-                            synced_version: next_version,
-                        },
-                    );
-                }
-                self.stats
-                    .refresh_incremental
-                    .fetch_add(1, Ordering::Relaxed);
-                formers
-                    .get(name)
-                    .expect("installed above")
-                    .former
-                    .result()
-                    .clone()
+            // A grouping without a former, or whose refresh fails, gets a
+            // fresh one, exactly as on a cold pass.
+            let refreshed = incremental
+                && formers.get_mut(name).is_some_and(|former| {
+                    former
+                        .refresh(&matrix, &prefs, &deltas)
+                        .inspect_err(|e| {
+                            eprintln!(
+                                "gf-serve: grouping {name:?}: refresh failed, rebuilding: {e}"
+                            )
+                        })
+                        .is_ok()
+                });
+            if !refreshed {
+                let former = fresh_former(&matrix, &prefs, cfg, self.max_swaps)?;
+                formers.insert(name.clone(), former);
+            }
+            let path = if incremental {
+                &self.stats.refresh_incremental
             } else {
-                // A cold pass leaves this grouping's standing former
-                // behind the matrix; drop it so the next incremental pass
-                // re-initializes.
-                formers.remove(name);
-                self.stats.refresh_cold.fetch_add(1, Ordering::Relaxed);
-                build_formation(&matrix, &prefs, &cfg)?
+                &self.stats.refresh_cold
             };
-            let assignment = formation.grouping.assignment(matrix.n_users());
+            path.fetch_add(1, Ordering::Relaxed);
+            let formation = formers[name].result().clone();
             groupings.insert(
                 name.clone(),
-                Arc::new(GroupingState {
-                    config: cfg,
-                    formation,
-                    assignment,
-                    version: next_version,
-                }),
+                GroupingState::new(cfg, formation, matrix.n_users(), next_version),
             );
         }
-        drop(formers);
         self.install(Snapshot {
             matrix,
             prefs,
@@ -1136,6 +1089,7 @@ impl ServeState {
             progress,
             feedback,
         });
+        *writer = formers;
         // Counter order matters for observers: `refresh_passes` last, so
         // `refresh_incremental + refresh_cold >= refresh_passes` holds in
         // every interleaving a `/stats` read can see. Admission counters
@@ -1172,7 +1126,7 @@ impl ServeState {
     /// pass ran (callers loop until `false`). With an unbounded budget
     /// (the default) the lag is always 0 and this is a no-op.
     pub fn catch_up(&self) -> Result<bool> {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
         if !self
             .pending
             .lock()
@@ -1183,62 +1137,37 @@ impl ServeState {
             return Ok(false); // real updates take priority; they catch up too
         }
         let current = self.snapshot();
-        let mut formers = self.formers.lock().expect("formers lock poisoned");
-        let mut improved: Vec<(String, FormationResult)> = Vec::new();
-        for (name, s) in formers.iter_mut() {
-            let Some(g) = current.groupings.get(name) else {
-                continue;
-            };
-            if s.synced_version != g.version
-                || s.former.config() != &g.config
-                || s.former.selection_lag() <= 0.0
-            {
+        // Taken out like in `process_pending`, for the same reason.
+        let mut formers = std::mem::take(&mut *writer);
+        let n_users = current.matrix.n_users();
+        let next_version = current.version + 1;
+        let mut groupings = current.groupings.clone();
+        let mut improved = false;
+        for (name, former) in formers.iter_mut() {
+            let lag_before = former.selection_lag();
+            if lag_before <= 0.0 {
                 continue;
             }
-            let lag_before = s.former.selection_lag();
-            s.former.refresh(&current.matrix, &current.prefs, &[])?;
-            if s.former.selection_lag() >= lag_before {
+            former.refresh(&current.matrix, &current.prefs, &[])?;
+            if former.selection_lag() >= lag_before {
                 // A zero budget (or a tie) makes no progress; installing
                 // the identical formation forever would spin. Keep the
                 // bounded snapshot — the quality bound still holds.
                 continue;
             }
-            improved.push((name.clone(), s.former.result().clone()));
-        }
-        if improved.is_empty() {
-            return Ok(false);
-        }
-        let next_version = current.version + 1;
-        let mut groupings = current.groupings.clone();
-        for (name, formation) in improved {
-            formers
-                .get_mut(&name)
-                .expect("iterated above")
-                .synced_version = next_version;
-            let g = &current.groupings[&name];
-            let assignment = formation.grouping.assignment(current.matrix.n_users());
-            groupings.insert(
-                name,
-                Arc::new(GroupingState {
-                    config: g.config,
-                    formation,
-                    assignment,
-                    version: next_version,
-                }),
-            );
+            let formation = former.result().clone();
+            let g = GroupingState::new(*former.config(), formation, n_users, next_version);
+            groupings.insert(name.clone(), g);
             self.stats
                 .refresh_incremental
                 .fetch_add(1, Ordering::Relaxed);
+            improved = true;
         }
-        drop(formers);
-        self.install(Snapshot {
-            matrix: Arc::clone(&current.matrix),
-            prefs: Arc::clone(&current.prefs),
-            groupings,
-            version: next_version,
-            progress: current.progress,
-            feedback: Arc::clone(&current.feedback),
-        });
+        *writer = formers;
+        if !improved {
+            return Ok(false);
+        }
+        self.install(current.with_groupings(groupings, next_version));
         self.stats.refresh_passes.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -1273,46 +1202,19 @@ impl ServeState {
         self.stats.form_requests.fetch_add(1, Ordering::Relaxed);
         self.batcher.submit(name, cfg, || {
             self.stats.form_runs.fetch_add(1, Ordering::Relaxed);
-            let _writer = self.writer.lock().expect("writer lock poisoned");
+            let mut writer = self.writer.lock().expect("writer lock poisoned");
             let current = self.snapshot();
             // The ratings are unchanged: the new snapshot shares them.
-            let formation = build_formation(&current.matrix, &current.prefs, &cfg)?;
-            let assignment = formation.grouping.assignment(current.matrix.n_users());
+            let former = fresh_former(&current.matrix, &current.prefs, cfg, self.max_swaps)?;
+            let formation = former.result().clone();
             let next_version = current.version + 1;
             let mut groupings = current.groupings.clone();
-            let prev = groupings.insert(
+            groupings.insert(
                 name.to_string(),
-                Arc::new(GroupingState {
-                    config: cfg,
-                    formation,
-                    assignment,
-                    version: next_version,
-                }),
+                GroupingState::new(cfg, formation, current.matrix.n_users(), next_version),
             );
-            let shared = self.install(Snapshot {
-                matrix: Arc::clone(&current.matrix),
-                prefs: Arc::clone(&current.prefs),
-                groupings,
-                version: next_version,
-                progress: current.progress,
-                feedback: Arc::clone(&current.feedback),
-            });
-            // A same-configuration `/form` reproduces exactly the greedy
-            // formation the grouping's standing former maintains, so its
-            // lineage is still valid — re-sync it instead of letting the
-            // next pass rebuild the former cold. (A capped former
-            // mid-repair is excluded: its bounded formation differs from
-            // the fresh one.)
-            let mut formers = self.formers.lock().expect("formers lock poisoned");
-            if let (Some(s), Some(prev)) = (formers.get_mut(name), prev.as_ref()) {
-                if s.synced_version == prev.version
-                    && s.former.config() == &cfg
-                    && s.former.selection_lag() <= 0.0
-                {
-                    s.synced_version = next_version;
-                }
-            }
-            drop(formers);
+            let shared = self.install(current.with_groupings(groupings, next_version));
+            writer.insert(name.to_string(), former);
             Ok(shared)
         })
     }
@@ -1358,28 +1260,22 @@ impl ServeState {
 
     /// Freezes a consistent bundle for the checkpointer. Taking `writer`
     /// briefly excludes concurrent installs, so each exported former
-    /// state (when its lineage is current) matches its exported grouping
-    /// version; the deep copy into owned checkpoint structures happens in
-    /// the caller, outside every lock.
+    /// state matches its exported grouping; the deep copy into owned
+    /// checkpoint structures happens in the caller, outside every lock.
     pub(crate) fn export_for_checkpoint(&self) -> ExportedState {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        let formers = self.writer.lock().expect("writer lock poisoned");
         let snap = self.snapshot();
-        let formers = self.formers.lock().expect("formers lock poisoned");
         let groupings = snap
             .groupings
             .iter()
-            .map(|(name, g)| ExportedGrouping {
+            .map(|(name, g)| CheckpointGrouping {
                 name: name.clone(),
                 version: g.version,
                 config: g.config,
                 formation: g.formation.clone(),
-                former: formers
-                    .get(name)
-                    .filter(|s| s.synced_version == g.version && s.former.config() == &g.config)
-                    .map(|s| s.former.export_state()),
+                former: formers.get(name).map(IncrementalFormer::export_state),
             })
             .collect();
-        drop(formers);
         ExportedState {
             version: snap.version,
             progress: snap.progress,
@@ -1450,28 +1346,17 @@ impl ServeState {
     }
 }
 
-/// Runs a formation over `matrix` under one grouping's configuration.
-///
-/// The engine follows the refresh mode so that every formation a serving
-/// instance installs for a grouping has the same shape: under
-/// [`RefreshMode::Cold`](gf_core::RefreshMode) — where the incremental
-/// path never runs — this is the population-sharded [`ShardedFormer`];
-/// under `Auto`/`Incremental` it is the plain [`GreedyFormer`] (Step-1
-/// bucket building still threaded per `cfg.n_threads`), the exact
-/// formation the [`IncrementalFormer`] maintains. Without this split, a
-/// multi-worker configuration would flip users between a sharded and an
-/// unsharded grouping depending on which path the last pass took.
-fn build_formation(
+/// Forms `cfg`'s grouping from scratch over `matrix`: the standing former
+/// a grouping installs the `result()` of on boot, on `/form` and on every
+/// cold pass, under the server's repair budget.
+fn fresh_former(
     matrix: &RatingMatrix,
     prefs: &PrefIndex,
-    cfg: &FormationConfig,
-) -> Result<FormationResult> {
-    match cfg.refresh {
-        gf_core::RefreshMode::Cold => ShardedFormer::new().form(matrix, prefs, cfg),
-        gf_core::RefreshMode::Auto | gf_core::RefreshMode::Incremental => {
-            gf_core::GreedyFormer::new().form(matrix, prefs, cfg)
-        }
-    }
+    cfg: FormationConfig,
+    max_swaps: Option<usize>,
+) -> Result<IncrementalFormer> {
+    // `usize::MAX` is the former's own unbounded default.
+    Ok(IncrementalFormer::new(matrix, prefs, cfg)?.with_max_swaps(max_swaps.unwrap_or(usize::MAX)))
 }
 
 #[cfg(test)]
@@ -1500,6 +1385,20 @@ mod tests {
         ))
         .with_batch_window(Duration::ZERO);
         ServeState::new(matrix(n, m), cfg).unwrap()
+    }
+
+    /// Asserts that `g` holds exactly the formation a cold boot over
+    /// `snap`'s ratings forms under `g`'s configuration.
+    fn assert_matches_cold(snap: &Snapshot, g: &GroupingState) {
+        let cold =
+            ServeState::new(snap.matrix.as_ref().clone(), ServeConfig::new(g.config)).unwrap();
+        let cold = cold.snapshot();
+        assert_eq!(
+            g.formation,
+            cold.default_grouping().formation,
+            "{:?}",
+            g.config
+        );
     }
 
     /// Three differently-configured groupings over one matrix.
@@ -1617,12 +1516,7 @@ mod tests {
         // And the snapshots match a cold rebuild over the same ratings.
         let snap = s.snapshot();
         let g = snap.default_grouping();
-        let cold = ServeState::new(
-            snap.matrix.as_ref().clone(),
-            ServeConfig::new(g.config).with_batch_window(Duration::ZERO),
-        )
-        .unwrap();
-        assert_eq!(g.formation, cold.snapshot().default_grouping().formation);
+        assert_matches_cold(&snap, g);
     }
 
     #[test]
@@ -1646,12 +1540,7 @@ mod tests {
         assert_eq!(g.assignment.len(), 14);
         assert!(g.assignment.iter().all(Option::is_some));
         // Equal to a cold boot over the grown universe.
-        let cold = ServeState::new(
-            snap.matrix.as_ref().clone(),
-            ServeConfig::new(g.config).with_batch_window(Duration::ZERO),
-        )
-        .unwrap();
-        assert_eq!(g.formation, cold.snapshot().default_grouping().formation);
+        assert_matches_cold(&snap, g);
     }
 
     #[test]
@@ -1664,29 +1553,52 @@ mod tests {
         let s = ServeState::new(matrix(9, 5), cfg).unwrap();
         s.rate(0, 0, 5.0).unwrap();
         s.flush().unwrap();
+        // The pass rebuilt the former instead of refreshing it.
         assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 0);
         assert_eq!(s.stats.refresh_cold.load(Ordering::Relaxed), 1);
+        let snap = s.snapshot();
+        assert_matches_cold(&snap, snap.default_grouping());
+    }
+
+    #[test]
+    fn a_failed_refresh_rebuilds_the_former() {
+        let s = state(10, 5, 3);
+        // A former built for a larger population rejects this matrix as
+        // shrunk, so its refresh returns an error.
+        let bigger = matrix(12, 5);
+        let cfg = s.snapshot().default_grouping().config;
+        let stale = IncrementalFormer::new(&bigger, &PrefIndex::build(&bigger), cfg).unwrap();
+        s.writer
+            .lock()
+            .unwrap()
+            .insert(Snapshot::DEFAULT_GROUPING.to_string(), stale);
+        s.rate(1, 1, 5.0).unwrap();
+        s.flush().unwrap();
+        let snap = s.snapshot();
+        assert_matches_cold(&snap, snap.default_grouping());
+        // The rebuilt former is in sync: the next pass refreshes it.
+        s.rate(4, 2, 1.0).unwrap();
+        s.flush().unwrap();
+        let snap = s.snapshot();
+        assert_matches_cold(&snap, snap.default_grouping());
+        assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 2);
+        assert_eq!(s.stats.refresh_cold.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn form_breaks_former_lineage_but_refreshes_stay_correct() {
         let s = state(12, 6, 3);
         s.rate(0, 0, 5.0).unwrap();
-        s.flush().unwrap(); // former initialized + synced
+        s.flush().unwrap();
         let new_cfg = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Sum, 2, 4);
-        s.form(new_cfg).unwrap(); // a formation the former did not produce
+        s.form(new_cfg).unwrap(); // replaces the former with one under new_cfg
         s.rate(3, 3, 2.0).unwrap();
-        s.flush().unwrap(); // must re-init under the new config
+        s.flush().unwrap(); // refreshes the replacement
         assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 2);
         let snap = s.snapshot();
         let g = snap.default_grouping();
         assert_eq!(g.config, new_cfg);
-        let cold = ServeState::new(
-            snap.matrix.as_ref().clone(),
-            ServeConfig::new(new_cfg).with_batch_window(Duration::ZERO),
-        )
-        .unwrap();
-        assert_eq!(g.formation, cold.snapshot().default_grouping().formation);
+        assert_matches_cold(&snap, g);
     }
 
     #[test]
@@ -1736,16 +1648,7 @@ mod tests {
         assert_eq!(snap.version, 3);
         for (name, g) in &snap.groupings {
             assert_eq!(g.version, 3, "{name}");
-            let cold = ServeState::new(
-                snap.matrix.as_ref().clone(),
-                ServeConfig::new(g.config).with_batch_window(Duration::ZERO),
-            )
-            .unwrap();
-            assert_eq!(
-                g.formation,
-                cold.snapshot().default_grouping().formation,
-                "grouping {name} diverged from its own cold rebuild"
-            );
+            assert_matches_cold(&snap, g);
         }
         // Every grouping refreshed incrementally (small dirty set).
         assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 3);
@@ -1798,12 +1701,7 @@ mod tests {
         let snap = s.snapshot();
         let g = snap.grouping("av").unwrap();
         assert_eq!(g.version, snap.version);
-        let cold = ServeState::new(
-            snap.matrix.as_ref().clone(),
-            ServeConfig::new(g.config).with_batch_window(Duration::ZERO),
-        )
-        .unwrap();
-        assert_eq!(g.formation, cold.snapshot().default_grouping().formation);
+        assert_matches_cold(&snap, g);
     }
 
     #[test]
@@ -1856,8 +1754,8 @@ mod tests {
         assert_eq!(after.feedback.len(), 2);
         assert_eq!(after.feedback.observed_total(), 2);
         assert_eq!(s.stats.feedback_applied.load(Ordering::Relaxed), 2);
-        // A feedback-only pass re-syncs warm formers instead of breaking
-        // their lineage: the next rating still refreshes incrementally.
+        // A feedback-only pass leaves the standing formers in sync: the
+        // next rating still refreshes incrementally.
         s.rate(0, 0, 5.0).unwrap();
         s.flush().unwrap();
         s.rate(1, 1, 4.0).unwrap();
@@ -1939,11 +1837,6 @@ mod tests {
         // Versioning stayed chunking-invariant: 1 (boot) + 4 records.
         assert_eq!(snap.version, 5);
         let g = snap.default_grouping();
-        let cold = ServeState::new(
-            snap.matrix.as_ref().clone(),
-            ServeConfig::new(g.config).with_batch_window(Duration::ZERO),
-        )
-        .unwrap();
-        assert_eq!(g.formation, cold.snapshot().default_grouping().formation);
+        assert_matches_cold(&snap, g);
     }
 }

@@ -1,6 +1,6 @@
 //! In-process durability tests: warm restarts, WAL-only recovery, torn
-//! tails and former-lineage preservation — everything that doesn't need
-//! a real process to die (for that, see `tests/crash.rs`).
+//! tails and former checkpointing — everything that doesn't need a real
+//! process (for that, see `tests/crash.rs` and `tests/data_dir_lock.rs`).
 
 use gf_core::{Aggregation, FormationConfig, GrowthPolicy, RatingMatrix, RatingScale, Semantics};
 use gf_persist::checkpoint;
@@ -19,8 +19,9 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-fn base_matrix() -> RatingMatrix {
-    let rows: Vec<Vec<f64>> = (0..12)
+/// A dense `n_users` x 6 matrix on the 1..5 scale.
+fn dense_matrix(n_users: u32) -> RatingMatrix {
+    let rows: Vec<Vec<f64>> = (0..n_users)
         .map(|u| {
             (0..6)
                 .map(|i| 1.0 + ((u * 7 + i * 3 + u * i) % 5) as f64)
@@ -29,6 +30,10 @@ fn base_matrix() -> RatingMatrix {
         .collect();
     let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
     RatingMatrix::from_dense(&refs, RatingScale::one_to_five()).unwrap()
+}
+
+fn base_matrix() -> RatingMatrix {
+    dense_matrix(12)
 }
 
 fn grow_config() -> ServeConfig {
@@ -225,13 +230,115 @@ fn same_config_form_keeps_the_former_lineage() {
         "same-config /form must keep the former warm"
     );
 
-    // ...and a *different*-config /form still (correctly) severs it.
+    // ...and so does a *different*-config /form, which builds the
+    // grouping's new former rather than leaving it without one.
     let other = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Sum, 2, 4)
         .with_growth(cfg.growth);
     state.form(other).unwrap();
     assert!(checkpoint_now(&state, &o).unwrap().is_some());
     let ck = checkpoint::load_latest(&dir).unwrap().loaded.unwrap().0;
-    assert!(ck.default_grouping().unwrap().former.is_none());
+    let g = ck.default_grouping().unwrap();
+    assert_eq!(g.config, other);
+    assert!(g.former.is_some());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every grouping's former state in the newest checkpoint under `dir`.
+fn checkpointed_formers(dir: &Path) -> Vec<(String, bool)> {
+    let ck = checkpoint::load_latest(dir).unwrap().loaded.unwrap().0;
+    ck.groupings
+        .iter()
+        .map(|g| (g.name.clone(), g.former.is_some()))
+        .collect()
+}
+
+#[test]
+fn the_former_is_checkpointed_after_boot_and_after_a_cold_pass() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let dir = tmpdir("alwaysformer");
+    let o = opts(&dir);
+    // 100 users: a pass over more than max(64, 100 / 8) = 64 dirty users
+    // re-forms cold under the default `Auto` refresh.
+    let lm = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 3, 4);
+    let av = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Sum, 2, 5);
+    let cfg = || {
+        ServeConfig::new(lm)
+            .with_grouping("av", av)
+            .with_batch_window(Duration::ZERO)
+    };
+    let every_former = vec![("av".to_string(), true), ("default".to_string(), true)];
+
+    let (state, report) = boot(cfg(), &o, || Ok(dense_matrix(100))).unwrap();
+    assert!(report.cold_start);
+    assert_eq!(checkpointed_formers(&dir), every_former, "boot");
+
+    let updates: Vec<(u32, u32, f64)> = (0..70).map(|u| (u, u % 6, 1.0 + (u % 5) as f64)).collect();
+    for &(u, i, s) in &updates {
+        state.rate(u, i, s).unwrap();
+    }
+    state.flush().unwrap();
+    assert_eq!(state.stats.refresh_cold.load(Relaxed), 2);
+    assert_eq!(state.stats.refresh_incremental.load(Relaxed), 0);
+    assert!(checkpoint_now(&state, &o).unwrap().is_some());
+    assert_eq!(checkpointed_formers(&dir), every_former, "cold pass");
+    drop(state);
+
+    // The warm restart's first pass refreshes the imported formers.
+    let (restored, report) = boot(cfg(), &o, || unreachable!()).unwrap();
+    assert!(!report.cold_start);
+    restored.rate(3, 2, 5.0).unwrap();
+    restored.flush().unwrap();
+    assert_eq!(restored.stats.refresh_incremental.load(Relaxed), 2);
+    assert_eq!(restored.stats.refresh_cold.load(Relaxed), 0);
+
+    let reference = ServeState::new(dense_matrix(100), cfg()).unwrap();
+    for &(u, i, s) in updates.iter().chain(&[(3, 2, 5.0)]) {
+        reference.rate(u, i, s).unwrap();
+    }
+    reference.flush().unwrap();
+    assert_eq!(restored.digest(), reference.digest());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_grouping_checkpointed_without_a_former_rebuilds_it_on_its_first_pass() {
+    use std::sync::atomic::Ordering::Relaxed;
+    // The golden v2 checkpoint's "cons" grouping carries no former state,
+    // as checkpoints written before formers were always exported may.
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../persist/tests/golden/checkpoint-v2.bin");
+    let ck = checkpoint::decode(&fs::read(golden).unwrap()).unwrap();
+    let formers: Vec<(&str, bool)> = ck
+        .groupings
+        .iter()
+        .map(|g| (g.name.as_str(), g.former.is_some()))
+        .collect();
+    assert_eq!(formers, [("default", true), ("cons", false)]);
+    let cfg =
+        ServeConfig::new(ck.default_grouping().unwrap().config).with_batch_window(Duration::ZERO);
+    let state = ServeState::restore_from(ck, cfg).unwrap();
+    state.rate(1, 1, 4.0).unwrap();
+    state.flush().unwrap();
+    assert_eq!(state.stats.refresh_incremental.load(Relaxed), 2);
+    assert_eq!(state.stats.refresh_cold.load(Relaxed), 0);
+
+    let snap = state.snapshot();
+    for (name, g) in &snap.groupings {
+        let cold =
+            ServeState::new(snap.matrix.as_ref().clone(), ServeConfig::new(g.config)).unwrap();
+        assert_eq!(
+            g.formation,
+            cold.snapshot().default_grouping().formation,
+            "grouping {name} diverged from its cold rebuild"
+        );
+    }
+    // From here on the rebuilt former is checkpointed like any other.
+    let dir = tmpdir("legacyformer");
+    assert!(checkpoint_now(&state, &opts(&dir)).unwrap().is_some());
+    assert_eq!(
+        checkpointed_formers(&dir),
+        [("cons".to_string(), true), ("default".to_string(), true)]
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -293,39 +400,5 @@ fn a_data_dir_serves_one_process_at_a_time() {
     let (restored, report) = boot(grow_config(), &o, || unreachable!()).unwrap();
     assert!(!report.cold_start);
     assert_eq!(restored.digest(), digest);
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn a_second_server_process_on_a_data_dir_fails_its_boot() {
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
-    let dir = tmpdir("lock-procs");
-    let serve = |dir: &Path| {
-        Command::new(env!("CARGO_BIN_EXE_gf-serve"))
-            .args(["--addr", "127.0.0.1", "--port", "0", "--synth", "40x10"])
-            .args(["--data-dir", dir.to_str().unwrap()])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap()
-    };
-    let mut first = serve(&dir);
-    let mut stdout = BufReader::new(first.stdout.take().unwrap());
-    let mut line = String::new();
-    while !line.contains("listening on") {
-        line.clear();
-        assert!(
-            stdout.read_line(&mut line).unwrap() > 0,
-            "first server exited"
-        );
-    }
-    let second = serve(&dir).wait_with_output().unwrap();
-    let _ = first.kill();
-    let _ = first.wait();
-    assert!(!second.status.success(), "second server must not boot");
-    let stderr = String::from_utf8_lossy(&second.stderr);
-    assert!(stderr.contains("LOCK"), "{stderr}");
-    assert!(stderr.contains("another process"), "{stderr}");
     fs::remove_dir_all(&dir).unwrap();
 }

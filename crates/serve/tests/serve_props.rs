@@ -3,7 +3,9 @@
 //! preference patch + background re-formation) converges to **exactly**
 //! the snapshot a cold rebuild over the same final ratings produces.
 
-use gf_core::{Aggregation, FormationConfig, PrefIndex, RatingMatrix, RatingScale, Semantics};
+use gf_core::{
+    Aggregation, FormationConfig, PrefIndex, RatingMatrix, RatingScale, RefreshMode, Semantics,
+};
 use gf_serve::{ServeConfig, ServeState};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -167,6 +169,55 @@ proptest! {
             let c = cold.grouping(name).unwrap();
             prop_assert_eq!(&w.formation, &c.formation, "grouping {}", name);
             prop_assert_eq!(&w.assignment, &c.assignment, "grouping {}", name);
+        }
+    }
+
+    /// The refresh mode picks how a pass re-forms, never what it installs:
+    /// one write stream fed to a `Cold` server and an `Auto` server, both
+    /// with two Step-1 workers, leaves identical formations and
+    /// assignments in every grouping after boot and after every flush.
+    #[test]
+    fn refresh_mode_does_not_change_the_answer(
+        inst in instance(9, 7),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u32..9, 0u32..7, 1u8..=5), 1..6),
+            1..5,
+        ),
+        lambda in 0.0f64..1.5,
+        (k, ell) in (1usize..4, 1usize..5),
+    ) {
+        let server = |refresh| {
+            let tune = |c: FormationConfig| c.with_threads(2).with_refresh(refresh);
+            let cfg = ServeConfig::new(tune(config(true, 0, k, ell)))
+                .with_grouping(
+                    "av",
+                    tune(FormationConfig::new(Semantics::AggregateVoting, Aggregation::Sum, k, ell)),
+                )
+                .with_grouping(
+                    "cons",
+                    tune(FormationConfig::new(Semantics::Consensus { lambda }, Aggregation::Min, k, ell)),
+                )
+                .with_batch_window(Duration::ZERO);
+            ServeState::new(matrix_of(&inst), cfg).unwrap()
+        };
+        let cold = server(RefreshMode::Cold);
+        let auto = server(RefreshMode::Auto);
+        for step in 0..=batches.len() {
+            if step > 0 {
+                for &(u, i, r) in &batches[step - 1] {
+                    for s in [&cold, &auto] {
+                        s.rate(u % inst.n, i % inst.m, r as f64).unwrap();
+                    }
+                }
+                cold.flush().unwrap();
+                auto.flush().unwrap();
+            }
+            let (c, a) = (cold.snapshot(), auto.snapshot());
+            for (name, cg) in &c.groupings {
+                let ag = a.grouping(name).unwrap();
+                prop_assert_eq!(&cg.formation, &ag.formation, "grouping {} at step {}", name, step);
+                prop_assert_eq!(&cg.assignment, &ag.assignment, "grouping {} at step {}", name, step);
+            }
         }
     }
 

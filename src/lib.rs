@@ -100,7 +100,7 @@ pub mod prelude {
     pub use gf_core::{
         resolve_threads, Aggregation, FormationConfig, FormationResult, GfError, GreedyFormer,
         Group, GroupFormer, GroupRecommender, Grouping, MissingPolicy, PrefIndex, RatingMatrix,
-        RatingScale, Semantics, ShardedFormer, WeightScheme,
+        RatingScale, Semantics, WeightScheme,
     };
     pub use gf_datasets::{Dataset, DatasetStats, SynthConfig};
     pub use gf_exact::{BranchAndBound, LocalSearch, PartitionDp};
