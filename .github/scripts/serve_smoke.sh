@@ -443,4 +443,22 @@ diff -u "$COLD_OUT" "$AUTO_OUT" \
   || { echo "FAIL: refresh modes served different groups"; exit 1; }
 trap 'rm -rf "$DATA_DIR"' EXIT
 
+# ---------------------------------------------------------------------------
+# A retired flag fails loudly: --max-swaps (the old capped repair budget)
+# no longer exists, so a deployment still passing it must exit 2 with the
+# usage line instead of booting with the flag silently ignored.
+# ---------------------------------------------------------------------------
+echo "== retired flag: --max-swaps is rejected =="
+RETIRED_LOG=$(mktemp)
+status=0
+timeout 30 "$BIN" --max-swaps 1 --data "$FIXTURE" --port $((PORT + 8)) >"$RETIRED_LOG" 2>&1 \
+  || status=$?
+[ "$status" -eq 2 ] || { echo "FAIL: --max-swaps exited $status (expected 2)"; cat "$RETIRED_LOG"; exit 1; }
+grep -q '^usage: gf-serve' "$RETIRED_LOG" \
+  || { echo "FAIL: --max-swaps printed no usage line"; cat "$RETIRED_LOG"; exit 1; }
+if grep -q "listening on" "$RETIRED_LOG"; then
+  echo "FAIL: a server given --max-swaps started listening"; exit 1
+fi
+rm -f "$RETIRED_LOG"
+
 echo "serve smoke: all checks passed"

@@ -23,7 +23,7 @@
 //!   boot, `/form` and every cold pass pay per grouping).
 //! * `former_refresh_64` — the core-level pass without serve-layer
 //!   overhead: the successor matrix and preference-index builds, then the
-//!   former refresh (bucket moves + capped reselection + tail
+//!   former refresh (bucket moves + Step-2 reselection + tail
 //!   maintenance).
 //!
 //! Sizes follow `serve_throughput`: 50k users x 5k items at

@@ -180,10 +180,12 @@ pub fn key_for(
     }
 }
 
-/// Hashes one user into the bucket map.
-#[allow(clippy::too_many_arguments)] // private helper mirroring build_buckets' signature plus (map, u)
+/// Hashes one user into the bucket map, appending its key to `keys` when
+/// the caller records per-user keys (the key-less path clones nothing).
+#[allow(clippy::too_many_arguments)] // private helper: build_buckets' arguments plus (map, keys, u)
 fn insert_user(
     map: &mut FxHashMap<BucketKey, Bucket>,
+    keys: Option<&mut Vec<BucketKey>>,
     matrix: &RatingMatrix,
     prefs: &PrefIndex,
     semantics: Semantics,
@@ -194,6 +196,9 @@ fn insert_user(
 ) {
     let (items, scores) = personal_top_k(matrix, prefs, policy, u, k);
     let key = key_for(semantics, aggregation, &items, &scores);
+    if let Some(keys) = keys {
+        keys.push(key.clone());
+    }
     match map.entry(key) {
         std::collections::hash_map::Entry::Occupied(mut e) => {
             let b = e.get_mut();
@@ -221,20 +226,10 @@ pub fn build_buckets(
     policy: MissingPolicy,
     k: usize,
 ) -> Vec<Bucket> {
-    let mut map: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-    for u in 0..matrix.n_users() {
-        insert_user(
-            &mut map,
-            matrix,
-            prefs,
-            semantics,
-            aggregation,
-            policy,
-            k,
-            u,
-        );
-    }
-    map.into_values().collect()
+    build_sharded(matrix, prefs, semantics, aggregation, policy, k, 1, false)
+        .0
+        .into_values()
+        .collect()
 }
 
 /// Runs Step 1 with `n_threads` scoped worker threads (`0` = auto, see
@@ -261,47 +256,103 @@ pub fn build_buckets_threaded(
     k: usize,
     n_threads: usize,
 ) -> Vec<Bucket> {
+    build_sharded(
+        matrix,
+        prefs,
+        semantics,
+        aggregation,
+        policy,
+        k,
+        n_threads,
+        false,
+    )
+    .0
+    .into_values()
+    .collect()
+}
+
+/// Step-1 build that also records every user's bucket key — what a
+/// standing [`IncrementalFormer`](super::IncrementalFormer) needs to keep
+/// its bucket state patchable. Threaded exactly like
+/// [`build_buckets_threaded`] (same sharding, same merge, same bit-for-bit
+/// caveats); the sequential path (`threads <= 1`) inserts users in
+/// ascending id order, matching [`build_buckets`] unconditionally.
+pub fn build_bucket_map_threaded(
+    matrix: &RatingMatrix,
+    prefs: &PrefIndex,
+    semantics: Semantics,
+    aggregation: Aggregation,
+    policy: MissingPolicy,
+    k: usize,
+    n_threads: usize,
+) -> (FxHashMap<BucketKey, Bucket>, Vec<BucketKey>) {
+    build_sharded(
+        matrix,
+        prefs,
+        semantics,
+        aggregation,
+        policy,
+        k,
+        n_threads,
+        true,
+    )
+}
+
+/// The one Step-1 builder behind the three public ones: hashes users
+/// `0..n` into a bucket map on `n_threads` workers over contiguous user
+/// ranges, merges the shard maps in shard order, and — with
+/// `record_keys` — returns every user's key in user order (otherwise an
+/// empty list, and no key is cloned).
+#[allow(clippy::too_many_arguments)] // private helper: the public builders' arguments plus the key switch
+fn build_sharded(
+    matrix: &RatingMatrix,
+    prefs: &PrefIndex,
+    semantics: Semantics,
+    aggregation: Aggregation,
+    policy: MissingPolicy,
+    k: usize,
+    n_threads: usize,
+    record_keys: bool,
+) -> (FxHashMap<BucketKey, Bucket>, Vec<BucketKey>) {
     let n = matrix.n_users() as usize;
     let threads = crate::resolve_threads(n_threads, n);
+    let build_range = |range: std::ops::Range<usize>| {
+        let mut map: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
+        let mut keys: Vec<BucketKey> =
+            Vec::with_capacity(if record_keys { range.len() } else { 0 });
+        for u in range {
+            insert_user(
+                &mut map,
+                record_keys.then_some(&mut keys),
+                matrix,
+                prefs,
+                semantics,
+                aggregation,
+                policy,
+                k,
+                u as u32,
+            );
+        }
+        (map, keys)
+    };
     if threads <= 1 {
-        return build_buckets(matrix, prefs, semantics, aggregation, policy, k);
+        return build_range(0..n);
     }
-    let shard_maps: Vec<FxHashMap<BucketKey, Bucket>> = std::thread::scope(|scope| {
+    let build_range = &build_range;
+    let shards: Vec<(FxHashMap<BucketKey, Bucket>, Vec<BucketKey>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = crate::threads::even_ranges(n, threads)
             .into_iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut map: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-                    for u in range {
-                        insert_user(
-                            &mut map,
-                            matrix,
-                            prefs,
-                            semantics,
-                            aggregation,
-                            policy,
-                            k,
-                            u as u32,
-                        );
-                    }
-                    map
-                })
-            })
+            .map(|range| scope.spawn(move || build_range(range)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("bucket worker panicked"))
             .collect()
     });
-    merge_shard_maps(shard_maps).into_values().collect()
-}
-
-/// Merges per-shard bucket maps in shard order — the one exact merge both
-/// threaded Step-1 builders share (see [`build_buckets_threaded`] for the
-/// bit-for-bit contract it upholds).
-fn merge_shard_maps(shard_maps: Vec<FxHashMap<BucketKey, Bucket>>) -> FxHashMap<BucketKey, Bucket> {
     let mut merged: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-    for map in shard_maps {
+    let mut user_keys: Vec<BucketKey> = Vec::with_capacity(if record_keys { n } else { 0 });
+    for (map, keys) in shards {
+        user_keys.extend(keys);
         for (key, shard_bucket) in map {
             match merged.entry(key) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -323,72 +374,7 @@ fn merge_shard_maps(shard_maps: Vec<FxHashMap<BucketKey, Bucket>>) -> FxHashMap<
             }
         }
     }
-    merged
-}
-
-/// Step-1 build that also records every user's bucket key — what a
-/// standing [`IncrementalFormer`](super::IncrementalFormer) needs to keep
-/// its bucket state patchable. Threaded exactly like
-/// [`build_buckets_threaded`] (same sharding, same merge, same bit-for-bit
-/// caveats); the sequential path (`threads <= 1`) inserts users in
-/// ascending id order, matching [`build_buckets`] unconditionally.
-pub fn build_bucket_map_threaded(
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    semantics: Semantics,
-    aggregation: Aggregation,
-    policy: MissingPolicy,
-    k: usize,
-    n_threads: usize,
-) -> (FxHashMap<BucketKey, Bucket>, Vec<BucketKey>) {
-    let n = matrix.n_users() as usize;
-    let threads = crate::resolve_threads(n_threads, n);
-    let build_range = |range: std::ops::Range<usize>| {
-        let mut map: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-        let mut keys: Vec<BucketKey> = Vec::with_capacity(range.len());
-        for u in range {
-            let (items, scores) = personal_top_k(matrix, prefs, policy, u as u32, k);
-            let key = key_for(semantics, aggregation, &items, &scores);
-            keys.push(key.clone());
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let b = e.get_mut();
-                    b.users.push(u as u32);
-                    b.accumulate_scores(&scores);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Bucket {
-                        items: items.into(),
-                        users: vec![u as u32],
-                        pos_min: scores.clone(),
-                        pos_sum: scores,
-                    });
-                }
-            }
-        }
-        (map, keys)
-    };
-    if threads <= 1 {
-        return build_range(0..n);
-    }
-    let build_range = &build_range;
-    let shards: Vec<(FxHashMap<BucketKey, Bucket>, Vec<BucketKey>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = crate::threads::even_ranges(n, threads)
-            .into_iter()
-            .map(|range| scope.spawn(move || build_range(range)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bucket worker panicked"))
-            .collect()
-    });
-    let mut maps = Vec::with_capacity(shards.len());
-    let mut user_keys: Vec<BucketKey> = Vec::with_capacity(n);
-    for (map, keys) in shards {
-        maps.push(map);
-        user_keys.extend(keys);
-    }
-    (merge_shard_maps(maps), user_keys)
+    (merged, user_keys)
 }
 
 /// `(items, users, pos_min bits, pos_sum bits)` — one bucket in the

@@ -18,10 +18,11 @@
 //! refreshes, the bucket multiset equals what [`bucket::build_buckets`]
 //! produces on the current matrix, bit for bit (touched buckets recompute
 //! their score vectors over members in ascending id order — the same
-//! accumulation order as a cold build). With the default unbounded repair
-//! pass, the emitted grouping is the cold [`GreedyFormer`](super::GreedyFormer) grouping,
-//! exactly, whenever ratings sit on a dyadic grid (whole or half stars —
-//! every built-in [`crate::RatingScale`]) under [`MissingPolicy::Min`] or
+//! accumulation order as a cold build). Every refresh re-runs the full
+//! Step-2 selection, so the emitted grouping is the cold
+//! [`GreedyFormer`](super::GreedyFormer) grouping, exactly, whenever
+//! ratings sit on a dyadic grid (whole or half stars — every built-in
+//! [`crate::RatingScale`]) under [`MissingPolicy::Min`] or
 //! [`MissingPolicy::Skip`]/[`MissingPolicy::UserMean`] (the latter two
 //! rescore the tail with the full engine and are exact on any input; the
 //! `Min` fast path maintains the tail's per-item count, sum, sum of
@@ -31,31 +32,6 @@
 //! cold engine uses, and LeaderWeighted adds the lowest-id tail member's
 //! row to the maintained sum. `tests/prop_incremental.rs` enforces both
 //! properties across random rating streams and dirty-set partitions.
-//!
-//! ## Bounded repair pass and error bound
-//!
-//! [`IncrementalFormer::with_max_swaps`] caps how many buckets the repair
-//! pass may admit into the selected set per refresh; admissions beyond the
-//! cap are deferred — the incoming bucket stays spliced into the tail and
-//! the standing group keeps its slot — and picked up by later refreshes,
-//! so the grouping *converges* to the cold grouping once updates quiesce.
-//! While deferrals are outstanding, on a non-negative rating scale:
-//!
-//! ```text
-//! Obj(cold GRD) - Obj(incremental) <= selection_lag() + tail_bound
-//! ```
-//!
-//! where [`IncrementalFormer::selection_lag`] is the computable
-//! satisfaction gap between the ideal and the actual selected buckets, and
-//! `tail_bound` bounds any tail group's satisfaction: `r_max` (Min/Max
-//! aggregation) or `k * r_max` (Sum) under least misery, with an extra
-//! factor `n` under aggregate voting (sums over members). The bound is
-//! exposed as [`IncrementalFormer::quality_bound`]; the proof is two
-//! lines: ideal-vs-actual selection loses exactly `selection_lag`, and
-//! swapping tail memberships moves its satisfaction within
-//! `[0, tail_bound]`. On the non-`Min` policies, eviction and tail
-//! splicing rescore the tail with the cold greedy's own Step-3 group
-//! rescoring.
 //!
 //! ## Costs per refresh
 //!
@@ -328,9 +304,8 @@ pub struct FormerState {
 }
 
 /// A standing greedy formation that absorbs rating updates by patching
-/// only the dirty users' buckets and splicing the result back into the
-/// grouping with a bounded repair pass. See the [module docs](self) for
-/// the equivalence guarantee and the error bound.
+/// only the dirty users' buckets and re-running the Step-2 selection over
+/// them. See the [module docs](self) for the equivalence guarantee.
 #[derive(Debug, Clone)]
 pub struct IncrementalFormer {
     cfg: FormationConfig,
@@ -349,8 +324,6 @@ pub struct IncrementalFormer {
     /// machinery.
     agg_tail: Option<TailAgg>,
     result: FormationResult,
-    max_swaps: usize,
-    selection_lag: f64,
 }
 
 impl IncrementalFormer {
@@ -365,7 +338,6 @@ impl IncrementalFormer {
     /// default `n_threads = 1` keeps the sequential path.
     pub fn new(matrix: &RatingMatrix, prefs: &PrefIndex, cfg: FormationConfig) -> Result<Self> {
         cfg.validate(matrix)?;
-        let n = matrix.n_users() as usize;
         let (buckets, user_keys) = bucket::build_bucket_map_threaded(
             matrix,
             prefs,
@@ -375,50 +347,55 @@ impl IncrementalFormer {
             cfg.k,
             cfg.n_threads,
         );
-        let agg_tail = TailAgg::for_config(&cfg, matrix);
-        let mut former = IncrementalFormer {
-            cfg,
-            n_items: matrix.n_items(),
-            buckets,
-            user_keys,
-            selected: Vec::new(),
-            in_tail: vec![false; n],
-            tail_len: 0,
-            agg_tail,
-            result: FormationResult {
-                grouping: Grouping::default(),
-                objective: 0.0,
-                n_buckets: 0,
-            },
-            max_swaps: usize::MAX,
-            selection_lag: 0.0,
-        };
-        let (ideal, _) = former.ideal_selection();
-        let chosen: FxHashSet<BucketKey> = ideal.iter().cloned().collect();
-        for u in 0..n {
-            if !chosen.contains(&former.user_keys[u]) {
-                former.in_tail[u] = true;
-                former.tail_len += 1;
-                if let Some(agg) = &mut former.agg_tail {
+        let selected = ideal_selection(&buckets, &cfg);
+        Ok(Self::from_parts(matrix, cfg, buckets, user_keys, selected))
+    }
+
+    /// Assembles a former from a Step-1 bucket state and a Step-2
+    /// selection, deriving the rest from the matrix: tail membership,
+    /// the tail aggregates (accumulated in ascending user order, so two
+    /// formers over the same state agree bit for bit) and the emitted
+    /// grouping.
+    fn from_parts(
+        matrix: &RatingMatrix,
+        cfg: FormationConfig,
+        buckets: FxHashMap<BucketKey, Bucket>,
+        user_keys: Vec<BucketKey>,
+        selected: Vec<BucketKey>,
+    ) -> Self {
+        let mut in_tail = vec![false; user_keys.len()];
+        let mut tail_len = 0;
+        let mut agg_tail = TailAgg::for_config(&cfg, matrix);
+        let chosen: FxHashSet<&BucketKey> = selected.iter().collect();
+        for (u, key) in user_keys.iter().enumerate() {
+            if !chosen.contains(key) {
+                in_tail[u] = true;
+                tail_len += 1;
+                if let Some(agg) = &mut agg_tail {
                     for (i, s) in matrix.user_ratings(u as u32) {
                         agg.add(i, s);
                     }
                 }
             }
         }
-        former.selected = ideal;
+        drop(chosen);
+        let mut former = IncrementalFormer {
+            cfg,
+            n_items: matrix.n_items(),
+            buckets,
+            user_keys,
+            selected,
+            in_tail,
+            tail_len,
+            agg_tail,
+            result: FormationResult {
+                grouping: Grouping::default(),
+                objective: 0.0,
+                n_buckets: 0,
+            },
+        };
         former.emit(matrix);
-        Ok(former)
-    }
-
-    /// Caps how many buckets one refresh may admit into the selected set
-    /// (the repair-pass budget). Default: unbounded, which keeps the
-    /// grouping exactly equal to a cold rebuild. With a finite cap the
-    /// grouping lags by at most [`IncrementalFormer::quality_bound`] and
-    /// converges once updates quiesce.
-    pub fn with_max_swaps(mut self, max_swaps: usize) -> Self {
-        self.max_swaps = max_swaps;
-        self
+        former
     }
 
     /// The configuration this former was built under.
@@ -429,31 +406,6 @@ impl IncrementalFormer {
     /// The standing formation.
     pub fn result(&self) -> &FormationResult {
         &self.result
-    }
-
-    /// Satisfaction gap between the ideal Step-2 selection and the one
-    /// currently emitted (0 whenever the repair pass is not lagging —
-    /// always, with unbounded swaps).
-    pub fn selection_lag(&self) -> f64 {
-        self.selection_lag
-    }
-
-    /// The documented bound on `Obj(cold GRD) - Obj(self)` for the current
-    /// state on a non-negative rating scale: [`selection_lag`] plus the
-    /// worst-case tail-group satisfaction (see the [module docs](self)).
-    ///
-    /// [`selection_lag`]: IncrementalFormer::selection_lag
-    pub fn quality_bound(&self, matrix: &RatingMatrix) -> f64 {
-        let r_max = matrix.scale().max();
-        let k_eff = self.cfg.k.min(matrix.n_items() as usize).max(1);
-        let per_item = match self.cfg.semantics {
-            Semantics::LeastMisery => r_max,
-            Semantics::AggregateVoting => matrix.n_users() as f64 * r_max,
-            // Both are (weighted) means bounded above by r_max; Consensus
-            // only subtracts from the mean (λ ≥ 0). See `semantics` docs.
-            Semantics::Consensus { .. } | Semantics::LeaderWeighted => r_max,
-        };
-        self.selection_lag + self.cfg.aggregation.apply(&vec![per_item; k_eff])
     }
 
     /// Test support: a canonical view of the maintained Step-1 state, for
@@ -502,14 +454,16 @@ impl IncrementalFormer {
     /// against the matrix/prefs pair it was exported under.
     ///
     /// Derived state (per-user bucket keys, tail membership, tail
-    /// aggregates, the emitted grouping, the selection lag) is rebuilt
-    /// from the matrix rather than trusted — the tail aggregates
-    /// re-accumulate in ascending user order, the exact order
-    /// [`IncrementalFormer::new`] uses, so on a dyadic rating grid the
-    /// restored former continues bit-for-bit from where the exported one
-    /// stopped. Structural invariants (sorted unique membership, full
-    /// user coverage, well-formed selection) are validated; a state that
-    /// fails them yields [`GfError::Persist`].
+    /// aggregates, the emitted grouping) is rebuilt from the matrix
+    /// rather than trusted — the tail aggregates re-accumulate in
+    /// ascending user order, the exact order [`IncrementalFormer::new`]
+    /// uses, so on a dyadic rating grid the restored former continues
+    /// bit-for-bit from where the exported one stopped. The selection is
+    /// installed as given, ideal or not; the next refresh re-runs the full
+    /// Step-2 selection. Structural invariants (sorted unique membership,
+    /// full user coverage, a well-formed selection of at most `ell - 1`
+    /// buckets) are validated; a state that fails them yields
+    /// [`GfError::Persist`].
     pub fn import_state(
         matrix: &RatingMatrix,
         cfg: FormationConfig,
@@ -563,6 +517,13 @@ impl IncrementalFormer {
             .enumerate()
             .map(|(u, key)| key.ok_or_else(|| corrupt(format!("user {u} not in any bucket"))))
             .collect::<Result<_>>()?;
+        let slots = cfg.ell.saturating_sub(1);
+        if state.selected.len() > slots {
+            return Err(corrupt(format!(
+                "selection of {} buckets exceeds ell - 1 = {slots}",
+                state.selected.len()
+            )));
+        }
         let mut selected: Vec<BucketKey> = Vec::with_capacity(state.selected.len());
         let mut seen: FxHashSet<u32> = FxHashSet::default();
         for &idx in &state.selected {
@@ -571,48 +532,7 @@ impl IncrementalFormer {
             }
             selected.push(keys[idx as usize].clone());
         }
-        let selected_set: FxHashSet<&BucketKey> = selected.iter().collect();
-        let mut former = IncrementalFormer {
-            cfg,
-            n_items: matrix.n_items(),
-            buckets,
-            user_keys,
-            selected: Vec::new(),
-            in_tail: vec![false; n],
-            tail_len: 0,
-            agg_tail: TailAgg::for_config(&cfg, matrix),
-            result: FormationResult {
-                grouping: Grouping::default(),
-                objective: 0.0,
-                n_buckets: 0,
-            },
-            max_swaps: usize::MAX,
-            selection_lag: 0.0,
-        };
-        for u in 0..n {
-            if !selected_set.contains(&former.user_keys[u]) {
-                former.in_tail[u] = true;
-                former.tail_len += 1;
-                if let Some(agg) = &mut former.agg_tail {
-                    for (i, s) in matrix.user_ratings(u as u32) {
-                        agg.add(i, s);
-                    }
-                }
-            }
-        }
-        drop(selected_set);
-        former.selected = selected;
-        let (_, ideal_sum) = former.ideal_selection();
-        let actual_sum: f64 = former
-            .selected
-            .iter()
-            .map(|key| {
-                former.buckets[key].satisfaction(former.cfg.semantics, former.cfg.aggregation)
-            })
-            .sum();
-        former.selection_lag = (ideal_sum - actual_sum).max(0.0);
-        former.emit(matrix);
-        Ok(former)
+        Ok(Self::from_parts(matrix, cfg, buckets, user_keys, selected))
     }
 
     /// Patches the standing formation after a batch of rating updates.
@@ -621,8 +541,9 @@ impl IncrementalFormer {
     /// with [`RatingMatrix::with_upserts_under`] and [`PrefIndex::patched`]),
     /// and `updates` must cover **every** rating that changed since the
     /// last refresh — a user mutated behind the former's back corrupts the
-    /// bucket state. An empty batch is valid and lets a capped repair pass
-    /// catch up on deferred swaps.
+    /// bucket state. An empty batch is valid: it re-runs the Step-2
+    /// selection, which brings a non-ideal imported selection (see
+    /// [`IncrementalFormer::import_state`]) to the cold one.
     ///
     /// The matrix may have **grown** since the last refresh (see
     /// [`crate::GrowthPolicy`]): every never-seen user is admitted as a
@@ -681,8 +602,7 @@ impl IncrementalFormer {
         if matrix.n_items() != self.n_items {
             let want = self.cfg.k.min(matrix.n_items() as usize);
             if self.cfg.k.min(self.n_items as usize) != want {
-                let max_swaps = self.max_swaps;
-                *self = IncrementalFormer::new(matrix, prefs, self.cfg)?.with_max_swaps(max_swaps);
+                *self = IncrementalFormer::new(matrix, prefs, self.cfg)?;
                 return Ok(&self.result);
             }
             if matches!(self.cfg.policy, MissingPolicy::UserMean) {
@@ -697,30 +617,10 @@ impl IncrementalFormer {
         //    bucket. Hash it into its bucket now (scores recomputed with
         //    the other touched buckets below) and start it outside the
         //    tail; the selection step splices it wherever it belongs.
-        let mut admitted_keys: Vec<BucketKey> = Vec::new();
+        let mut touched: FxHashSet<BucketKey> = FxHashSet::default();
         for u in old_n..matrix.n_users() {
-            let (items, scores) =
-                bucket::personal_top_k(matrix, prefs, self.cfg.policy, u, self.cfg.k);
-            let key = bucket::key_for(self.cfg.semantics, self.cfg.aggregation, &items, &scores);
-            match self.buckets.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let b = e.get_mut();
-                    let pos = b
-                        .users
-                        .binary_search(&u)
-                        .expect_err("admitted user cannot already be bucketed");
-                    b.users.insert(pos, u);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Bucket {
-                        items: items.into(),
-                        users: vec![u],
-                        pos_min: Vec::new(),
-                        pos_sum: Vec::new(),
-                    });
-                }
-            }
-            admitted_keys.push(key.clone());
+            let key = self.place_user(matrix, prefs, u);
+            touched.insert(key.clone());
             self.user_keys.push(key);
             self.in_tail.push(false);
         }
@@ -750,8 +650,6 @@ impl IncrementalFormer {
         dirty.extend(old_n..matrix.n_users());
         dirty.sort_unstable();
         dirty.dedup();
-        let mut touched: FxHashSet<BucketKey> = FxHashSet::default();
-        touched.extend(admitted_keys);
         for &u in &dirty {
             if u >= old_n {
                 continue; // admitted in step 0, already in its bucket
@@ -773,28 +671,7 @@ impl IncrementalFormer {
                 self.buckets.remove(&old_key);
             }
             touched.insert(old_key);
-            let (items, scores) =
-                bucket::personal_top_k(matrix, prefs, self.cfg.policy, u, self.cfg.k);
-            let new_key =
-                bucket::key_for(self.cfg.semantics, self.cfg.aggregation, &items, &scores);
-            match self.buckets.entry(new_key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let b = e.get_mut();
-                    let pos = b
-                        .users
-                        .binary_search(&u)
-                        .expect_err("user cannot already be in the target bucket");
-                    b.users.insert(pos, u);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Bucket {
-                        items: items.into(),
-                        users: vec![u],
-                        pos_min: Vec::new(),
-                        pos_sum: Vec::new(),
-                    });
-                }
-            }
+            let new_key = self.place_user(matrix, prefs, u);
             touched.insert(new_key.clone());
             self.user_keys[u as usize] = new_key;
         }
@@ -808,93 +685,36 @@ impl IncrementalFormer {
             }
         }
 
-        // 4. Repair pass: re-run Step-2 selection, capped at max_swaps
-        //    admissions.
-        let (ideal, ideal_sum) = self.ideal_selection();
-        let actual = self.cap_selection(ideal);
-        let actual_sum: f64 = actual
-            .iter()
-            .map(|key| self.buckets[key].satisfaction(self.cfg.semantics, self.cfg.aggregation))
-            .sum();
-        self.selection_lag = (ideal_sum - actual_sum).max(0.0);
+        // 4. Re-run the Step-2 selection and splice users whose tail
+        //    membership changed (bucket admissions, evictions, and dirty
+        //    users that hopped across the boundary).
+        let selected = ideal_selection(&self.buckets, &self.cfg);
+        self.apply_selection(matrix, selected, &dirty);
 
-        // 5. Splice users whose tail membership changed (bucket admissions,
-        //    evictions, and dirty users that hopped across the boundary).
-        self.apply_selection(matrix, actual, &dirty);
-
-        // 6. Emit the patched grouping.
+        // 5. Emit the patched grouping.
         self.emit(matrix);
         Ok(&self.result)
     }
 
-    /// The ideal Step-2 selection over the current buckets — the exact pop
-    /// sequence of a cold [`GreedyFormer`](super::GreedyFormer) — plus its satisfaction sum.
-    fn ideal_selection(&self) -> (Vec<BucketKey>, f64) {
-        let slots = self.cfg.ell.saturating_sub(1).min(self.buckets.len());
-        if slots == 0 {
-            return (Vec::new(), 0.0);
-        }
-        let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
-        let mut entries: Vec<(f64, &BucketKey, &Bucket)> = self
-            .buckets
-            .iter()
-            .map(|(key, b)| (b.satisfaction(sem, agg), key, b))
-            .collect();
-        let cmp = |x: &(f64, &BucketKey, &Bucket), y: &(f64, &BucketKey, &Bucket)| {
-            y.0.total_cmp(&x.0)
-                .then_with(|| bucket::bucket_order(x.2, y.2, sem, agg))
-        };
-        if entries.len() > slots {
-            entries.select_nth_unstable_by(slots - 1, cmp);
-            entries.truncate(slots);
-        }
-        entries.sort_unstable_by(cmp);
-        let sum = entries.iter().map(|e| e.0).sum();
-        (entries.iter().map(|e| e.1.clone()).collect(), sum)
-    }
-
-    /// Limits the selection churn to `max_swaps` admissions: deferred
-    /// incoming buckets stay in the tail and the best standing groups keep
-    /// their slots. Returns the final selection in emission order.
-    fn cap_selection(&self, ideal: Vec<BucketKey>) -> Vec<BucketKey> {
-        if self.max_swaps == usize::MAX {
-            return ideal;
-        }
-        let slots = ideal.len();
-        let old_set: FxHashSet<&BucketKey> = self.selected.iter().collect();
-        let mut admitted = 0usize;
-        let mut chosen: Vec<BucketKey> = Vec::with_capacity(slots);
-        let mut chosen_set: FxHashSet<BucketKey> = FxHashSet::default();
-        for key in ideal {
-            if old_set.contains(&key) {
-                chosen_set.insert(key.clone());
-                chosen.push(key);
-            } else if admitted < self.max_swaps {
-                admitted += 1;
-                chosen_set.insert(key.clone());
-                chosen.push(key);
-            }
-        }
-        // Freed slots (deferred admissions) fall back to the best standing
-        // groups that were about to be evicted.
-        if chosen.len() < slots {
-            let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
-            let mut survivors: Vec<&BucketKey> = self
-                .selected
-                .iter()
-                .filter(|key| self.buckets.contains_key(*key) && !chosen_set.contains(*key))
-                .collect();
-            survivors.sort_unstable_by(|a, b| {
-                bucket::bucket_order(&self.buckets[*a], &self.buckets[*b], sem, agg)
-            });
-            for key in survivors.into_iter().take(slots - chosen.len()) {
-                chosen.push(key.clone());
-            }
-            chosen.sort_unstable_by(|a, b| {
-                bucket::bucket_order(&self.buckets[a], &self.buckets[b], sem, agg)
-            });
-        }
-        chosen
+    /// Hashes user `u` into the bucket of its current top-`k` signature,
+    /// keeping the member list ascending, and returns the bucket's key.
+    /// Score vectors are left stale: the caller marks the bucket touched,
+    /// and step 3 of [`IncrementalFormer::refresh`] recomputes them.
+    fn place_user(&mut self, matrix: &RatingMatrix, prefs: &PrefIndex, u: u32) -> BucketKey {
+        let (items, scores) = bucket::personal_top_k(matrix, prefs, self.cfg.policy, u, self.cfg.k);
+        let key = bucket::key_for(self.cfg.semantics, self.cfg.aggregation, &items, &scores);
+        let b = self.buckets.entry(key.clone()).or_insert_with(|| Bucket {
+            items: items.into(),
+            users: Vec::new(),
+            pos_min: Vec::new(),
+            pos_sum: Vec::new(),
+        });
+        let pos = b
+            .users
+            .binary_search(&u)
+            .expect_err("user cannot already be in its target bucket");
+        b.users.insert(pos, u);
+        key
     }
 
     /// Installs `new_selected` and splices every user whose tail
@@ -995,6 +815,34 @@ impl IncrementalFormer {
             n_buckets: self.buckets.len(),
         };
     }
+}
+
+/// The Step-2 selection over `buckets`: the `ell - 1` best buckets under
+/// [`bucket::bucket_order`], in the exact pop sequence of a cold
+/// [`GreedyFormer`](super::GreedyFormer).
+fn ideal_selection(
+    buckets: &FxHashMap<BucketKey, Bucket>,
+    cfg: &FormationConfig,
+) -> Vec<BucketKey> {
+    let slots = cfg.ell.saturating_sub(1).min(buckets.len());
+    if slots == 0 {
+        return Vec::new();
+    }
+    let (sem, agg) = (cfg.semantics, cfg.aggregation);
+    let mut entries: Vec<(f64, &BucketKey, &Bucket)> = buckets
+        .iter()
+        .map(|(key, b)| (b.satisfaction(sem, agg), key, b))
+        .collect();
+    let cmp = |x: &(f64, &BucketKey, &Bucket), y: &(f64, &BucketKey, &Bucket)| {
+        y.0.total_cmp(&x.0)
+            .then_with(|| bucket::bucket_order(x.2, y.2, sem, agg))
+    };
+    if entries.len() > slots {
+        entries.select_nth_unstable_by(slots - 1, cmp);
+        entries.truncate(slots);
+    }
+    entries.sort_unstable_by(cmp);
+    entries.into_iter().map(|e| e.1.clone()).collect()
 }
 
 /// Recomputes a touched bucket's per-position score vectors from its
@@ -1108,7 +956,6 @@ mod tests {
             let deltas = apply(&mut m, &mut p, &batch);
             former.refresh(&m, &p, &deltas).unwrap();
             assert_matches_cold(&former, &m, &p, &cfg);
-            assert_eq!(former.selection_lag(), 0.0);
         }
     }
 
@@ -1138,7 +985,6 @@ mod tests {
                     let deltas = apply(&mut m, &mut p, &batch);
                     former.refresh(&m, &p, &deltas).unwrap();
                     assert_matches_cold(&former, &m, &p, &cfg);
-                    assert_eq!(former.selection_lag(), 0.0, "{sem} {policy:?}");
                 }
             }
         }
@@ -1190,39 +1036,6 @@ mod tests {
             former.refresh(&m, &p, &deltas).unwrap();
             assert_matches_cold(&former, &m, &p, &cfg);
         }
-    }
-
-    #[test]
-    fn capped_swaps_defer_but_stay_within_bound_and_converge() {
-        let (mut m, mut p) = example1();
-        let cfg = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 1, 4);
-        let mut former = IncrementalFormer::new(&m, &p, cfg)
-            .unwrap()
-            .with_max_swaps(0);
-        // Pull u5 onto a brand-new best bucket; with zero admissions the
-        // repair pass must defer it to the tail.
-        let deltas = apply(&mut m, &mut p, &[(4, 0, 5.0), (4, 1, 5.0), (4, 2, 5.0)]);
-        former.refresh(&m, &p, &deltas).unwrap();
-        let cold = GreedyFormer::new().form(&m, &p, &cfg).unwrap();
-        let loss = cold.objective - former.result().objective;
-        assert!(loss <= former.quality_bound(&m) + 1e-9, "loss {loss}");
-        // Buckets are exact even while the grouping lags.
-        let cold_buckets = bucket::canonical_buckets(bucket::build_buckets(
-            &m,
-            &p,
-            cfg.semantics,
-            cfg.aggregation,
-            cfg.policy,
-            cfg.k,
-        ));
-        assert_eq!(former.canonical_buckets(), cold_buckets);
-        // Raise the budget: an empty refresh catches up and converges.
-        let mut former = former.with_max_swaps(1);
-        for _ in 0..former.result().grouping.len() + 2 {
-            former.refresh(&m, &p, &[]).unwrap();
-        }
-        assert_eq!(former.selection_lag(), 0.0);
-        assert_eq!(former.result(), &cold);
     }
 
     fn apply_grown(
@@ -1334,7 +1147,6 @@ mod tests {
             let mut restored = IncrementalFormer::import_state(&m, cfg, &state).unwrap();
             assert_eq!(restored.canonical_buckets(), former.canonical_buckets());
             assert_eq!(restored.result(), former.result());
-            assert_eq!(restored.selection_lag(), former.selection_lag());
             // The restored former keeps tracking cold exactly.
             let deltas = apply(&mut m, &mut p, &[(2, 2, 4.0), (5, 0, 1.0)]);
             restored.refresh(&m, &p, &deltas).unwrap();
@@ -1375,6 +1187,56 @@ mod tests {
             IncrementalFormer::import_state(&m, cfg, &bad),
             Err(GfError::Persist(_))
         ));
+        // More selected buckets than the ell - 1 own-group slots: every
+        // one of the 5 buckets, for ell = 3.
+        let mut bad = good.clone();
+        assert_eq!(bad.buckets.len(), 5);
+        bad.selected = (0..bad.buckets.len() as u32).collect();
+        assert!(matches!(
+            IncrementalFormer::import_state(&m, cfg, &bad),
+            Err(GfError::Persist(_))
+        ));
+    }
+
+    #[test]
+    fn a_stale_imported_selection_converges_on_the_next_refresh() {
+        // A valid but non-ideal selection — one selected bucket swapped
+        // for an unselected one — is installed as is, and one empty
+        // refresh brings it to the cold grouping.
+        let (m, p) = example1();
+        for sem in Semantics::all() {
+            let cfg = FormationConfig::new(sem, Aggregation::Min, 2, 3);
+            let mut stale = IncrementalFormer::new(&m, &p, cfg).unwrap().export_state();
+            let unselected = (0..stale.buckets.len() as u32)
+                .find(|idx| !stale.selected.contains(idx))
+                .expect("more buckets than slots");
+            stale.selected[0] = unselected;
+            let mut former = IncrementalFormer::import_state(&m, cfg, &stale).unwrap();
+            assert_eq!(former.export_state(), stale, "{sem}");
+            let emitted = former.result().clone();
+            emitted.grouping.validate(m.n_users(), cfg.ell).unwrap();
+            let selected_users: Vec<&[u32]> = stale
+                .selected
+                .iter()
+                .map(|&idx| stale.buckets[idx as usize].users.as_slice())
+                .collect();
+            let groups = &emitted.grouping.groups;
+            assert_eq!(groups.len(), stale.selected.len() + 1, "{sem}");
+            for (group, users) in groups.iter().zip(&selected_users) {
+                assert_eq!(group.members.as_slice(), *users, "{sem}");
+            }
+            let tail: Vec<u32> = (0..m.n_users())
+                .filter(|u| !selected_users.iter().any(|users| users.contains(u)))
+                .collect();
+            assert_eq!(groups.last().unwrap().members, tail, "{sem}");
+            let cold = GreedyFormer::new().form(&m, &p, &cfg).unwrap();
+            assert_ne!(
+                &emitted, &cold,
+                "{sem}: the stale selection is the ideal one"
+            );
+            former.refresh(&m, &p, &[]).unwrap();
+            assert_eq!(former.result(), &cold, "{sem}");
+        }
     }
 
     #[test]

@@ -159,7 +159,6 @@ proptest! {
                 cfg.k,
             ));
             prop_assert_eq!(former.canonical_buckets(), cold_buckets);
-            prop_assert_eq!(former.selection_lag(), 0.0);
             let cold = GreedyFormer::new().form(&cold_matrix, &cold_prefs, &cfg).unwrap();
             prop_assert_eq!(former.result(), &cold);
             former.result().grouping.validate(union_n, cfg.ell).unwrap();

@@ -9,7 +9,7 @@
 //!          [--semantics lm|av|cons|ldr] [--aggregation min|max|sum] [--k K] [--ell L] \
 //!          [--grouping NAME:k=K,ell=L,agg=A,semantics=S,lambda=F]... \
 //!          [--threads N] [--batch-window-ms MS] [--refresh auto|cold|incremental] \
-//!          [--grow] [--max-users N] [--max-items N] [--max-swaps N] \
+//!          [--grow] [--max-users N] [--max-items N] \
 //!          [--feedback-window N] \
 //!          [--data-dir DIR] [--wal-sync always|interval] [--wal-sync-interval-ms MS] \
 //!          [--checkpoint-interval-ms MS] [--wal-retain]
@@ -47,9 +47,6 @@
 //! `--grow` lets `/rate` admit never-seen users and items without a
 //! restart ([`gf_core::GrowthPolicy::Grow`]); `--max-users`/`--max-items`
 //! cap the growth (and each implies `--grow`; default: unbounded).
-//! `--max-swaps` caps the incremental repair budget per refresh
-//! (bounded worst-case refresh latency; the server converges once
-//! updates quiesce).
 //!
 //! `--feedback-window N` sizes the sliding window of `POST /v1/feedback`
 //! events behind the per-grouping quality metrics in `/v1/stats`
@@ -64,8 +61,8 @@
 //! warm boot the checkpointed formation configuration wins over the
 //! `--semantics`/`--k`/… flags — it is durable state a `/form` may have
 //! changed; non-formation knobs (threads are part of the config, but
-//! batch window, pass bounds and repair budget are not) still come from
-//! the command line.
+//! batch window and feedback window are not) still come from the
+//! command line.
 //!
 //! On startup the server prints a `gf-serve: recovery: …` line when
 //! durable (cold start, or checkpoint version + records replayed), then
@@ -110,7 +107,6 @@ struct Options {
     grow: bool,
     max_users: Option<u32>,
     max_items: Option<u32>,
-    max_swaps: Option<usize>,
     feedback_window: usize,
     data_dir: Option<String>,
     wal_sync: String,
@@ -141,7 +137,6 @@ impl Default for Options {
             grow: false,
             max_users: None,
             max_items: None,
-            max_swaps: None,
             feedback_window: 1024,
             data_dir: None,
             wal_sync: "always".into(),
@@ -161,7 +156,7 @@ fn usage() -> ! {
          [--grouping NAME:k=K,ell=L,agg=A,semantics=S,lambda=F]... \
          [--threads N] [--batch-window-ms MS] \
          [--refresh auto|cold|incremental] [--grow] [--max-users N] [--max-items N] \
-         [--max-swaps N] [--feedback-window N] [--data-dir DIR] [--wal-sync always|interval] \
+         [--feedback-window N] [--data-dir DIR] [--wal-sync always|interval] \
          [--wal-sync-interval-ms MS] [--checkpoint-interval-ms MS] [--wal-retain]"
     );
     exit(2)
@@ -248,7 +243,6 @@ fn parse_options() -> Options {
             }
             "--max-users" => opts.max_users = Some(value.parse().unwrap_or_else(|_| usage())),
             "--max-items" => opts.max_items = Some(value.parse().unwrap_or_else(|_| usage())),
-            "--max-swaps" => opts.max_swaps = Some(value.parse().unwrap_or_else(|_| usage())),
             "--feedback-window" => {
                 opts.feedback_window = value
                     .parse()
@@ -439,9 +433,6 @@ fn main() {
         gf_serve::validate_grouping_name(&name)
             .unwrap_or_else(|e| fail(format!("--grouping {spec:?}: {e}")));
         cfg = cfg.with_grouping(name, gc);
-    }
-    if let Some(max_swaps) = opts.max_swaps {
-        cfg = cfg.with_max_swaps(max_swaps);
     }
 
     // The boot closure runs only on cold durable starts; when it does,

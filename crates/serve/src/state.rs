@@ -118,14 +118,6 @@ pub struct ServeConfig {
     /// Upper bound on how many rating updates one background re-formation
     /// pass applies; more pending updates simply take more passes.
     pub max_updates_per_pass: usize,
-    /// Repair-pass budget for the standing incremental formers
-    /// ([`IncrementalFormer::with_max_swaps`]): `None` (the default) keeps
-    /// the unbounded, exactly-cold repair; `Some(n)` caps how many buckets
-    /// one refresh may admit, bounding worst-case refresh latency at the
-    /// documented quality bound. A capped server still converges once
-    /// updates quiesce — the background worker runs catch-up passes over
-    /// an empty journal until the deferred admissions drain.
-    pub max_swaps: Option<usize>,
     /// Capacity of the sliding feedback window behind the online quality
     /// metrics (`/v1/feedback`, the `quality` block of `/v1/stats`). The
     /// window keeps the most recent consumptions only; the cumulative
@@ -135,15 +127,13 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: only the `"default"` grouping, a 5 ms batching window, at
-    /// most 1024 updates per pass, an unbounded repair budget and a
-    /// 1024-event feedback window.
+    /// most 1024 updates per pass and a 1024-event feedback window.
     pub fn new(formation: FormationConfig) -> Self {
         ServeConfig {
             formation,
             groupings: Vec::new(),
             batch_window: Duration::from_millis(5),
             max_updates_per_pass: 1024,
-            max_swaps: None,
             feedback_window: 1024,
         }
     }
@@ -163,13 +153,6 @@ impl ServeConfig {
     /// Overrides the per-pass update bound (clamped to at least 1).
     pub fn with_max_updates_per_pass(mut self, max: usize) -> Self {
         self.max_updates_per_pass = max.max(1);
-        self
-    }
-
-    /// Caps the incremental formers' per-refresh repair budget (see
-    /// [`ServeConfig::max_swaps`]).
-    pub fn with_max_swaps(mut self, max_swaps: usize) -> Self {
-        self.max_swaps = Some(max_swaps);
         self
     }
 
@@ -279,8 +262,8 @@ pub struct Snapshot {
     /// **per applied journal record**, so the version a given rating
     /// history produces is independent of how passes chunked the journal —
     /// a crash-replayed server lands on exactly the version the
-    /// uninterrupted run reached. `/form` and capped-repair catch-up
-    /// passes advance it by one.
+    /// uninterrupted run reached. A `/form` advances it by one; nothing
+    /// else does.
     pub version: u64,
     /// How much of the durable journal this snapshot bakes in.
     pub progress: Progress,
@@ -466,8 +449,6 @@ pub struct ServeState {
     wakeup: Condvar,
     batcher: Batcher,
     max_updates_per_pass: usize,
-    /// Repair budget applied to every standing former.
-    max_swaps: Option<usize>,
     /// Raw-id translation (`--raw-ids`); absent means `/rate` ids are
     /// dense indices, set once at boot via
     /// [`ServeState::attach_raw_ids`].
@@ -498,7 +479,7 @@ impl ServeState {
         let mut groupings = BTreeMap::new();
         let mut formers = BTreeMap::new();
         for (name, fc) in configs {
-            let former = fresh_former(&matrix, &prefs, fc, cfg.max_swaps)?;
+            let former = IncrementalFormer::new(&matrix, &prefs, fc)?;
             let formation = former.result().clone();
             groupings.insert(
                 name.clone(),
@@ -523,7 +504,7 @@ impl ServeState {
     /// imported warm so its first post-restart pass stays on the
     /// dirty-bucket path. A grouping checkpointed without one gets a
     /// fresh former on its first rating pass instead. Non-formation
-    /// knobs (batch window, pass bounds, repair budget) come from `cfg`;
+    /// knobs (batch window, pass bound, feedback window) come from `cfg`;
     /// the *formation* configurations are the checkpoint's — they are
     /// part of the durable state a `/form` may have changed since boot
     /// flags were last read.
@@ -541,8 +522,7 @@ impl ServeState {
         for g in ck.groupings {
             if let Some(state) = g.former {
                 let former = IncrementalFormer::import_state(&matrix, g.config, &state)?;
-                let max_swaps = cfg.max_swaps.unwrap_or(usize::MAX);
-                formers.insert(g.name.clone(), former.with_max_swaps(max_swaps));
+                formers.insert(g.name.clone(), former);
             }
             groupings.insert(
                 g.name,
@@ -614,7 +594,6 @@ impl ServeState {
             wakeup: Condvar::new(),
             batcher: Batcher::new(cfg.batch_window),
             max_updates_per_pass: cfg.max_updates_per_pass.max(1),
-            max_swaps: cfg.max_swaps,
             raw_ids: OnceLock::new(),
             candidates: Mutex::new(CandidateCache {
                 engine: CandidateEngine::new(),
@@ -1066,7 +1045,7 @@ impl ServeState {
                         .is_ok()
                 });
             if !refreshed {
-                let former = fresh_former(&matrix, &prefs, cfg, self.max_swaps)?;
+                let former = IncrementalFormer::new(&matrix, &prefs, cfg)?;
                 formers.insert(name.clone(), former);
             }
             let path = if incremental {
@@ -1117,68 +1096,11 @@ impl ServeState {
         Ok(chunk.len())
     }
 
-    /// One catch-up pass for a capped repair budget
-    /// ([`ServeConfig::with_max_swaps`]): when the journal is empty but
-    /// some grouping's standing former had to defer bucket admissions on
-    /// its last refresh ([`IncrementalFormer::selection_lag`] > 0), an
-    /// empty refresh admits the next budget's worth for every such
-    /// grouping and installs the improved snapshot. Returns whether a
-    /// pass ran (callers loop until `false`). With an unbounded budget
-    /// (the default) the lag is always 0 and this is a no-op.
-    pub fn catch_up(&self) -> Result<bool> {
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
-        if !self
-            .pending
-            .lock()
-            .expect("pending lock poisoned")
-            .entries
-            .is_empty()
-        {
-            return Ok(false); // real updates take priority; they catch up too
-        }
-        let current = self.snapshot();
-        // Taken out like in `process_pending`, for the same reason.
-        let mut formers = std::mem::take(&mut *writer);
-        let n_users = current.matrix.n_users();
-        let next_version = current.version + 1;
-        let mut groupings = current.groupings.clone();
-        let mut improved = false;
-        for (name, former) in formers.iter_mut() {
-            let lag_before = former.selection_lag();
-            if lag_before <= 0.0 {
-                continue;
-            }
-            former.refresh(&current.matrix, &current.prefs, &[])?;
-            if former.selection_lag() >= lag_before {
-                // A zero budget (or a tie) makes no progress; installing
-                // the identical formation forever would spin. Keep the
-                // bounded snapshot — the quality bound still holds.
-                continue;
-            }
-            let formation = former.result().clone();
-            let g = GroupingState::new(*former.config(), formation, n_users, next_version);
-            groupings.insert(name.clone(), g);
-            self.stats
-                .refresh_incremental
-                .fetch_add(1, Ordering::Relaxed);
-            improved = true;
-        }
-        *writer = formers;
-        if !improved {
-            return Ok(false);
-        }
-        self.install(current.with_groupings(groupings, next_version));
-        self.stats.refresh_passes.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
-    }
-
     /// Synchronously applies *all* pending updates (possibly over several
-    /// bounded passes), then drains any capped-repair catch-up. After
-    /// `flush` returns, queries see every rating accepted before the call
-    /// and every capped former has converged as far as its budget allows.
+    /// bounded passes). After `flush` returns, queries see every rating
+    /// accepted before the call.
     pub fn flush(&self) -> Result<()> {
         while self.process_pending()? > 0 {}
-        while self.catch_up()? {}
         Ok(())
     }
 
@@ -1205,7 +1127,7 @@ impl ServeState {
             let mut writer = self.writer.lock().expect("writer lock poisoned");
             let current = self.snapshot();
             // The ratings are unchanged: the new snapshot shares them.
-            let former = fresh_former(&current.matrix, &current.prefs, cfg, self.max_swaps)?;
+            let former = IncrementalFormer::new(&current.matrix, &current.prefs, cfg)?;
             let formation = former.result().clone();
             let next_version = current.version + 1;
             let mut groupings = current.groupings.clone();
@@ -1236,12 +1158,6 @@ impl ServeState {
             // A failure here means a validated update stopped applying —
             // only possible through a serve-layer bug; surface loudly.
             self.process_pending().expect("background pass failed");
-            // Once the journal drains, let a capped repair budget converge
-            // before parking again (no-op under the default unbounded
-            // budget).
-            if self.pending_len() == 0 {
-                while self.catch_up().expect("catch-up pass failed") {}
-            }
         }
     }
 
@@ -1344,19 +1260,6 @@ impl ServeState {
         *slot = Arc::clone(&shared);
         shared
     }
-}
-
-/// Forms `cfg`'s grouping from scratch over `matrix`: the standing former
-/// a grouping installs the `result()` of on boot, on `/form` and on every
-/// cold pass, under the server's repair budget.
-fn fresh_former(
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    cfg: FormationConfig,
-    max_swaps: Option<usize>,
-) -> Result<IncrementalFormer> {
-    // `usize::MAX` is the former's own unbounded default.
-    Ok(IncrementalFormer::new(matrix, prefs, cfg)?.with_max_swaps(max_swaps.unwrap_or(usize::MAX)))
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@
 //! Three kill points: before any checkpoint exists (WAL-only recovery),
 //! between rapid periodic checkpoints (checkpoint + tail), and a
 //! double-crash immediately after a recovery (recover-from-recovery).
-//! None of them use `--max-swaps`: exact version equality is guaranteed
-//! under the default unbounded repair budget only (capped servers run
-//! catch-up passes that advance the version without journal records).
+//! Exact version equality holds because every version step is a journal
+//! record: each applied record advances the version by one, and nothing
+//! else in these runs does.
 //!
 //! Every server runs a three-entry grouping registry — `default`
 //! (least-misery), `av` (average) and `cons` (consensus) — over the one

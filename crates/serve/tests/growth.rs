@@ -2,9 +2,7 @@
 //! `GrowthPolicy::Grow` admits never-seen users and items through the
 //! ordinary `/v1/rate` path — journal entry, background pass, snapshot
 //! succession — without a restart, and keeps every snapshot equal to a
-//! cold rebuild over the union universe. Also exercises the capped-repair
-//! serving mode: a `--max-swaps`-style budget still converges to the
-//! unbounded grouping once updates quiesce.
+//! cold rebuild over the union universe.
 
 use gf_core::{
     Aggregation, FormationConfig, GfError, GrowthPolicy, RatingMatrix, RatingScale, Semantics,
@@ -206,70 +204,4 @@ fn cap_exhaustion_is_clean() {
         fixed.rate(4, 0, 3.0),
         Err(GfError::UserOutOfRange { .. })
     ));
-}
-
-/// Capped-repair serving mode: with `with_max_swaps(1)` every refresh may
-/// defer bucket admissions, but once updates quiesce the catch-up passes
-/// (run by `flush` and the background worker) converge the snapshot to
-/// exactly what an unbounded server serves.
-#[test]
-fn capped_server_converges_once_updates_quiesce() {
-    let formation = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 2, 4)
-        .with_refresh(gf_core::RefreshMode::Incremental)
-        .with_growth(GrowthPolicy::Grow {
-            max_users: 64,
-            max_items: 64,
-        });
-    let capped = ServeState::new(
-        base_matrix(10, 5),
-        ServeConfig::new(formation)
-            .with_batch_window(Duration::ZERO)
-            .with_max_updates_per_pass(2)
-            .with_max_swaps(1),
-    )
-    .unwrap();
-    // A stream that reshapes buckets and admits new users.
-    let updates: Vec<(u32, u32, f64)> = vec![
-        (0, 0, 5.0),
-        (1, 1, 5.0),
-        (12, 0, 5.0),
-        (12, 1, 5.0),
-        (3, 2, 1.0),
-        (14, 3, 4.0),
-        (7, 0, 2.0),
-    ];
-    for &(u, i, r) in &updates {
-        capped.rate(u, i, r).unwrap();
-    }
-    // flush drains the journal *and* the capped catch-up passes.
-    capped.flush().unwrap();
-    let warm = capped.snapshot();
-
-    let unbounded = ServeState::new(
-        warm.matrix.as_ref().clone(),
-        ServeConfig::new(warm.default_grouping().config).with_batch_window(Duration::ZERO),
-    )
-    .unwrap();
-    let cold = unbounded.snapshot();
-    assert_eq!(
-        warm.default_grouping().formation,
-        cold.default_grouping().formation,
-        "capped server failed to converge after quiescence"
-    );
-    assert_eq!(
-        warm.default_grouping().assignment,
-        cold.default_grouping().assignment
-    );
-    // Catch-up passes really ran as installs (version beyond the update
-    // passes alone is not guaranteed, but the counters must balance).
-    let stats = &capped.stats;
-    use std::sync::atomic::Ordering;
-    assert_eq!(
-        stats.rates_applied.load(Ordering::Relaxed),
-        updates.len() as u64
-    );
-    assert!(
-        stats.refresh_incremental.load(Ordering::Relaxed)
-            >= stats.refresh_passes.load(Ordering::Relaxed)
-    );
 }
