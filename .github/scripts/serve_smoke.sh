@@ -444,6 +444,44 @@ diff -u "$COLD_OUT" "$AUTO_OUT" \
 trap 'rm -rf "$DATA_DIR"' EXIT
 
 # ---------------------------------------------------------------------------
+# k-crossing admission: a catalogue smaller than --k grows past it. The
+# admitting rating and the two plain ratings behind it all apply (one
+# version each), the crossed grouping rebuilds cold, and /stats carries no
+# split counter.
+# ---------------------------------------------------------------------------
+echo "== growth: an item admission that crosses k applies whole =="
+KCROSS_PORT=$((PORT + 9))
+BASE="http://127.0.0.1:${KCROSS_PORT}"
+KCROSS_LOG=$(mktemp)
+"$BIN" --port "$KCROSS_PORT" --synth 30x2 --k 3 --ell 3 --grow >"$KCROSS_LOG" 2>&1 &
+SERVER_PID=$!
+trap 'kill "$SERVER_PID" 2>/dev/null || true; cat "$KCROSS_LOG"; rm -rf "$DATA_DIR"' EXIT
+for _ in $(seq 1 100); do
+  grep -q "listening on" "$KCROSS_LOG" && break
+  kill -0 "$SERVER_PID" 2>/dev/null || { echo "k-crossing server died during startup"; exit 1; }
+  sleep 0.1
+done
+grep -q "listening on" "$KCROSS_LOG" || { echo "k-crossing server never became ready"; exit 1; }
+version=$(request GET /v1/stats 200 | jq -e -r 'select(.n_items == 2) | .version')
+request POST /v1/rate 202 '{"user":0,"item":2,"rating":4}' >/dev/null
+request POST /v1/rate 202 '{"user":1,"item":0,"rating":3}' >/dev/null
+request POST /v1/rate 202 '{"user":2,"item":1,"rating":5}' >/dev/null
+# `pending` drops when a pass drains the journal, before it installs, so
+# wait for the version as well.
+stats=""
+for _ in $(seq 1 100); do
+  stats=$(request GET /v1/stats 200)
+  jq -e '.pending == 0 and .version >= '"$((version + 3))" <<<"$stats" >/dev/null && break
+  sleep 0.1
+done
+jq -e '.pending == 0 and .version == '"$((version + 3))"' and .n_items == 3
+  and .refresh_cold >= 1 and (has("admission_splits") | not)' <<<"$stats" >/dev/null \
+  || { echo "FAIL: k-crossing admission: $stats"; exit 1; }
+kill "$SERVER_PID" 2>/dev/null || true
+wait "$SERVER_PID" 2>/dev/null || true
+trap 'rm -rf "$DATA_DIR"' EXIT
+
+# ---------------------------------------------------------------------------
 # A retired flag fails loudly: --max-swaps (the old capped repair budget)
 # no longer exists, so a deployment still passing it must exit 2 with the
 # usage line instead of booting with the flag silently ignored.

@@ -35,11 +35,9 @@
 pub mod bucket;
 mod greedy;
 pub mod incremental;
-pub mod overlap;
 
 pub use greedy::GreedyFormer;
 pub use incremental::{FormerBucket, FormerState, IncrementalFormer, RatingDelta};
-pub use overlap::{OverlapConfig, OverlappingFormer, OverlappingGrouping};
 
 use crate::aggregate::Aggregation;
 use crate::error::{GfError, Result};

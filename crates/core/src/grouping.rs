@@ -72,11 +72,6 @@ impl Grouping {
         self.groups.iter().map(Group::len).collect()
     }
 
-    /// Total number of users across all groups.
-    pub fn n_assigned(&self) -> usize {
-        self.groups.iter().map(Group::len).sum()
-    }
-
     /// The group index each user belongs to; `None` where unassigned.
     pub fn assignment(&self, n_users: u32) -> Vec<Option<usize>> {
         let mut assign = vec![None; n_users as usize];
@@ -142,7 +137,6 @@ mod tests {
         let g = Grouping::new(vec![group(&[0, 1], 5.0), group(&[2], 3.0)]);
         assert_eq!(g.objective(), 8.0);
         assert_eq!(g.sizes(), vec![2, 1]);
-        assert_eq!(g.n_assigned(), 3);
     }
 
     #[test]

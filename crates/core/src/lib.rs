@@ -77,7 +77,6 @@ mod rows;
 pub mod scale;
 pub mod semantics;
 pub mod threads;
-pub mod userweight;
 pub mod weights;
 
 pub use aggregate::Aggregation;
@@ -99,5 +98,4 @@ pub use prefs::PrefIndex;
 pub use scale::RatingScale;
 pub use semantics::{AggSemantics, Semantics};
 pub use threads::resolve_threads;
-pub use userweight::WeightedRecommender;
 pub use weights::WeightScheme;

@@ -48,11 +48,6 @@ impl GrowthPolicy {
         }
     }
 
-    /// Whether this policy admits any new ids at all.
-    pub fn allows_growth(self) -> bool {
-        matches!(self, GrowthPolicy::Grow { .. })
-    }
-
     /// Validates admitting `user` given `n_users` current users: `Ok` with
     /// the (possibly unchanged) user count a matrix containing `user` must
     /// have, or the policy's refusal.
@@ -644,16 +639,6 @@ impl ItemMajor {
         let i = i as usize;
         &self.scores[self.offsets[i]..self.offsets[i + 1]]
     }
-
-    /// Mean rating of item `i`, if anyone rated it.
-    pub fn item_mean(&self, i: u32) -> Option<f64> {
-        let s = self.item_scores(i);
-        if s.is_empty() {
-            None
-        } else {
-            Some(s.iter().sum::<f64>() / s.len() as f64)
-        }
-    }
 }
 
 /// Incremental builder for [`RatingMatrix`].
@@ -926,7 +911,6 @@ mod tests {
         assert_eq!(t.item_users(0), &[0, 1, 2, 3, 4, 5]);
         // Column i2 of Table 1: 4 3 5 5 1 2.
         assert_eq!(t.item_scores(1), &[4.0, 3.0, 5.0, 5.0, 1.0, 2.0]);
-        assert_eq!(t.item_mean(1), Some(20.0 / 6.0));
     }
 
     #[test]
@@ -942,7 +926,6 @@ mod tests {
         assert_eq!(t.item_users(1), &[0, 2]);
         assert_eq!(t.item_scores(1), &[2.0, 4.0]);
         assert_eq!(t.degree(2), 0);
-        assert_eq!(t.item_mean(2), None);
     }
 
     #[test]

@@ -154,12 +154,6 @@ impl PrefIndex {
         (&items[..t], &scores[..t])
     }
 
-    /// `u`'s `k`-th best score `sc(u, i^k)`, if `u` rated at least `k` items.
-    pub fn kth_score(&self, u: u32, k: usize) -> Option<f64> {
-        debug_assert!(k >= 1);
-        self.ranked_scores(u).get(k - 1).copied()
-    }
-
     /// Builds the successor index for `matrix`, in which `users`' rows
     /// changed: their preference lists are re-sorted from the matrix, and
     /// only the row chunks holding them are rebuilt — every other chunk is
@@ -183,13 +177,6 @@ impl PrefIndex {
                 |u, _, _, items, scores| push_ranked(matrix, u, &mut row, items, scores),
             ),
         }
-    }
-
-    /// The rank (0-based position) of `item` in `u`'s preference list, or
-    /// `None` if `u` did not rate it. O(d) scan — used by evaluation code,
-    /// not by the formation hot path.
-    pub fn rank_of(&self, u: u32, item: u32) -> Option<usize> {
-        self.ranked_items(u).iter().position(|&i| i == item)
     }
 }
 
@@ -234,8 +221,6 @@ mod tests {
         let (items, scores) = prefs.top_k(0, 2);
         assert_eq!(items, &[1, 2]); // u1: i2 (4), i3 (3)
         assert_eq!(scores, &[4.0, 3.0]);
-        assert_eq!(prefs.kth_score(0, 2), Some(3.0));
-        assert_eq!(prefs.kth_score(0, 4), None);
     }
 
     #[test]
@@ -254,22 +239,6 @@ mod tests {
         let (items, _) = prefs.top_k(1, 10);
         assert!(items.is_empty());
         assert_eq!(prefs.degree(1), 0);
-    }
-
-    #[test]
-    fn rank_of() {
-        let prefs = PrefIndex::build(&example1());
-        assert_eq!(prefs.rank_of(1, 2), Some(0)); // u2's best is i3
-        assert_eq!(prefs.rank_of(1, 0), Some(2));
-        let sparse = crate::matrix::RatingMatrix::from_triples(
-            1,
-            4,
-            vec![(0, 2, 3.0)],
-            RatingScale::one_to_five(),
-        )
-        .unwrap();
-        let p = PrefIndex::build(&sparse);
-        assert_eq!(p.rank_of(0, 0), None);
     }
 
     #[test]

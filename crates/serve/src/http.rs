@@ -193,10 +193,6 @@ fn dispatch(state: &ServeState, req: &HttpRequest, path: &str) -> (u16, Json) {
                         "refresh_mode",
                         Json::from(snap.default_grouping().config.refresh.tag()),
                     ),
-                    (
-                        "admission_splits",
-                        Json::from(s.admission_splits.load(Ordering::Relaxed)),
-                    ),
                     ("groupings", groupings_json(&snap)),
                     ("n_users", Json::from(snap.matrix.n_users())),
                     ("n_items", Json::from(snap.matrix.n_items())),
@@ -1038,6 +1034,34 @@ mod tests {
         );
         assert_eq!(post(&s, "/v1/rate", "not json").0, 400);
         assert_eq!(post(&s, "/v1/rate", r#"{"user":0}"#).0, 400);
+    }
+
+    #[test]
+    fn raw_id_rate_rejects_ids_a_double_would_round() {
+        use gf_datasets::IdRemapper;
+        let s = test_state();
+        // Raw user 2^53 is user 8; 2^53 + 1 would round onto it.
+        let users = IdRemapper::from_ids((0..8).chain([1u64 << 53]).collect());
+        let items = IdRemapper::from_ids((0..5).collect());
+        s.attach_raw_ids(crate::RawIdLayer::new(users, items));
+        for body in [
+            r#"{"user":9007199254740993,"item":0,"rating":5}"#,
+            r#"{"user":18446744073709551616,"item":0,"rating":5}"#,
+        ] {
+            let (status, err) = post(&s, "/v1/rate", body);
+            assert_eq!(status, 400, "{body}");
+            assert_eq!(
+                err.get("error").and_then(|e| e.get("code")),
+                Some(&Json::from("bad_request"))
+            );
+        }
+        assert_eq!(s.pending_len(), 0);
+        let (status, _) = post(
+            &s,
+            "/v1/rate",
+            r#"{"user":9007199254740992,"item":0,"rating":5}"#,
+        );
+        assert_eq!(status, 202);
     }
 
     #[test]

@@ -78,7 +78,8 @@ impl Json {
     /// The value as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
-            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
+            // `u64::MAX as f64` is 2^64 itself, which does not fit.
+            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64 => Some(n as u64),
             _ => None,
         }
     }
@@ -167,10 +168,15 @@ impl fmt::Display for Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => {
                 debug_assert!(n.is_finite(), "JSON cannot carry {n}");
-                if n.fract() == 0.0 && n.abs() < 1e15 {
+                // Integers print exactly while they fit an i64 (so they
+                // parse back as the same integer literal), in exponent form
+                // beyond that; only fractions take the plain f64 form.
+                if n.fract() != 0.0 {
+                    write!(f, "{n}")
+                } else if n.abs() < i64::MAX as f64 {
                     write!(f, "{}", *n as i64)
                 } else {
-                    write!(f, "{n}")
+                    write!(f, "{n:e}")
                 }
             }
             Json::Str(s) => write_escaped(f, s),
@@ -386,15 +392,26 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        let n: f64 = text.parse().map_err(|_| JsonError {
+        let invalid = JsonError {
             at: start,
             message: "invalid number",
-        })?;
+        };
+        let n: f64 = text.parse().map_err(|_| invalid.clone())?;
         if !n.is_finite() {
             return Err(JsonError {
                 at: start,
                 message: "number out of range",
             });
+        }
+        // An integer literal (ids, counts) must be a u64, or an i64 when
+        // negative, that the f64 carries exactly: `2^53 + 1` or `2^64`
+        // would otherwise round into a different integer.
+        if !text.contains(['.', 'e', 'E']) {
+            let in_range = i128::from(i64::MIN)..=i128::from(u64::MAX);
+            match text.parse::<i128>() {
+                Ok(v) if in_range.contains(&v) && n as i128 == v => {}
+                _ => return Err(invalid),
+            }
         }
         Ok(Json::Num(n))
     }
@@ -411,6 +428,9 @@ mod tests {
         assert_eq!(Json::parse("false").unwrap(), Json::Bool(false));
         assert_eq!(Json::parse("3.5").unwrap(), Json::Num(3.5));
         assert_eq!(Json::parse("-12e2").unwrap(), Json::Num(-1200.0));
+        assert_eq!(Json::parse("1e30").unwrap(), Json::Num(1e30));
+        let two_60 = Json::parse("1152921504606846976").unwrap();
+        assert_eq!(two_60.as_u64(), Some(1 << 60));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
     }
 
@@ -444,6 +464,15 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+        // Integers an f64 would round into another one: 2^53 + 1, 2^64
+        // and i64::MIN - 1.
+        for bad in [
+            "9007199254740993",
+            "18446744073709551616",
+            "-9223372036854775809",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
     }
 
     #[test]
@@ -463,6 +492,11 @@ mod tests {
         let text = v.to_string();
         assert_eq!(text, r#"{"n":42,"f":2.25,"s":"text","a":[null,false]}"#);
         assert_eq!(Json::parse(&text).unwrap(), v);
+        // Large integers render in a form that parses back to themselves.
+        for n in [(1u64 << 60) as f64, 1e20, -1e19] {
+            let text = Json::Num(n).to_string();
+            assert_eq!(Json::parse(&text).unwrap(), Json::Num(n), "{text}");
+        }
     }
 
     #[test]
@@ -477,5 +511,6 @@ mod tests {
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(7.0).as_u64(), Some(7));
+        assert_eq!(Json::Num(18446744073709551616.0).as_u64(), None);
     }
 }

@@ -47,9 +47,13 @@
 //! * **incremental** — the standing former moves only the dirty users
 //!   between their greedy buckets and splices the result back into the
 //!   grouping, making refresh cost proportional to the update batch;
-//! * **cold** — a fresh former over the whole population (also taken
-//!   whenever an item admission moved the grouping's effective top-`k`
-//!   length — see below).
+//! * **cold** — a fresh former over the whole population.
+//!
+//! An item admission that pushes the catalogue past a grouping's `k`
+//! changes every user's top-`k` signature at once, so that grouping
+//! rebuilds cold in the same pass, over the post-chunk matrix; the rest
+//! of the chunk (ratings behind the admission included) is applied whole,
+//! and every other grouping refreshes as usual.
 //!
 //! A grouping without a former — restored from a checkpoint that carried
 //! none, whose refresh returned an error, or left by a pass that failed
@@ -58,20 +62,6 @@
 //! cold rebuild over the same ratings produces, whatever the refresh mode
 //! (`tests/serve_props.rs`); `/stats` reports which path each grouping
 //! refresh took.
-//!
-//! ## Admission-aware refresh scheduling
-//!
-//! Item admissions interact with the warm formers: while the catalogue
-//! has fewer than `k` items, every top-`k` signature has the catalogue's
-//! length; the admission that pushes the catalogue past a grouping's `k`
-//! changes every user's signature at once, so an incremental refresh
-//! would dirty the whole population. When a drained batch contains such
-//! a crossing, the pass **splits** it: the prefix through the last
-//! item-admitting record applies first (the crossing grouping re-forms
-//! cold, exactly once), and the user-rating tail is spliced back onto the
-//! *front* of the journal to ride the re-warmed former on the next pass.
-//! Journal order — and therefore the chunking-invariant versioning — is
-//! preserved.
 //!
 //! ## The quality loop
 //!
@@ -334,9 +324,6 @@ pub struct Stats {
     pub users_admitted: AtomicU64,
     /// Items admitted at serve time under [`gf_core::GrowthPolicy::Grow`].
     pub items_admitted: AtomicU64,
-    /// Rating-pass splits forced by an item admission crossing a
-    /// grouping's top-`k` length (see the module docs).
-    pub admission_splits: AtomicU64,
     /// WAL records appended by this process (0 when running volatile).
     pub wal_records: AtomicU64,
     /// Checkpoints written by this process (boot checkpoint included).
@@ -872,11 +859,12 @@ impl ServeState {
     /// **every registered grouping** under its own configuration —
     /// incrementally (dirty buckets only) or cold, per
     /// [`gf_core::RefreshMode`] and the dirty-set size — and installs the
-    /// result. Returns how many updates were applied (0 when nothing was
-    /// pending).
+    /// result. A grouping whose top-`k` length an item admission in the
+    /// chunk crosses rebuilds cold in the same pass. Returns how many
+    /// updates were applied (0 when nothing was pending).
     pub fn process_pending(&self) -> Result<usize> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let mut chunk: Vec<PendingEntry> = {
+        let chunk: Vec<PendingEntry> = {
             let mut q = self.pending.lock().expect("pending lock poisoned");
             let take = q.entries.len().min(self.max_updates_per_pass);
             q.entries.drain(..take).collect()
@@ -885,39 +873,6 @@ impl ServeState {
             return Ok(0);
         }
         let current = self.snapshot();
-        // Admission-aware split (module docs): if an item admission in
-        // this chunk pushes the catalogue past some grouping's `k`, apply
-        // only the prefix through the last admitting record now and push
-        // the user-rating tail back to the journal's front. The crossing
-        // grouping pays its unavoidable cold rebuild on the short prefix;
-        // the tail then rides the re-warmed former incrementally. Safe
-        // because versioning is chunking-invariant. Only rating records
-        // can admit; feedback riding in the split tail keeps its place in
-        // journal order.
-        let base_items = current.matrix.n_items();
-        let mut max_item = base_items;
-        let mut last_growth = 0usize;
-        for (idx, e) in chunk.iter().enumerate() {
-            if let PendingEntry::Rating { item, .. } = e {
-                if *item >= max_item {
-                    max_item = item + 1;
-                    last_growth = idx + 1;
-                }
-            }
-        }
-        let crosses = max_item > base_items
-            && current
-                .groupings
-                .values()
-                .any(|g| g.config.k.min(base_items as usize) != g.config.k.min(max_item as usize));
-        if crosses && last_growth < chunk.len() {
-            let tail = chunk.split_off(last_growth);
-            let mut q = self.pending.lock().expect("pending lock poisoned");
-            q.entries.splice(0..0, tail);
-            drop(q);
-            self.stats.admission_splits.fetch_add(1, Ordering::Relaxed);
-            self.wakeup.notify_one();
-        }
         let updates: Vec<(u32, u32, f64)> = chunk
             .iter()
             .filter_map(|e| match e {
@@ -1029,7 +984,8 @@ impl ServeState {
             // An item admission that crossed this grouping's top-`k`
             // length rewrites every signature; incremental repair would
             // degenerate, so take the cold rebuild deliberately.
-            let k_crossed = cfg.k.min(base_items as usize) != cfg.k.min(matrix.n_items() as usize);
+            let k_crossed = cfg.k.min(current.matrix.n_items() as usize)
+                != cfg.k.min(matrix.n_items() as usize);
             let incremental = !k_crossed && cfg.refresh.use_incremental(dirty.len(), n_users);
             // A grouping without a former, or whose refresh fails, gets a
             // fresh one, exactly as on a cold pass.
@@ -1714,7 +1670,7 @@ mod tests {
     }
 
     #[test]
-    fn admission_split_defers_the_user_tail() {
+    fn k_crossing_admission_with_a_user_tail_applies_in_one_pass() {
         // k = 4 over a 3-item catalogue: the first admission that pushes
         // the catalogue to 4+ items crosses the top-k edge.
         let cfg = ServeConfig::new(
@@ -1725,19 +1681,21 @@ mod tests {
         let s = ServeState::new(matrix(10, 3), cfg).unwrap();
         s.rate(0, 0, 5.0).unwrap();
         s.flush().unwrap(); // warm former on the 3-item catalogue
+        let cold_before = s.stats.refresh_cold.load(Ordering::Relaxed);
         s.rate(1, 3, 4.0).unwrap(); // admits item 3 -> crosses k = 4
         s.rate(2, 0, 2.0).unwrap(); // plain user rating after the admission
         s.rate(3, 1, 1.0).unwrap();
-        // One bounded pass drains the admission prefix only.
-        assert_eq!(s.process_pending().unwrap(), 1);
-        assert_eq!(s.stats.admission_splits.load(Ordering::Relaxed), 1);
-        assert_eq!(s.pending_len(), 2);
-        assert_eq!(s.snapshot().matrix.n_items(), 4);
-        s.flush().unwrap();
-        // The deferred tail rode the re-warmed former incrementally.
+        // One bounded pass drains the admission and its tail together,
+        // and the crossed grouping rebuilds cold exactly once.
+        assert_eq!(s.process_pending().unwrap(), 3);
         assert_eq!(s.pending_len(), 0);
+        assert_eq!(
+            s.stats.refresh_cold.load(Ordering::Relaxed),
+            cold_before + 1
+        );
         let snap = s.snapshot();
-        // Versioning stayed chunking-invariant: 1 (boot) + 4 records.
+        assert_eq!(snap.matrix.n_items(), 4);
+        // 1 (boot) + 4 records.
         assert_eq!(snap.version, 5);
         let g = snap.default_grouping();
         assert_matches_cold(&snap, g);

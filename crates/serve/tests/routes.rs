@@ -3,8 +3,9 @@
 //! `src/http.rs`'s module docs, and the endpoint table in the repository
 //! `README.md` — must list exactly the same `(method, /v1 path)` rows,
 //! every row must dispatch to a real handler, and nothing outside `/v1`
-//! may. Documentation drifting from the implementation fails here, not in
-//! a user's terminal.
+//! may. The same goes for the `/v1/stats` keys and the OPERATIONS.md
+//! "Reading /stats" table. Documentation drifting from the implementation
+//! fails here, not in a user's terminal.
 
 use gf_core::{Aggregation, FormationConfig, RatingMatrix, RatingScale, Semantics};
 use gf_serve::http::route_full;
@@ -88,8 +89,7 @@ fn readme_endpoint_table_matches_the_live_route_table() {
     );
 }
 
-#[test]
-fn every_documented_route_reaches_a_handler_only_under_v1() {
+fn small_state() -> std::sync::Arc<ServeState> {
     let matrix = RatingMatrix::from_dense(
         &[
             &[1.0, 4.0, 3.0][..],
@@ -106,18 +106,48 @@ fn every_documented_route_reaches_a_handler_only_under_v1() {
         2,
         2,
     ));
-    let state = ServeState::new(matrix, cfg).unwrap();
+    ServeState::new(matrix, cfg).unwrap()
+}
+
+fn empty_request(method: &str, path: &str) -> HttpRequest {
+    HttpRequest {
+        method: method.to_string(),
+        path: path.to_string(),
+        query: String::new(),
+        body: String::new(),
+        keep_alive: false,
+    }
+}
+
+#[test]
+fn stats_keys_match_the_operations_table() {
+    let ops = read(&manifest_dir().join("../../docs/OPERATIONS.md"));
+    let mut documented: Vec<&str> = table_rows(&ops, "| field | meaning |", "docs/OPERATIONS.md")
+        .iter()
+        .filter_map(|row| {
+            let cell = row.trim().trim_start_matches('|').split('|').next()?.trim();
+            cell.strip_prefix('`')?.strip_suffix('`')
+        })
+        .collect();
+    documented.sort_unstable();
+    let out = route_full(&small_state(), &empty_request("GET", "/v1/stats"));
+    assert_eq!(out.status, 200);
+    let gf_serve::Json::Obj(fields) = &out.body else {
+        panic!("/v1/stats body is not an object: {:?}", out.body);
+    };
+    let mut live: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    live.sort_unstable();
+    assert_eq!(
+        documented, live,
+        "the OPERATIONS.md /stats table drifted from the live /v1/stats keys"
+    );
+}
+
+#[test]
+fn every_documented_route_reaches_a_handler_only_under_v1() {
+    let state = small_state();
     let error_code = |method: &str, path: &str| {
-        let out = route_full(
-            &state,
-            &HttpRequest {
-                method: method.to_string(),
-                path: path.to_string(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: false,
-            },
-        );
+        let out = route_full(&state, &empty_request(method, path));
         let code = out
             .body
             .get("error")
