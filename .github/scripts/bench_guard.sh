@@ -14,10 +14,17 @@
 #      O(nnz) rebuild on the incremental path drags the ratio up and
 #      trips it).
 #
-# Two incremental rows are guarded:
+# Three incremental rows are guarded:
 #
 # * `refresh_64_incremental` (LM grouping), factor 2, against the cold
 #   pass `refresh_64_cold`;
+# * `refresh_2_incremental` (LM grouping, 2 updates a pass), factor 2,
+#   against `refresh_64_cold`. A pass this small is the former's per-pass
+#   floor; a Step-2 selection or tail emission that scans every bucket or
+#   every user again roughly quadruples it at this scale (~0.23 ms
+#   against ~0.054 ms), and this rule failed all 5 runs of such a scan
+#   and passed all 5 runs of the indexed selection (see the
+#   batch-proportional Step-2 selection entry in EXPERIMENTS.md);
 # * `refresh_64_incremental_cons` (Consensus grouping), factor 1.5,
 #   against `refresh_64_incremental`, which does all of its work except
 #   scoring the tail group. Its maintained moment tail turns into a full
@@ -97,5 +104,6 @@ guard() {
 
 status=0
 guard "$GROUP/refresh_64_incremental" 2 "$GROUP/refresh_64_cold" || status=1
+guard "$GROUP/refresh_2_incremental" 2 "$GROUP/refresh_64_cold" || status=1
 guard "$GROUP/refresh_64_incremental_cons" 1.5 "$GROUP/refresh_64_incremental" || status=1
 exit $status

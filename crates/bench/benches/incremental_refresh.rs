@@ -12,6 +12,10 @@
 //!   `IncrementalFormer::new` rebuild every cold pass runs.
 //! * `refresh_64_incremental` — one bounded pass through the standing
 //!   former (steady state; the one-off former init is priced separately).
+//! * `refresh_2_incremental` — the same pass with only 2 updates, the
+//!   size of a pass under a steady trickle of writes: what is left once
+//!   the batch is tiny is the former's per-pass floor (Step-2 selection
+//!   and tail emission), which must not grow with the bucket count.
 //! * `refresh_64_incremental_cons` — the same pass with a Consensus
 //!   (λ = 0.5) grouping, whose tail group is scored from maintained
 //!   per-item moments: it must stay near the LM pass, and a fall back to
@@ -41,6 +45,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const BATCH: u32 = 64;
+
+/// The batch of `refresh_2_incremental`.
+const SMALL_BATCH: u32 = 2;
 
 fn serve_state(
     matrix: &gf_core::RatingMatrix,
@@ -87,17 +94,25 @@ fn incremental_refresh_benches(c: &mut Criterion) {
         10,
     )
     .with_threads(0);
-    for (name, formation, mode) in [
-        ("refresh_64_cold", formation, RefreshMode::Cold),
+    for (name, formation, mode, batch) in [
+        ("refresh_64_cold", formation, RefreshMode::Cold, BATCH),
         (
             "refresh_64_incremental",
             formation,
             RefreshMode::Incremental,
+            BATCH,
+        ),
+        (
+            "refresh_2_incremental",
+            formation,
+            RefreshMode::Incremental,
+            SMALL_BATCH,
         ),
         (
             "refresh_64_incremental_cons",
             consensus,
             RefreshMode::Incremental,
+            BATCH,
         ),
     ] {
         let state = serve_state(&corpus.matrix, formation, mode);
@@ -107,7 +122,7 @@ fn incremental_refresh_benches(c: &mut Criterion) {
         state.flush().unwrap();
         g.bench_function(name, |b| {
             b.iter(|| {
-                for _ in 0..BATCH {
+                for _ in 0..batch {
                     let (u, i, s) = next_update();
                     state.rate(u, i, s).unwrap();
                 }

@@ -180,12 +180,10 @@ pub fn key_for(
     }
 }
 
-/// Hashes one user into the bucket map, appending its key to `keys` when
-/// the caller records per-user keys (the key-less path clones nothing).
-#[allow(clippy::too_many_arguments)] // private helper: build_buckets' arguments plus (map, keys, u)
+/// Hashes one user into the bucket map.
+#[allow(clippy::too_many_arguments)] // private helper: build_buckets' arguments plus (map, u)
 fn insert_user(
     map: &mut FxHashMap<BucketKey, Bucket>,
-    keys: Option<&mut Vec<BucketKey>>,
     matrix: &RatingMatrix,
     prefs: &PrefIndex,
     semantics: Semantics,
@@ -196,9 +194,6 @@ fn insert_user(
 ) {
     let (items, scores) = personal_top_k(matrix, prefs, policy, u, k);
     let key = key_for(semantics, aggregation, &items, &scores);
-    if let Some(keys) = keys {
-        keys.push(key.clone());
-    }
     match map.entry(key) {
         std::collections::hash_map::Entry::Occupied(mut e) => {
             let b = e.get_mut();
@@ -226,8 +221,7 @@ pub fn build_buckets(
     policy: MissingPolicy,
     k: usize,
 ) -> Vec<Bucket> {
-    build_sharded(matrix, prefs, semantics, aggregation, policy, k, 1, false)
-        .0
+    build_sharded(matrix, prefs, semantics, aggregation, policy, k, 1)
         .into_values()
         .collect()
 }
@@ -256,22 +250,12 @@ pub fn build_buckets_threaded(
     k: usize,
     n_threads: usize,
 ) -> Vec<Bucket> {
-    build_sharded(
-        matrix,
-        prefs,
-        semantics,
-        aggregation,
-        policy,
-        k,
-        n_threads,
-        false,
-    )
-    .0
-    .into_values()
-    .collect()
+    build_sharded(matrix, prefs, semantics, aggregation, policy, k, n_threads)
+        .into_values()
+        .collect()
 }
 
-/// Step-1 build that also records every user's bucket key — what a
+/// Step-1 build that keeps the bucket map, keys included — what a
 /// standing [`IncrementalFormer`](super::IncrementalFormer) needs to keep
 /// its bucket state patchable. Threaded exactly like
 /// [`build_buckets_threaded`] (same sharding, same merge, same bit-for-bit
@@ -285,25 +269,13 @@ pub fn build_bucket_map_threaded(
     policy: MissingPolicy,
     k: usize,
     n_threads: usize,
-) -> (FxHashMap<BucketKey, Bucket>, Vec<BucketKey>) {
-    build_sharded(
-        matrix,
-        prefs,
-        semantics,
-        aggregation,
-        policy,
-        k,
-        n_threads,
-        true,
-    )
+) -> FxHashMap<BucketKey, Bucket> {
+    build_sharded(matrix, prefs, semantics, aggregation, policy, k, n_threads)
 }
 
 /// The one Step-1 builder behind the three public ones: hashes users
 /// `0..n` into a bucket map on `n_threads` workers over contiguous user
-/// ranges, merges the shard maps in shard order, and — with
-/// `record_keys` — returns every user's key in user order (otherwise an
-/// empty list, and no key is cloned).
-#[allow(clippy::too_many_arguments)] // private helper: the public builders' arguments plus the key switch
+/// ranges and merges the shard maps in shard order.
 fn build_sharded(
     matrix: &RatingMatrix,
     prefs: &PrefIndex,
@@ -312,18 +284,14 @@ fn build_sharded(
     policy: MissingPolicy,
     k: usize,
     n_threads: usize,
-    record_keys: bool,
-) -> (FxHashMap<BucketKey, Bucket>, Vec<BucketKey>) {
+) -> FxHashMap<BucketKey, Bucket> {
     let n = matrix.n_users() as usize;
     let threads = crate::resolve_threads(n_threads, n);
     let build_range = |range: std::ops::Range<usize>| {
         let mut map: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-        let mut keys: Vec<BucketKey> =
-            Vec::with_capacity(if record_keys { range.len() } else { 0 });
         for u in range {
             insert_user(
                 &mut map,
-                record_keys.then_some(&mut keys),
                 matrix,
                 prefs,
                 semantics,
@@ -333,13 +301,13 @@ fn build_sharded(
                 u as u32,
             );
         }
-        (map, keys)
+        map
     };
     if threads <= 1 {
         return build_range(0..n);
     }
     let build_range = &build_range;
-    let shards: Vec<(FxHashMap<BucketKey, Bucket>, Vec<BucketKey>)> = std::thread::scope(|scope| {
+    let shards: Vec<FxHashMap<BucketKey, Bucket>> = std::thread::scope(|scope| {
         let handles: Vec<_> = crate::threads::even_ranges(n, threads)
             .into_iter()
             .map(|range| scope.spawn(move || build_range(range)))
@@ -350,9 +318,7 @@ fn build_sharded(
             .collect()
     });
     let mut merged: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-    let mut user_keys: Vec<BucketKey> = Vec::with_capacity(if record_keys { n } else { 0 });
-    for (map, keys) in shards {
-        user_keys.extend(keys);
+    for map in shards {
         for (key, shard_bucket) in map {
             match merged.entry(key) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -374,7 +340,7 @@ fn build_sharded(
             }
         }
     }
-    (merged, user_keys)
+    merged
 }
 
 /// `(items, users, pos_min bits, pos_sum bits)` — one bucket in the

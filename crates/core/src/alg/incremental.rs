@@ -6,11 +6,12 @@
 //! updates only perturbs the buckets of the touched users, so a standing
 //! formation can be *patched* instead of recomputed: [`IncrementalFormer`]
 //! keeps the exact Step-1 bucket state alive between refreshes, moves only
-//! the dirty users between buckets, re-runs the (cheap) Step-2 selection
-//! over cached bucket satisfactions, and maintains the tail group's
-//! per-item score aggregates under member churn. Refresh cost is
-//! proportional to the update batch (plus an `O(B + m)` selection/tail
-//! scan with tiny constants), not to a full `O(nnz log nnz)` rebuild.
+//! the dirty users between buckets, reads the Step-2 selection off an
+//! ordered index of bucket ranks that only the touched buckets update,
+//! and maintains the tail group's member list and per-item score
+//! aggregates under member churn. Refresh cost is proportional to the
+//! update batch (plus an `O(m)` tail scoring pass and memcpy-grade
+//! emission), not to a full `O(nnz log nnz)` rebuild.
 //!
 //! ## Equivalence to a cold rebuild
 //!
@@ -18,8 +19,10 @@
 //! refreshes, the bucket multiset equals what [`bucket::build_buckets`]
 //! produces on the current matrix, bit for bit (touched buckets recompute
 //! their score vectors over members in ascending id order — the same
-//! accumulation order as a cold build). Every refresh re-runs the full
-//! Step-2 selection, so the emitted grouping is the cold
+//! accumulation order as a cold build). The rank index holds exactly one
+//! rank per standing bucket, each a pure function of the bucket's state,
+//! so its first `ell - 1` entries are always the full Step-2 selection,
+//! and the emitted grouping is the cold
 //! [`GreedyFormer`](super::GreedyFormer) grouping, exactly, whenever
 //! ratings sit on a dyadic grid (whole or half stars — every built-in
 //! [`crate::RatingScale`]) under [`MissingPolicy::Min`] or
@@ -30,30 +33,40 @@
 //! per update). That holds for all four semantics: Consensus scores the
 //! maintained moments through the same `consensus_score` closed form the
 //! cold engine uses, and LeaderWeighted adds the lowest-id tail member's
-//! row to the maintained sum. `tests/prop_incremental.rs` enforces both
-//! properties across random rating streams and dirty-set partitions.
+//! row to the maintained sum. `tests/prop_incremental.rs` enforces these
+//! properties across random rating streams and dirty-set partitions, and
+//! checks the index and the tail list against a from-scratch scan after
+//! every refresh.
 //!
 //! ## Costs per refresh
 //!
+//! With `B` standing buckets, `n` users and `m` items:
+//!
 //! * bucket maintenance: `O(Σ |touched bucket| · k)` — proportional to the
 //!   dirty batch for typical (small) buckets;
-//! * selection: `O(B + ell log ell)` over `B` standing buckets (a flat
-//!   scan of cached satisfactions);
+//! * selection: `O(ell + |touched| · log B)` — each touched bucket's rank
+//!   is noted before the bucket's first change and, once its scores are
+//!   recomputed, swapped in the index for the fresh rank if the two
+//!   differ; the selection is the index's first `ell - 1` entries;
 //! * tail scoring: `O(m)` under `MissingPolicy::Min` for every semantics
-//!   (maintained per-item moments; LeaderWeighted adds an `O(log d)`
-//!   lookup in the leader's row per item), `O(nnz_tail)` under
-//!   `Skip`/`UserMean` (full rescore);
+//!   (maintained per-item moments; LeaderWeighted's leader is the tail
+//!   list's first entry, plus an `O(log d)` lookup in its row per item),
+//!   `O(nnz_tail)` under `Skip`/`UserMean` (full rescore);
 //! * tail membership churn: `O(Σ d_u)` over users that enter/leave the
-//!   tail;
-//! * emission: `O(n)` to materialize the tail member list (plus cloning
-//!   the selected buckets into groups) — every refresh pays this flat
-//!   scan because [`FormationResult`] owns its member vectors, so the
-//!   per-refresh floor is `O(n + m + B)` with memcpy-grade constants
-//!   (~3 ms at 50k users), not strictly `O(batch)`.
+//!   tail, plus an `O(n)` shift per user spliced into or out of the sorted
+//!   tail list (a bulk change re-reads the `n` membership flags once);
+//! * emission: cloning the tail list and the selected buckets into the
+//!   [`FormationResult`], which owns its member vectors — an `O(n)`
+//!   memcpy, not a scan.
+//!
+//! Building a former ([`IncrementalFormer::new`],
+//! [`IncrementalFormer::import_state`]) sorts the `B` ranks once and
+//! bulk-loads the index from them.
 
 use super::bucket::{self, Bucket, BucketKey};
 use super::greedy::{bucket_to_group, rescore_group};
 use super::{FormationConfig, FormationResult};
+use crate::aggregate::Aggregation;
 use crate::error::{GfError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::grouping::{Group, Grouping};
@@ -62,6 +75,120 @@ use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
 use crate::semantics::{consensus_score, Semantics};
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// A bucket key shared by the bucket map and every member's slot in
+/// `user_keys`, so a user costs one pointer rather than a key copy.
+type Key = Arc<BucketKey>;
+
+/// The buckets one refresh changes, each with its rank before the change
+/// (`None` for a bucket the refresh creates).
+type Touched = FxHashMap<Key, Option<BucketRank>>;
+
+/// A bucket's place in the Step-2 order, captured from its state.
+///
+/// `words` encodes the fields [`bucket::bucket_order`] compares —
+/// satisfaction and score vector (both descending), size (descending),
+/// item sequence and first member (both ascending) — so that ascending
+/// word order is that order. A [`BTreeSet`] of ranks therefore iterates
+/// buckets in selection order, and a comparison reads one contiguous
+/// slice. The encoding needs every bucket of a former to share one top-`k`
+/// length, which holds between the rebuilds a `k`-crossing item
+/// admission forces. Memberships are disjoint, so the first member makes
+/// the order total.
+#[derive(Debug, Clone)]
+struct BucketRank {
+    words: Words,
+    /// The ranked bucket's key.
+    key: Key,
+}
+
+impl BucketRank {
+    /// The rank of the non-empty bucket `b` stored under `key`.
+    fn of(key: &Key, b: &Bucket, semantics: Semantics, agg: Aggregation) -> Self {
+        let scores = b.score_vector(semantics);
+        let len = 3 + scores.len() + b.items.len().div_ceil(2);
+        let words = std::iter::once(descending(b.satisfaction(semantics, agg)))
+            .chain(scores.iter().map(|&s| descending(s)))
+            .chain(std::iter::once(!(b.users.len() as u64)))
+            .chain(b.items.chunks(2).map(|pair| {
+                u64::from(pair[0]) << 32 | pair.get(1).map_or(0, |&item| u64::from(item))
+            }))
+            .chain(std::iter::once(u64::from(b.users[0])));
+        BucketRank {
+            words: Words::collect(len, words),
+            key: Arc::clone(key),
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(len, buf) => &buf[..usize::from(*len)],
+            Words::Heap(words) => words,
+        }
+    }
+}
+
+/// How many words a rank keeps inline: all of them for `k <= 5`. Ranks
+/// live in the index's nodes, so a refresh that swaps a few of them
+/// allocates nothing; a heap box per rank, churned by every refresh,
+/// fragments the allocator (the process's resident set kept growing).
+const INLINE_WORDS: usize = 11;
+
+/// A rank's words, inline when they fit.
+#[derive(Debug, Clone)]
+enum Words {
+    Inline(u8, [u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
+impl Words {
+    /// The `len` words `words` yields.
+    fn collect(len: usize, words: impl Iterator<Item = u64>) -> Self {
+        if len > INLINE_WORDS {
+            return Words::Heap(words.collect());
+        }
+        let mut buf = [0; INLINE_WORDS];
+        for (slot, word) in buf.iter_mut().zip(words) {
+            *slot = word;
+        }
+        Words::Inline(len as u8, buf)
+    }
+}
+
+impl PartialEq for BucketRank {
+    fn eq(&self, other: &Self) -> bool {
+        self.words() == other.words()
+    }
+}
+
+impl Eq for BucketRank {}
+
+impl PartialOrd for BucketRank {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for BucketRank {
+    fn cmp(&self, other: &Self) -> Ordering {
+        debug_assert_eq!(self.words().len(), other.words().len(), "one top-k length");
+        self.words().cmp(other.words())
+    }
+}
+
+/// A word whose ascending order is the descending [`f64::total_cmp`]
+/// order of `x`.
+fn descending(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
+}
 
 /// One rating update that was already applied to the matrix, with the
 /// score it replaced — what [`IncrementalFormer::refresh`] needs to patch
@@ -189,15 +316,12 @@ impl TailAgg {
         }
     }
 
-    fn recompute_min(&mut self, matrix: &RatingMatrix, in_tail: &[bool], item: u32) {
+    fn recompute_min(&mut self, matrix: &RatingMatrix, tail: &[u32], item: u32) {
         let i = item as usize;
         let mut mn = f64::INFINITY;
         let mut cnt = 0u32;
-        for (u, &tail) in in_tail.iter().enumerate() {
-            if !tail {
-                continue;
-            }
-            if let Some(s) = matrix.get(u as u32, item) {
+        for &u in tail {
+            if let Some(s) = matrix.get(u, item) {
                 match s.total_cmp(&mn) {
                     Ordering::Less => {
                         mn = s;
@@ -221,15 +345,15 @@ impl TailAgg {
     fn top_k(
         &mut self,
         matrix: &RatingMatrix,
-        in_tail: &[bool],
-        tail_len: usize,
+        tail: &[u32],
         semantics: Semantics,
         k: usize,
     ) -> Vec<(u32, f64)> {
         let r_min = self.r_min;
+        let tail_len = tail.len();
         let g = tail_len as f64;
         // LeaderWeighted's leader: the lowest-id tail member.
-        let leader = in_tail.iter().position(|&t| t).unwrap_or(0) as u32;
+        let leader = tail.first().copied().unwrap_or(0);
         let m = self.count.len();
         let mut scored: Vec<(u32, f64)> = Vec::with_capacity(m);
         for i in 0..m {
@@ -239,7 +363,7 @@ impl TailAgg {
                 Semantics::LeastMisery => {
                     if count == tail_len {
                         if self.stale[i] {
-                            self.recompute_min(matrix, in_tail, i as u32);
+                            self.recompute_min(matrix, tail, i as u32);
                         }
                         self.min[i]
                     } else {
@@ -311,14 +435,20 @@ pub struct IncrementalFormer {
     cfg: FormationConfig,
     n_items: u32,
     /// Exact Step-1 state: equals `build_buckets` on the current matrix.
-    buckets: FxHashMap<BucketKey, Bucket>,
+    buckets: FxHashMap<Key, Bucket>,
+    /// One [`BucketRank`] per standing bucket, in Step-2 order: the ideal
+    /// selection is its first `ell - 1` entries. A refresh notes a
+    /// bucket's rank before its first change and, once the bucket's
+    /// scores are recomputed, swaps it for the fresh rank if they differ.
+    index: BTreeSet<BucketRank>,
     /// Each user's current bucket key.
-    user_keys: Vec<BucketKey>,
+    user_keys: Vec<Key>,
     /// Keys of the buckets currently holding their own group, in emission
     /// (pop) order.
-    selected: Vec<BucketKey>,
+    selected: Vec<Key>,
     in_tail: Vec<bool>,
-    tail_len: usize,
+    /// The tail's members, ascending: exactly the users with `in_tail` set.
+    tail: Vec<u32>,
     /// `Some` under `MissingPolicy::Min` (the maintained fast path);
     /// `None` falls back to full tail rescoring via the shared repair
     /// machinery.
@@ -333,12 +463,12 @@ impl IncrementalFormer {
     ///
     /// Step 1 runs on `cfg.n_threads` workers via
     /// [`bucket::build_bucket_map_threaded`] — the sharded bucket build
-    /// plus a merge that also records per-user bucket keys — which is
-    /// what a serving layer pays on boot and on every cold pass. The
-    /// default `n_threads = 1` keeps the sequential path.
+    /// and its merge — which is what a serving layer pays on boot and on
+    /// every cold pass. The default `n_threads = 1` keeps the sequential
+    /// path.
     pub fn new(matrix: &RatingMatrix, prefs: &PrefIndex, cfg: FormationConfig) -> Result<Self> {
         cfg.validate(matrix)?;
-        let (buckets, user_keys) = bucket::build_bucket_map_threaded(
+        let buckets = bucket::build_bucket_map_threaded(
             matrix,
             prefs,
             cfg.semantics,
@@ -347,46 +477,66 @@ impl IncrementalFormer {
             cfg.k,
             cfg.n_threads,
         );
-        let selected = ideal_selection(&buckets, &cfg);
-        Ok(Self::from_parts(matrix, cfg, buckets, user_keys, selected))
+        let buckets: FxHashMap<Key, Bucket> = buckets
+            .into_iter()
+            .map(|(key, b)| (Arc::new(key), b))
+            .collect();
+        let mut user_keys: Vec<Option<Key>> = vec![None; matrix.n_users() as usize];
+        for (key, b) in &buckets {
+            for &u in &b.users {
+                user_keys[u as usize] = Some(Arc::clone(key));
+            }
+        }
+        let user_keys = user_keys
+            .into_iter()
+            .map(|key| key.expect("Step 1 places every user"))
+            .collect();
+        Ok(Self::from_parts(matrix, cfg, buckets, user_keys, None))
     }
 
     /// Assembles a former from a Step-1 bucket state and a Step-2
-    /// selection, deriving the rest from the matrix: tail membership,
-    /// the tail aggregates (accumulated in ascending user order, so two
-    /// formers over the same state agree bit for bit) and the emitted
-    /// grouping.
+    /// selection (`None`: the ideal one), deriving the rest from the
+    /// matrix: the rank index (one bulk sort), tail membership, the tail
+    /// aggregates (accumulated in ascending user order, so two formers
+    /// over the same state agree bit for bit) and the emitted grouping.
     fn from_parts(
         matrix: &RatingMatrix,
         cfg: FormationConfig,
-        buckets: FxHashMap<BucketKey, Bucket>,
-        user_keys: Vec<BucketKey>,
-        selected: Vec<BucketKey>,
+        buckets: FxHashMap<Key, Bucket>,
+        user_keys: Vec<Key>,
+        selected: Option<Vec<Key>>,
     ) -> Self {
-        let mut in_tail = vec![false; user_keys.len()];
-        let mut tail_len = 0;
+        let mut ranks: Vec<BucketRank> = buckets
+            .iter()
+            .map(|(key, b)| BucketRank::of(key, b, cfg.semantics, cfg.aggregation))
+            .collect();
+        ranks.sort_unstable();
+        let index: BTreeSet<BucketRank> = ranks.into_iter().collect();
+        let selected = selected.unwrap_or_else(|| indexed_selection(&index, cfg.ell));
+        let mut in_tail = vec![true; user_keys.len()];
+        for key in &selected {
+            for &u in &buckets[key].users {
+                in_tail[u as usize] = false;
+            }
+        }
+        let tail = tail_of(&in_tail);
         let mut agg_tail = TailAgg::for_config(&cfg, matrix);
-        let chosen: FxHashSet<&BucketKey> = selected.iter().collect();
-        for (u, key) in user_keys.iter().enumerate() {
-            if !chosen.contains(key) {
-                in_tail[u] = true;
-                tail_len += 1;
-                if let Some(agg) = &mut agg_tail {
-                    for (i, s) in matrix.user_ratings(u as u32) {
-                        agg.add(i, s);
-                    }
+        if let Some(agg) = &mut agg_tail {
+            for &u in &tail {
+                for (i, s) in matrix.user_ratings(u) {
+                    agg.add(i, s);
                 }
             }
         }
-        drop(chosen);
         let mut former = IncrementalFormer {
             cfg,
             n_items: matrix.n_items(),
             buckets,
+            index,
             user_keys,
             selected,
             in_tail,
-            tail_len,
+            tail,
             agg_tail,
             result: FormationResult {
                 grouping: Grouping::default(),
@@ -415,6 +565,57 @@ impl IncrementalFormer {
         bucket::canonical_buckets(self.buckets.values().cloned().collect())
     }
 
+    /// Test support: checks the maintained Step-2 state against a
+    /// from-scratch recomputation — the index holds exactly one rank per
+    /// standing bucket, each equal to a freshly computed one, and the tail
+    /// list is exactly the users flagged as tail members — then returns
+    /// the member lists of the buckets the index ranks first: the
+    /// selection the next refresh installs, for comparison against a
+    /// [`bucket::bucket_order`] scan of a cold build.
+    #[doc(hidden)]
+    pub fn checked_index(&self) -> std::result::Result<Vec<Vec<u32>>, String> {
+        let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
+        let mut fresh: Vec<BucketRank> = self
+            .buckets
+            .iter()
+            .map(|(key, b)| BucketRank::of(key, b, sem, agg))
+            .collect();
+        fresh.sort_unstable();
+        if !self.index.iter().eq(&fresh) {
+            return Err(format!(
+                "the index's {} ranks are not the {} standing buckets' fresh ranks",
+                self.index.len(),
+                fresh.len()
+            ));
+        }
+        if self.tail != tail_of(&self.in_tail) {
+            return Err(format!(
+                "the tail list ({} users) is not the flagged tail members",
+                self.tail.len()
+            ));
+        }
+        Ok(indexed_selection(&self.index, self.cfg.ell)
+            .iter()
+            .map(|key| self.buckets[key].users.clone())
+            .collect())
+    }
+
+    /// The tail group's candidate items — the items no tail member has
+    /// rated, ascending — read off the maintained per-item rater counts in
+    /// `O(m)`. The tail is the last group of [`IncrementalFormer::result`].
+    /// `None` when there is no tail group, or under a
+    /// [`MissingPolicy`] other than `Min`, which keeps no counts.
+    pub fn tail_candidates(&self) -> Option<Vec<u32>> {
+        let agg = self.agg_tail.as_ref().filter(|_| !self.tail.is_empty())?;
+        Some(
+            agg.count
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &c)| (c == 0).then_some(i as u32))
+                .collect(),
+        )
+    }
+
     /// Projects the standing Step-1/2 state into a serializable
     /// [`FormerState`] — buckets in canonical (key-sorted) order, the
     /// Step-2 selection as indices into that order — for the `gf-persist`
@@ -422,13 +623,13 @@ impl IncrementalFormer {
     /// inverse; the round trip preserves the emitted grouping bit for
     /// bit.
     pub fn export_state(&self) -> FormerState {
-        let mut order: Vec<&BucketKey> = self.buckets.keys().collect();
+        let mut order: Vec<&Key> = self.buckets.keys().collect();
         order.sort_unstable_by(|a, b| {
             a.items
                 .cmp(&b.items)
                 .then_with(|| a.score_bits.cmp(&b.score_bits))
         });
-        let index_of: FxHashMap<&BucketKey, u32> = order
+        let index_of: FxHashMap<&Key, u32> = order
             .iter()
             .enumerate()
             .map(|(idx, key)| (*key, idx as u32))
@@ -472,9 +673,9 @@ impl IncrementalFormer {
         cfg.validate(matrix)?;
         let corrupt = |msg: String| GfError::Persist(format!("invalid former state: {msg}"));
         let n = matrix.n_users() as usize;
-        let mut buckets: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-        let mut keys: Vec<BucketKey> = Vec::with_capacity(state.buckets.len());
-        let mut user_keys: Vec<Option<BucketKey>> = vec![None; n];
+        let mut buckets: FxHashMap<Key, Bucket> = FxHashMap::default();
+        let mut keys: Vec<Key> = Vec::with_capacity(state.buckets.len());
+        let mut user_keys: Vec<Option<Key>> = vec![None; n];
         for (idx, fb) in state.buckets.iter().enumerate() {
             if fb.pos_min_bits.len() != fb.items.len() || fb.pos_sum_bits.len() != fb.items.len() {
                 return Err(corrupt(format!(
@@ -484,10 +685,10 @@ impl IncrementalFormer {
             if fb.users.is_empty() {
                 return Err(corrupt(format!("bucket {idx} has no members")));
             }
-            let key = BucketKey {
+            let key = Arc::new(BucketKey {
                 items: fb.items.clone().into_boxed_slice(),
                 score_bits: fb.key_score_bits.clone().into_boxed_slice(),
-            };
+            });
             for (pos, &u) in fb.users.iter().enumerate() {
                 if u as usize >= n {
                     return Err(corrupt(format!("bucket {idx} member {u} out of range")));
@@ -499,7 +700,7 @@ impl IncrementalFormer {
                 if slot.is_some() {
                     return Err(corrupt(format!("user {u} appears in two buckets")));
                 }
-                *slot = Some(key.clone());
+                *slot = Some(Arc::clone(&key));
             }
             let bucket = Bucket {
                 items: fb.items.clone().into_boxed_slice(),
@@ -507,12 +708,12 @@ impl IncrementalFormer {
                 pos_min: fb.pos_min_bits.iter().map(|&b| f64::from_bits(b)).collect(),
                 pos_sum: fb.pos_sum_bits.iter().map(|&b| f64::from_bits(b)).collect(),
             };
-            if buckets.insert(key.clone(), bucket).is_some() {
+            if buckets.insert(Arc::clone(&key), bucket).is_some() {
                 return Err(corrupt(format!("bucket {idx} repeats an earlier key")));
             }
             keys.push(key);
         }
-        let user_keys: Vec<BucketKey> = user_keys
+        let user_keys: Vec<Key> = user_keys
             .into_iter()
             .enumerate()
             .map(|(u, key)| key.ok_or_else(|| corrupt(format!("user {u} not in any bucket"))))
@@ -524,15 +725,21 @@ impl IncrementalFormer {
                 state.selected.len()
             )));
         }
-        let mut selected: Vec<BucketKey> = Vec::with_capacity(state.selected.len());
+        let mut selected: Vec<Key> = Vec::with_capacity(state.selected.len());
         let mut seen: FxHashSet<u32> = FxHashSet::default();
         for &idx in &state.selected {
             if idx as usize >= keys.len() || !seen.insert(idx) {
                 return Err(corrupt(format!("bad selection index {idx}")));
             }
-            selected.push(keys[idx as usize].clone());
+            selected.push(Arc::clone(&keys[idx as usize]));
         }
-        Ok(Self::from_parts(matrix, cfg, buckets, user_keys, selected))
+        Ok(Self::from_parts(
+            matrix,
+            cfg,
+            buckets,
+            user_keys,
+            Some(selected),
+        ))
     }
 
     /// Patches the standing formation after a batch of rating updates.
@@ -617,10 +824,11 @@ impl IncrementalFormer {
         //    bucket. Hash it into its bucket now (scores recomputed with
         //    the other touched buckets below) and start it outside the
         //    tail; the selection step splices it wherever it belongs.
-        let mut touched: FxHashSet<BucketKey> = FxHashSet::default();
+        //    `touched` maps every bucket this refresh changes to its rank
+        //    before the change (`None` for a bucket it creates).
+        let mut touched: Touched = FxHashMap::default();
         for u in old_n..matrix.n_users() {
-            let key = self.place_user(matrix, prefs, u);
-            touched.insert(key.clone());
+            let key = self.place_user(matrix, prefs, u, &mut touched);
             self.user_keys.push(key);
             self.in_tail.push(false);
         }
@@ -654,7 +862,8 @@ impl IncrementalFormer {
             if u >= old_n {
                 continue; // admitted in step 0, already in its bucket
             }
-            let old_key = self.user_keys[u as usize].clone();
+            let old_key = Arc::clone(&self.user_keys[u as usize]);
+            self.touch(&old_key, &mut touched);
             let emptied = {
                 let b = self
                     .buckets
@@ -670,25 +879,37 @@ impl IncrementalFormer {
             if emptied {
                 self.buckets.remove(&old_key);
             }
-            touched.insert(old_key);
-            let new_key = self.place_user(matrix, prefs, u);
-            touched.insert(new_key.clone());
+            let new_key = self.place_user(matrix, prefs, u, &mut touched);
             self.user_keys[u as usize] = new_key;
         }
 
         // 3. Recompute touched buckets' score vectors over members in
         //    ascending id order — the cold build's accumulation order, so
-        //    the vectors are bit-for-bit what build_buckets produces.
-        for key in &touched {
-            if let Some(b) = self.buckets.get_mut(key) {
+        //    the vectors are bit-for-bit what build_buckets produces — and
+        //    swap each changed rank in the index. A bucket a user left and
+        //    rejoined often ranks as before, and then the index is left
+        //    alone.
+        let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
+        for (key, old) in touched {
+            let new = self.buckets.get_mut(&key).map(|b| {
                 recompute_bucket_scores(matrix, prefs, &self.cfg, b);
+                BucketRank::of(&key, b, sem, agg)
+            });
+            if new != old {
+                if let Some(old) = old {
+                    let indexed = self.index.remove(&old);
+                    debug_assert!(indexed, "every standing bucket is indexed");
+                }
+                if let Some(new) = new {
+                    self.index.insert(new);
+                }
             }
         }
 
-        // 4. Re-run the Step-2 selection and splice users whose tail
-        //    membership changed (bucket admissions, evictions, and dirty
-        //    users that hopped across the boundary).
-        let selected = ideal_selection(&self.buckets, &self.cfg);
+        // 4. Read the Step-2 selection off the front of the index and
+        //    splice users whose tail membership changed (bucket admissions,
+        //    evictions, and dirty users that hopped across the boundary).
+        let selected = indexed_selection(&self.index, self.cfg.ell);
         self.apply_selection(matrix, selected, &dirty);
 
         // 5. Emit the patched grouping.
@@ -696,19 +917,48 @@ impl IncrementalFormer {
         Ok(&self.result)
     }
 
+    /// Records `key`'s bucket in `touched` with its rank as indexed,
+    /// before the bucket's first change in this refresh, so step 3 of
+    /// [`IncrementalFormer::refresh`] can swap it for the fresh rank.
+    fn touch(&self, key: &Key, touched: &mut Touched) {
+        if !touched.contains_key(key) {
+            let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
+            let rank = self
+                .buckets
+                .get(key)
+                .map(|b| BucketRank::of(key, b, sem, agg));
+            touched.insert(Arc::clone(key), rank);
+        }
+    }
+
     /// Hashes user `u` into the bucket of its current top-`k` signature,
     /// keeping the member list ascending, and returns the bucket's key.
-    /// Score vectors are left stale: the caller marks the bucket touched,
-    /// and step 3 of [`IncrementalFormer::refresh`] recomputes them.
-    fn place_user(&mut self, matrix: &RatingMatrix, prefs: &PrefIndex, u: u32) -> BucketKey {
+    /// The bucket is touched (see [`IncrementalFormer::touch`]); its
+    /// score vectors are left stale until step 3 of
+    /// [`IncrementalFormer::refresh`] recomputes them.
+    fn place_user(
+        &mut self,
+        matrix: &RatingMatrix,
+        prefs: &PrefIndex,
+        u: u32,
+        touched: &mut Touched,
+    ) -> Key {
         let (items, scores) = bucket::personal_top_k(matrix, prefs, self.cfg.policy, u, self.cfg.k);
         let key = bucket::key_for(self.cfg.semantics, self.cfg.aggregation, &items, &scores);
-        let b = self.buckets.entry(key.clone()).or_insert_with(|| Bucket {
-            items: items.into(),
-            users: Vec::new(),
-            pos_min: Vec::new(),
-            pos_sum: Vec::new(),
-        });
+        let key = match self.buckets.get_key_value(&key) {
+            Some((shared, _)) => Arc::clone(shared),
+            None => Arc::new(key),
+        };
+        self.touch(&key, touched);
+        let b = self
+            .buckets
+            .entry(Arc::clone(&key))
+            .or_insert_with(|| Bucket {
+                items: items.into(),
+                users: Vec::new(),
+                pos_min: Vec::new(),
+                pos_sum: Vec::new(),
+            });
         let pos = b
             .users
             .binary_search(&u)
@@ -719,13 +969,8 @@ impl IncrementalFormer {
 
     /// Installs `new_selected` and splices every user whose tail
     /// membership changed into/out of the tail aggregates.
-    fn apply_selection(
-        &mut self,
-        matrix: &RatingMatrix,
-        new_selected: Vec<BucketKey>,
-        dirty: &[u32],
-    ) {
-        let new_set: FxHashSet<&BucketKey> = new_selected.iter().collect();
+    fn apply_selection(&mut self, matrix: &RatingMatrix, new_selected: Vec<Key>, dirty: &[u32]) {
+        let new_set: FxHashSet<&Key> = new_selected.iter().collect();
         let mut affected: Vec<u32> = dirty.to_vec();
         for key in &self.selected {
             if !new_set.contains(key) {
@@ -735,13 +980,14 @@ impl IncrementalFormer {
             }
         }
         {
-            let old_set: FxHashSet<&BucketKey> = self.selected.iter().collect();
+            let old_set: FxHashSet<&Key> = self.selected.iter().collect();
             for key in &new_selected {
                 if !old_set.contains(key) {
                     affected.extend_from_slice(&self.buckets[key].users);
                 }
             }
         }
+        let (mut entered, mut left) = (Vec::new(), Vec::new());
         for u in affected {
             let want_tail = !new_set.contains(&self.user_keys[u as usize]);
             let is_tail = self.in_tail[u as usize];
@@ -750,9 +996,9 @@ impl IncrementalFormer {
             }
             self.in_tail[u as usize] = want_tail;
             if want_tail {
-                self.tail_len += 1;
+                entered.push(u);
             } else {
-                self.tail_len -= 1;
+                left.push(u);
             }
             if let Some(agg) = &mut self.agg_tail {
                 for (i, s) in matrix.user_ratings(u) {
@@ -765,7 +1011,32 @@ impl IncrementalFormer {
             }
         }
         drop(new_set);
+        self.splice_tail(entered, left);
         self.selected = new_selected;
+    }
+
+    /// Brings the sorted tail list in line with `in_tail` after the users
+    /// in `entered` joined the tail and those in `left` quit it: a few
+    /// flips are spliced in place, a bulk change re-reads the flags.
+    fn splice_tail(&mut self, entered: Vec<u32>, left: Vec<u32>) {
+        if entered.len() + left.len() > SPLICE_IN_PLACE_MAX {
+            self.tail = tail_of(&self.in_tail);
+            return;
+        }
+        for u in left {
+            let pos = self
+                .tail
+                .binary_search(&u)
+                .expect("a leaving user is listed");
+            self.tail.remove(pos);
+        }
+        for u in entered {
+            let pos = self
+                .tail
+                .binary_search(&u)
+                .expect_err("an entering user is not listed yet");
+            self.tail.insert(pos, u);
+        }
     }
 
     /// Rebuilds `self.result` from the selected buckets plus the tail.
@@ -775,27 +1046,15 @@ impl IncrementalFormer {
             let b = self.buckets[key].clone();
             groups.push(bucket_to_group(b, &self.cfg));
         }
-        if self.tail_len > 0 {
-            let members: Vec<u32> = self
-                .in_tail
-                .iter()
-                .enumerate()
-                .filter_map(|(u, &t)| t.then_some(u as u32))
-                .collect();
+        if !self.tail.is_empty() {
             let mut tail = Group {
-                members,
+                members: self.tail.clone(),
                 top_k: Vec::new(),
                 satisfaction: 0.0,
             };
             match &mut self.agg_tail {
                 Some(agg) => {
-                    let top_k = agg.top_k(
-                        matrix,
-                        &self.in_tail,
-                        self.tail_len,
-                        self.cfg.semantics,
-                        self.cfg.k,
-                    );
+                    let top_k = agg.top_k(matrix, &self.tail, self.cfg.semantics, self.cfg.k);
                     let scores: Vec<f64> = top_k.iter().map(|&(_, s)| s).collect();
                     tail.satisfaction = self.cfg.aggregation.apply(&scores);
                     tail.top_k = top_k;
@@ -817,23 +1076,46 @@ impl IncrementalFormer {
     }
 }
 
-/// The Step-2 selection over `buckets`: the `ell - 1` best buckets under
-/// [`bucket::bucket_order`], in the exact pop sequence of a cold
-/// [`GreedyFormer`](super::GreedyFormer).
-fn ideal_selection(
-    buckets: &FxHashMap<BucketKey, Bucket>,
-    cfg: &FormationConfig,
-) -> Vec<BucketKey> {
+/// Flip counts above this rebuild the tail list from the `in_tail` flags
+/// (one `O(n)` pass) instead of splicing each user in or out (an `O(n)`
+/// shift apiece).
+const SPLICE_IN_PLACE_MAX: usize = 16;
+
+/// The users flagged in `in_tail`, ascending.
+fn tail_of(in_tail: &[bool]) -> Vec<u32> {
+    in_tail
+        .iter()
+        .enumerate()
+        .filter_map(|(u, &t)| t.then_some(u as u32))
+        .collect()
+}
+
+/// The Step-2 selection read off the rank index: the keys of its first
+/// `ell - 1` buckets.
+fn indexed_selection(index: &BTreeSet<BucketRank>, ell: usize) -> Vec<Key> {
+    index
+        .iter()
+        .take(ell.saturating_sub(1))
+        .map(|rank| Arc::clone(&rank.key))
+        .collect()
+}
+
+/// The Step-2 selection by a full scan of `buckets`: the `ell - 1` best
+/// buckets under [`bucket::bucket_order`], in the exact pop sequence of a
+/// cold [`GreedyFormer`](super::GreedyFormer). The oracle the rank index
+/// is tested against.
+#[cfg(test)]
+fn ideal_selection(buckets: &FxHashMap<Key, Bucket>, cfg: &FormationConfig) -> Vec<Key> {
     let slots = cfg.ell.saturating_sub(1).min(buckets.len());
     if slots == 0 {
         return Vec::new();
     }
     let (sem, agg) = (cfg.semantics, cfg.aggregation);
-    let mut entries: Vec<(f64, &BucketKey, &Bucket)> = buckets
+    let mut entries: Vec<(f64, &Key, &Bucket)> = buckets
         .iter()
         .map(|(key, b)| (b.satisfaction(sem, agg), key, b))
         .collect();
-    let cmp = |x: &(f64, &BucketKey, &Bucket), y: &(f64, &BucketKey, &Bucket)| {
+    let cmp = |x: &(f64, &Key, &Bucket), y: &(f64, &Key, &Bucket)| {
         y.0.total_cmp(&x.0)
             .then_with(|| bucket::bucket_order(x.2, y.2, sem, agg))
     };
@@ -923,6 +1205,17 @@ mod tests {
             cfg.k,
         ));
         assert_eq!(former.canonical_buckets(), cold_buckets);
+        assert_index_is_the_scan(former);
+    }
+
+    /// The rank index and tail list agree with a from-scratch scan.
+    fn assert_index_is_the_scan(former: &IncrementalFormer) {
+        let indexed = former.checked_index().unwrap();
+        let scanned: Vec<Vec<u32>> = ideal_selection(&former.buckets, &former.cfg)
+            .iter()
+            .map(|key| former.buckets[key].users.clone())
+            .collect();
+        assert_eq!(indexed, scanned);
     }
 
     #[test]
@@ -1103,6 +1396,37 @@ mod tests {
     }
 
     #[test]
+    fn long_top_k_ranks_spill_to_the_heap_and_stay_exact() {
+        // k = 7 needs 3 + 7 + 4 = 14 rank words, past the 11 kept
+        // inline, for every semantics.
+        let rows: Vec<Vec<f64>> = (0..14)
+            .map(|u: u32| {
+                (0..9)
+                    .map(|i: u32| 1.0 + ((u * 5 + i * 7 + u * i) % 5) as f64)
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let m0 = RatingMatrix::from_dense(&refs, RatingScale::one_to_five()).unwrap();
+        let p0 = PrefIndex::build(&m0);
+        for sem in Semantics::all() {
+            let cfg = FormationConfig::new(sem, Aggregation::Sum, 7, 4);
+            let (mut m, mut p) = (m0.clone(), p0.clone());
+            let mut former = IncrementalFormer::new(&m, &p, cfg).unwrap();
+            assert!(former
+                .index
+                .iter()
+                .all(|rank| matches!(rank.words, Words::Heap(_))));
+            assert_matches_cold(&former, &m, &p, &cfg);
+            for batch in [vec![(3u32, 1u32, 5.0)], vec![(0, 8, 1.0), (12, 2, 4.0)]] {
+                let deltas = apply(&mut m, &mut p, &batch);
+                former.refresh(&m, &p, &deltas).unwrap();
+                assert_matches_cold(&former, &m, &p, &cfg);
+            }
+        }
+    }
+
+    #[test]
     fn threaded_init_matches_sequential_bit_for_bit() {
         // Integer grid: the sharded Step-1 sums are exact, so the standing
         // state (buckets, keys, emitted result) is identical across thread
@@ -1236,6 +1560,29 @@ mod tests {
             );
             former.refresh(&m, &p, &[]).unwrap();
             assert_eq!(former.result(), &cold, "{sem}");
+        }
+    }
+
+    #[test]
+    fn descending_words_reverse_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            0.5,
+            5.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    descending(a).cmp(&descending(b)),
+                    b.total_cmp(&a),
+                    "{a} vs {b}"
+                );
+            }
         }
     }
 

@@ -5,8 +5,8 @@
 //! consumed wastes the slot (Section 2.2's disjoint-preference model
 //! makes every rated item a known quantity). The serving layer asks this
 //! question once per `(grouping, group)` pair and caches the answer until
-//! the grouping's version moves, so the engine is built for repeated
-//! queries over one shared CSR matrix:
+//! the group's members or their ratings change, so the engine is built
+//! for repeated queries over one shared CSR matrix:
 //!
 //! * [`CandidateEngine`] keeps an epoch-marked scratch array sized to the
 //!   catalogue. A query bumps the epoch, stamps every member's rated

@@ -1,13 +1,14 @@
 //! Property suite for dirty-bucket incremental re-formation: for random
 //! rating streams split into arbitrary dirty-set partitions,
 //! [`IncrementalFormer`] must (a) keep the Step-1 bucket state bit-for-bit
-//! equal to a cold `build_buckets` run after **every** batch, and (b) emit
-//! the exact cold [`GreedyFormer`] grouping.
+//! equal to a cold `build_buckets` run after **every** batch, (b) emit
+//! the exact cold [`GreedyFormer`] grouping, and (c) keep its Step-2 rank
+//! index and tail list equal to a from-scratch scan.
 
-use gf_core::alg::bucket::{build_buckets, canonical_buckets};
+use gf_core::alg::bucket::{bucket_order, build_buckets, canonical_buckets};
 use gf_core::{
-    Aggregation, FormationConfig, GreedyFormer, GroupFormer, GrowthPolicy, IncrementalFormer,
-    MissingPolicy, PrefIndex, RatingDelta, RatingMatrix, RatingScale, Semantics,
+    brute_force_candidates, Aggregation, FormationConfig, GreedyFormer, GroupFormer, GrowthPolicy,
+    IncrementalFormer, MissingPolicy, PrefIndex, RatingDelta, RatingMatrix, RatingScale, Semantics,
 };
 use proptest::prelude::*;
 
@@ -137,6 +138,47 @@ fn assert_buckets_match_cold(
     assert_eq!(former.canonical_buckets(), cold);
 }
 
+/// The maintained Step-2 state is the scan: the index holds one fresh
+/// rank per standing bucket and the tail list is the flagged tail
+/// ([`IncrementalFormer::checked_index`]), and the buckets it ranks first
+/// are the `ell - 1` best cold buckets under `bucket_order`. Under `Min`
+/// the tail's candidate list, read off the maintained rater counts, is
+/// the brute-force one.
+fn assert_index_is_the_scan(
+    former: &IncrementalFormer,
+    matrix: &RatingMatrix,
+    prefs: &PrefIndex,
+    cfg: &FormationConfig,
+) {
+    let indexed = former.checked_index().unwrap();
+    let mut cold = build_buckets(
+        matrix,
+        prefs,
+        cfg.semantics,
+        cfg.aggregation,
+        cfg.policy,
+        cfg.k,
+    );
+    cold.sort_by(|a, b| bucket_order(a, b, cfg.semantics, cfg.aggregation));
+    let scanned: Vec<Vec<u32>> = cold
+        .into_iter()
+        .take(cfg.ell.saturating_sub(1))
+        .map(|b| b.users)
+        .collect();
+    assert_eq!(indexed, scanned);
+    let groups = &former.result().grouping.groups;
+    let has_tail = groups.len() > indexed.len();
+    let candidates = former.tail_candidates();
+    assert_eq!(
+        candidates.is_some(),
+        has_tail && cfg.policy == MissingPolicy::Min
+    );
+    if let Some(list) = candidates {
+        let tail = &groups.last().unwrap().members;
+        assert_eq!(list, brute_force_candidates(matrix, tail).unwrap());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -163,6 +205,7 @@ proptest! {
             let deltas = apply_batch(&mut matrix, &mut prefs, &batch);
             former.refresh(&matrix, &prefs, &deltas).unwrap();
             assert_buckets_match_cold(&former, &matrix, &prefs, &cfg);
+            assert_index_is_the_scan(&former, &matrix, &prefs, &cfg);
         }
         // Final state: the whole result (grouping order, top-k lists,
         // satisfactions, objective, bucket count) is the cold run's.
@@ -206,6 +249,7 @@ proptest! {
                 for batch in partition(&updates, &sizes) {
                     let deltas = apply_batch_under(&mut matrix, &mut prefs, &batch, growth);
                     former.refresh(&matrix, &prefs, &deltas).unwrap();
+                    assert_index_is_the_scan(&former, &matrix, &prefs, &cfg);
                     let cold = GreedyFormer::new()
                         .form(&matrix, &PrefIndex::build(&matrix), &cfg)
                         .unwrap();
@@ -219,6 +263,43 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// A valid but stale imported selection — one selected bucket swapped
+    /// for an unselected one — leaves the index and tail list consistent
+    /// with the state as imported, and the next refresh (an empty one or
+    /// a random batch) lands on the scan and the cold grouping.
+    #[test]
+    fn a_stale_imported_selection_keeps_the_index_exact(
+        inst in instance(9, 7),
+        updates in proptest::collection::vec((0u32..9, 0u32..7, 1u8..=5), 0..6),
+        swap in 0usize..64,
+        (sem_ix, agg_ix, policy_ix) in (0usize..6, 0usize..3, 0usize..3),
+        (k, ell) in (1usize..4, 2usize..5),
+    ) {
+        let cfg = config(sem_ix, agg_ix, k, ell, policy_ix);
+        let mut matrix = matrix_of(&inst);
+        let mut prefs = PrefIndex::build(&matrix);
+        let mut state = IncrementalFormer::new(&matrix, &prefs, cfg).unwrap().export_state();
+        let unselected: Vec<u32> = (0..state.buckets.len() as u32)
+            .filter(|idx| !state.selected.contains(idx))
+            .collect();
+        if !state.selected.is_empty() && !unselected.is_empty() {
+            state.selected[0] = unselected[swap % unselected.len()];
+        }
+        let mut former = IncrementalFormer::import_state(&matrix, cfg, &state).unwrap();
+        prop_assert_eq!(former.export_state(), state);
+        former.checked_index().unwrap();
+        let updates: Vec<(u32, u32, f64)> = updates
+            .into_iter()
+            .map(|(u, i, r)| (u % inst.n, i % inst.m, r as f64))
+            .collect();
+        let deltas = apply_batch(&mut matrix, &mut prefs, &updates);
+        former.refresh(&matrix, &prefs, &deltas).unwrap();
+        assert_buckets_match_cold(&former, &matrix, &prefs, &cfg);
+        assert_index_is_the_scan(&former, &matrix, &prefs, &cfg);
+        let cold = GreedyFormer::new().form(&matrix, &PrefIndex::build(&matrix), &cfg).unwrap();
+        prop_assert_eq!(former.result(), &cold);
     }
 
     /// The batch builder against its reference: one `with_upserts_under`

@@ -73,10 +73,15 @@
 //! (the window is not an input to formation); it clones the groupings
 //! forward to the pass's version, and the standing formers, which the
 //! window never touches, stay in sync. Candidate lists for
-//! `exclude_rated` filtering come from a [`CandidateEngine`] behind a
-//! per-`(grouping, group)` cache keyed by grouping version
-//! ([`ServeState::candidate_items`]): a version bump from any pass
-//! invalidates stale entries on the next miss.
+//! `exclude_rated` filtering ([`ServeState::candidate_items`]) come in
+//! two ways. The tail group's list is computed by the pass that formed
+//! the grouping, from its former's maintained per-item rater counts in
+//! `O(m)` (under `MissingPolicy::Min`). Every other list comes from a
+//! [`CandidateEngine`] behind a per-`(grouping, group)` cache keyed by the
+//! group's candidate stamp ([`GroupingState::stamps`]): the version at
+//! which the group's members changed, one of them was rated or the
+//! catalogue grew. A pass that leaves a group alone keeps its cached
+//! list; any other change misses once.
 
 use crate::batch::{BatchOutcome, Batcher};
 use crate::remap::RawIdLayer;
@@ -193,7 +198,7 @@ pub struct Progress {
 /// One named grouping inside a snapshot: its configuration, formation,
 /// derived user→group assignment and the global snapshot version at
 /// which the formation last changed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GroupingState {
     /// The formation configuration the groups were formed under.
     pub config: FormationConfig,
@@ -208,24 +213,76 @@ pub struct GroupingState {
     /// a pass all groupings carry the pass's version; a `/form` advances
     /// only the named grouping.
     pub version: u64,
+    /// Per-group candidate stamps: `stamps[g]` is the version at which
+    /// group `g`'s member list last changed, one of its members was
+    /// rated or the catalogue grew — what its candidate list depends on,
+    /// so [`ServeState::candidate_items`] caches by it. Process-local:
+    /// a booted, restored or re-formed grouping stamps every group with
+    /// its own version.
+    pub stamps: Vec<u64>,
+    /// The tail group's candidate list, computed by the pass that built
+    /// this grouping from its former's maintained rater counts
+    /// ([`IncrementalFormer::tail_candidates`]; `MissingPolicy::Min`
+    /// only). The tail is the last group.
+    pub tail_candidates: Option<Arc<Vec<u32>>>,
 }
 
 impl GroupingState {
-    /// A grouping holding `formation` at `version`, with the assignment
-    /// of all `n_users` users derived from it.
-    fn new(
+    /// A grouping holding `former`'s formation at `version`, with the
+    /// assignment of all `n_users` users derived from it and every group
+    /// stamped with `version`.
+    fn formed(
+        config: FormationConfig,
+        former: &IncrementalFormer,
+        n_users: u32,
+        version: u64,
+    ) -> GroupingState {
+        let mut g = GroupingState::restored(config, former.result().clone(), n_users, version);
+        g.tail_candidates = former.tail_candidates().map(Arc::new);
+        g
+    }
+
+    /// A grouping holding `formation` at `version` with no precomputed
+    /// tail candidates (a checkpointed formation, restored verbatim).
+    fn restored(
         config: FormationConfig,
         formation: FormationResult,
         n_users: u32,
         version: u64,
-    ) -> Arc<GroupingState> {
+    ) -> GroupingState {
         let assignment = formation.grouping.assignment(n_users);
-        Arc::new(GroupingState {
+        let stamps = vec![version; formation.grouping.len()];
+        GroupingState {
             config,
             formation,
             assignment,
             version,
-        })
+            stamps,
+            tail_candidates: None,
+        }
+    }
+
+    /// Keeps `prev`'s stamp for every group whose member list is
+    /// unchanged, none of whose members is in `rated` and whose
+    /// catalogue did not grow: its candidate list is still `prev`'s.
+    fn carry_stamps(mut self, prev: &GroupingState, rated: &[u32], grew: bool) -> GroupingState {
+        if grew {
+            return self;
+        }
+        let groups = &self.formation.grouping.groups;
+        for (gi, stamp) in self.stamps.iter_mut().enumerate() {
+            if prev.formation.grouping.groups.get(gi).map(|g| &g.members)
+                == Some(&groups[gi].members)
+            {
+                *stamp = prev.stamps[gi];
+            }
+        }
+        for &u in rated {
+            if let Some(gi) = self.assignment[u as usize] {
+                self.stamps[gi] = self.version;
+            }
+        }
+        self
     }
 }
 
@@ -393,15 +450,17 @@ struct PendingQueue {
     shutdown: bool,
 }
 
-/// A cached candidate list: the grouping version it was computed at,
-/// and the sorted candidate item ids.
+/// A cached candidate list: the group's candidate stamp
+/// ([`GroupingState::stamps`]) it was computed at, and the sorted
+/// candidate item ids.
 type CachedList = (u64, Arc<Vec<u32>>);
 
 /// Per-group candidate lists (items **no** member has rated), computed
 /// on demand through one shared epoch-marked [`CandidateEngine`] and
-/// cached until the owning grouping's version moves — every background
-/// pass bumps every grouping's version, so a hit is always consistent
-/// with the snapshot that produced it.
+/// cached until the group's candidate stamp moves. A stamp moves only
+/// when the group's members, their ratings or the catalogue change, so
+/// a hit is consistent with every snapshot carrying that stamp, and a
+/// pass that leaves a group alone keeps its list.
 struct CandidateCache {
     engine: CandidateEngine,
     /// Keyed by `(grouping name, group index)`.
@@ -467,10 +526,9 @@ impl ServeState {
         let mut formers = BTreeMap::new();
         for (name, fc) in configs {
             let former = IncrementalFormer::new(&matrix, &prefs, fc)?;
-            let formation = former.result().clone();
             groupings.insert(
                 name.clone(),
-                GroupingState::new(fc, formation, matrix.n_users(), 1),
+                Arc::new(GroupingState::formed(fc, &former, matrix.n_users(), 1)),
             );
             formers.insert(name, former);
         }
@@ -513,7 +571,12 @@ impl ServeState {
             }
             groupings.insert(
                 g.name,
-                GroupingState::new(g.config, g.formation, matrix.n_users(), g.version),
+                Arc::new(GroupingState::restored(
+                    g.config,
+                    g.formation,
+                    matrix.n_users(),
+                    g.version,
+                )),
             );
         }
         if !groupings.contains_key(Snapshot::DEFAULT_GROUPING) {
@@ -727,12 +790,14 @@ impl ServeState {
     }
 
     /// Candidate items for one group of a named grouping: the items **no**
-    /// member has rated, sorted ascending. Computed on the snapshot's
-    /// shared matrix through the epoch-marked [`CandidateEngine`] and
-    /// cached per `(grouping, group)` until the grouping's version moves
-    /// (every background pass moves every grouping's version, so a cache
-    /// hit always matches the matrix it is filtered against). Returns
-    /// `None` for an unknown grouping or group index.
+    /// member has rated, sorted ascending. The tail group's list comes
+    /// precomputed with the grouping when its former maintains one
+    /// ([`GroupingState::tail_candidates`]). Any other list is computed on
+    /// the snapshot's shared matrix through the epoch-marked
+    /// [`CandidateEngine`] and cached per `(grouping, group)` until the
+    /// group's candidate stamp moves ([`GroupingState::stamps`]), so a
+    /// pass that touches none of a group's members keeps its list.
+    /// Returns `None` for an unknown grouping or group index.
     pub fn candidate_items(
         &self,
         snap: &Snapshot,
@@ -740,11 +805,18 @@ impl ServeState {
         group: usize,
     ) -> Option<Arc<Vec<u32>>> {
         let g = snap.grouping(name)?;
-        let members = &g.formation.grouping.groups.get(group)?.members;
+        let groups = &g.formation.grouping.groups;
+        let members = &groups.get(group)?.members;
+        if group + 1 == groups.len() {
+            if let Some(list) = &g.tail_candidates {
+                return Some(Arc::clone(list));
+            }
+        }
+        let stamp = g.stamps[group];
         let mut cache = self.candidates.lock().expect("candidate lock poisoned");
         let key = (name.to_string(), group);
-        if let Some((version, list)) = cache.lists.get(&key) {
-            if *version == g.version {
+        if let Some((cached, list)) = cache.lists.get(&key) {
+            if *cached == stamp {
                 return Some(Arc::clone(list));
             }
         }
@@ -754,13 +826,15 @@ impl ServeState {
                 .candidates_for_group(&snap.matrix, members)
                 .expect("group members are valid rows of the snapshot's own matrix"),
         );
-        // Evict entries no current grouping vouches for, so stale lists
-        // from re-formed or dropped groupings never accumulate.
+        // Evict entries no current group vouches for, so stale lists
+        // from re-formed or dropped groups never accumulate.
         let groupings = &snap.groupings;
-        cache
-            .lists
-            .retain(|(n, _), (v, _)| groupings.get(n.as_str()).is_some_and(|g| *v == g.version));
-        cache.lists.insert(key, (g.version, Arc::clone(&list)));
+        cache.lists.retain(|(n, gi), (cached, _)| {
+            groupings
+                .get(n.as_str())
+                .is_some_and(|g| g.stamps.get(*gi) == Some(cached))
+        });
+        cache.lists.insert(key, (stamp, Arc::clone(&list)));
         Some(list)
     }
 
@@ -913,15 +987,17 @@ impl ServeState {
             // machinery. Grouping versions still advance to the chunk-end
             // version — exactly what a rating pass over the same records
             // would do — so versioning (and the crash digest) stays
-            // chunking-invariant.
-            let n_users = current.matrix.n_users();
+            // chunking-invariant. Candidate stamps carry over: no member
+            // list or rating moved.
             let groupings = current
                 .groupings
                 .iter()
                 .map(|(name, g)| {
-                    let formation = g.formation.clone();
-                    let g = GroupingState::new(g.config, formation, n_users, next_version);
-                    (name.clone(), g)
+                    let g = GroupingState {
+                        version: next_version,
+                        ..GroupingState::clone(g)
+                    };
+                    (name.clone(), Arc::new(g))
                 })
                 .collect();
             self.install(Snapshot {
@@ -1010,11 +1086,9 @@ impl ServeState {
                 &self.stats.refresh_cold
             };
             path.fetch_add(1, Ordering::Relaxed);
-            let formation = formers[name].result().clone();
-            groupings.insert(
-                name.clone(),
-                GroupingState::new(cfg, formation, matrix.n_users(), next_version),
-            );
+            let next = GroupingState::formed(cfg, &formers[name], matrix.n_users(), next_version)
+                .carry_stamps(g, &dirty, admitted_items > 0);
+            groupings.insert(name.clone(), Arc::new(next));
         }
         self.install(Snapshot {
             matrix,
@@ -1084,12 +1158,12 @@ impl ServeState {
             let current = self.snapshot();
             // The ratings are unchanged: the new snapshot shares them.
             let former = IncrementalFormer::new(&current.matrix, &current.prefs, cfg)?;
-            let formation = former.result().clone();
             let next_version = current.version + 1;
             let mut groupings = current.groupings.clone();
+            let n_users = current.matrix.n_users();
             groupings.insert(
                 name.to_string(),
-                GroupingState::new(cfg, formation, current.matrix.n_users(), next_version),
+                Arc::new(GroupingState::formed(cfg, &former, n_users, next_version)),
             );
             let shared = self.install(current.with_groupings(groupings, next_version));
             writer.insert(name.to_string(), former);

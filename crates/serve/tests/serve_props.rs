@@ -4,10 +4,13 @@
 //! the snapshot a cold rebuild over the same final ratings produces.
 
 use gf_core::{
-    Aggregation, FormationConfig, PrefIndex, RatingMatrix, RatingScale, RefreshMode, Semantics,
+    brute_force_candidates, Aggregation, FormationConfig, GrowthPolicy, MissingPolicy, PrefIndex,
+    RatingMatrix, RatingScale, RefreshMode, Semantics,
 };
 use gf_serve::{ServeConfig, ServeState};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A random sparse rating instance on the 1..5 integer scale, guaranteed
@@ -251,5 +254,99 @@ proptest! {
             version = now;
         }
         prop_assert_eq!(state.pending_len(), 0);
+    }
+
+    /// Candidate lists stay exact and survive passes that leave their
+    /// group alone. Over random steps — rating batches that may admit
+    /// users and items, feedback-only chunks and `/form` runs — every
+    /// group's list equals the brute-force one. A group served from the
+    /// cache (all but a `Min` tail) whose members are unchanged, none of
+    /// them rated and whose catalogue did not grow, returns the very
+    /// `Arc` it returned before the step.
+    #[test]
+    fn candidate_lists_are_exact_and_survive_untouched_passes(
+        inst in instance(9, 7),
+        steps in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec((0u32..12, 0u32..10, 1u8..=5), 1..4)),
+            1..8,
+        ),
+    ) {
+        let growth = GrowthPolicy::Grow { max_users: inst.n + 3, max_items: inst.m + 3 };
+        let lm = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 2, 3)
+            .with_growth(growth);
+        let skip = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Sum, 2, 3)
+            .with_policy(MissingPolicy::Skip);
+        let cons = FormationConfig::new(Semantics::Consensus { lambda: 0.5 }, Aggregation::Min, 1, 4);
+        let state = ServeState::new(
+            matrix_of(&inst),
+            ServeConfig::new(lm)
+                .with_grouping("skip", skip)
+                .with_grouping("cons", cons)
+                .with_batch_window(Duration::ZERO),
+        )
+        .unwrap();
+        let lists = |snap: &gf_serve::Snapshot| {
+            let mut out = BTreeMap::new();
+            for (name, g) in &snap.groupings {
+                for (gi, group) in g.formation.grouping.groups.iter().enumerate() {
+                    let got = state.candidate_items(snap, name, gi).unwrap();
+                    let want = brute_force_candidates(&snap.matrix, &group.members).unwrap();
+                    assert_eq!(*got, want, "grouping {name} group {gi}");
+                    out.insert((name.clone(), gi), got);
+                }
+            }
+            out
+        };
+        let mut before = lists(&state.snapshot());
+        for (kind, cells) in steps {
+            let prev = state.snapshot();
+            let (n, m) = (prev.matrix.n_users(), prev.matrix.n_items());
+            let mut rated = BTreeSet::new();
+            let mut formed = None;
+            match kind {
+                0 | 1 => {
+                    for &(u, i, r) in &cells {
+                        let (u, i) = (u % (inst.n + 3), i % (inst.m + 3));
+                        state.rate(u, i, f64::from(r)).unwrap();
+                        rated.insert(u);
+                    }
+                }
+                2 => {
+                    for &(u, i, _) in &cells {
+                        state.feedback(u % n, i % m, None).unwrap();
+                    }
+                }
+                _ => {
+                    let ell = 2 + cells.len();
+                    state.form_named("skip", FormationConfig { ell, ..skip }).unwrap();
+                    formed = Some("skip");
+                }
+            }
+            state.flush().unwrap();
+            let now = state.snapshot();
+            let after = lists(&now);
+            let grew = now.matrix.n_items() != m;
+            for ((name, gi), list) in &after {
+                let g = now.grouping(name).unwrap();
+                let group = &g.formation.grouping.groups[*gi];
+                let precomputed = *gi + 1 == g.formation.grouping.groups.len()
+                    && g.tail_candidates.is_some();
+                let kept = prev
+                    .grouping(name)
+                    .and_then(|p| p.formation.grouping.groups.get(*gi))
+                    .is_some_and(|p| p.members == group.members);
+                let untouched = kept
+                    && !grew
+                    && formed != Some(name.as_str())
+                    && !group.members.iter().any(|u| rated.contains(u));
+                if untouched && !precomputed {
+                    prop_assert!(
+                        Arc::ptr_eq(list, &before[&(name.clone(), *gi)]),
+                        "grouping {} group {} recomputed an untouched list", name, gi
+                    );
+                }
+            }
+            before = after;
+        }
     }
 }
