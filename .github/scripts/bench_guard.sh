@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Bench-regression guard for the serving hot path: parses the quick-scale
-# `incremental_refresh` bench output and fails if a 64-update incremental
-# refresh regressed past its factor x the baseline recorded in
-# EXPERIMENTS.md. Runner-noise-aware on purpose: CI runners are noisy and
+# `incremental_refresh` bench output and fails if an incremental refresh
+# regressed past its factor x the baseline median recorded in the
+# `bench_guard` block of the newest committed `BENCH_<pr>.json` that has
+# one (read with python3's stdlib json). Runner-noise-aware on purpose:
+# CI runners are noisy and
 # differently-sized from the machine that recorded the baseline, so a
 # regression must show in BOTH views before the job fails —
 #
@@ -36,19 +38,71 @@
 #
 # This catches algorithmic regressions, not percent-level drift.
 #
-# usage: bench_guard.sh <bench-output-file> [baseline-file]
+# The baseline block maps each full row name to its median as recorded
+# in the bench output ("<value> <unit>"):
+#
+#   "bench_guard": {
+#     "medians": {
+#       "incremental-refresh-2000x200/refresh_64_cold": "4.67 ms", ...
+#     }
+#   }
+#
+# usage: bench_guard.sh <bench-output-file> [baseline BENCH_<pr>.json]
 set -euo pipefail
 
-BENCH_OUT=${1:?usage: bench_guard.sh <bench-output-file> [baseline-file]}
-BASELINE_FILE=${2:-EXPERIMENTS.md}
+BENCH_OUT=${1:?usage: bench_guard.sh <bench-output-file> [baseline BENCH_<pr>.json]}
+ROOT=$(cd "$(dirname "${BASH_SOURCE[0]}")/../.." && pwd)
 GROUP="incremental-refresh-2000x200"
 
-# Prints "<value> <unit>" from the *last* `median` line whose first field
-# is exactly the key — EXPERIMENTS.md appends a section per PR, and the
-# most recent recording is the baseline.
+# Prints the newest BENCH_<pr>.json under the repository root (highest
+# <pr>) that carries a `bench_guard` block.
+newest_baseline() {
+  python3 - "$ROOT" <<'PY'
+import json, pathlib, re, sys
+
+best = None
+for path in pathlib.Path(sys.argv[1]).glob("BENCH_*.json"):
+    m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    if not m:
+        continue
+    with open(path, encoding="utf-8") as f:
+        if "bench_guard" not in json.load(f):
+            continue
+    if best is None or int(m[1]) > best[0]:
+        best = (int(m[1]), path)
+if best:
+    print(best[1])
+PY
+}
+
+BASELINE_FILE=${2:-$(newest_baseline)}
+if [ -z "$BASELINE_FILE" ]; then
+  echo "bench_guard: no BENCH_*.json under $ROOT has a bench_guard block" >&2
+  exit 1
+fi
+echo "bench_guard: baselines from $BASELINE_FILE"
+
+# Prints "<value> <unit>" for the row named by the key: from the *last*
+# `median` line whose first field is exactly the key in a bench output,
+# or from the `bench_guard.medians` entry of a BENCH_<pr>.json.
 extract() {
-  awk -v key="$2" '$1 == key && $2 == "median" { v = $3; u = $4 }
-    END { if (v != "") print v, u }' "$1"
+  case "$1" in
+    *.json)
+      python3 - "$1" "$2" <<'PY'
+import json, sys
+
+with open(sys.argv[1], encoding="utf-8") as f:
+    medians = json.load(f).get("bench_guard", {}).get("medians", {})
+value = medians.get(sys.argv[2])
+if value:
+    print(value)
+PY
+      ;;
+    *)
+      awk -v key="$2" '$1 == key && $2 == "median" { v = $3; u = $4 }
+        END { if (v != "") print v, u }' "$1"
+      ;;
+  esac
 }
 
 # Converts "<value> <unit>" to integer nanoseconds.
@@ -69,7 +123,7 @@ need() { # file key -> "<ns>" or die with guidance
   read -r v u < <(extract "$file" "$key") || true
   if [ -z "${v:-}" ]; then
     echo "bench_guard: no '$key' median in $file" >&2
-    echo "bench_guard: did the quick-scale bench labels change? Update the keys here and the EXPERIMENTS.md baseline together." >&2
+    echo "bench_guard: did the quick-scale bench labels change? Update the keys here and the bench_guard block of the newest BENCH_<pr>.json together." >&2
     exit 1
   fi
   to_ns "$v" "$u"

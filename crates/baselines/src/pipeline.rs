@@ -132,7 +132,7 @@ impl GroupFormer for BaselineFormer {
             let scores: Vec<f64> = top_k.iter().map(|&(_, s)| s).collect();
             let satisfaction = cfg.aggregation.apply(&scores);
             groups.push(Group {
-                members,
+                members: members.into(),
                 top_k,
                 satisfaction,
             });

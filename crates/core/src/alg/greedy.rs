@@ -12,6 +12,7 @@ use crate::prefs::PrefIndex;
 use crate::semantics::Semantics;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// The paper's greedy group formation algorithm, parameterised by a
 /// [`FormationConfig`] into `GRD-LM-MIN`, `GRD-LM-MAX`, `GRD-LM-SUM`,
@@ -158,10 +159,10 @@ impl GroupFormer for GreedyFormer {
                 // Emit one user; the remainder keeps the same LM score and
                 // competes again (it may be split further).
                 let (single, remainder) = split_bucket(matrix, prefs, cfg, entry.bucket);
-                groups.push(bucket_to_group(single, cfg));
+                groups.push(bucket_to_group(&single, cfg));
                 heap.push(HeapEntry::new(remainder, cfg.semantics, cfg.aggregation));
             } else {
-                groups.push(bucket_to_group(entry.bucket, cfg));
+                groups.push(bucket_to_group(&entry.bucket, cfg));
             }
         }
 
@@ -175,7 +176,7 @@ impl GroupFormer for GreedyFormer {
         remaining.sort_unstable();
         if !remaining.is_empty() {
             let mut tail = Group {
-                members: remaining,
+                members: remaining.into(),
                 top_k: Vec::new(),
                 satisfaction: 0.0,
             };
@@ -238,13 +239,13 @@ fn split_bucket(
 /// sequence *is* the group's recommended top-`k` list, with per-item group
 /// scores given by the bucket's score vector (see [`bucket`] docs). Shared
 /// with [`super::incremental`], which emits spliced buckets the same way.
-pub(crate) fn bucket_to_group(bucket: Bucket, cfg: &FormationConfig) -> Group {
+pub(crate) fn bucket_to_group(bucket: &Bucket, cfg: &FormationConfig) -> Group {
     let satisfaction = bucket.satisfaction(cfg.semantics, cfg.aggregation);
     let vector = bucket.score_vector(cfg.semantics).to_vec();
-    let mut members = bucket.users;
+    let mut members = bucket.users.clone();
     members.sort_unstable();
     Group {
-        members,
+        members: members.into(),
         top_k: bucket.items.iter().copied().zip(vector).collect(),
         satisfaction,
     }
@@ -284,19 +285,19 @@ fn split_surplus(matrix: &RatingMatrix, cfg: &FormationConfig, groups: &mut Vec<
             }
         }
         let Some((gi, pos, _)) = best else { break };
-        let u = groups[gi].members.remove(pos);
-        let rest_members = groups[gi].members.clone();
+        let mut rest_members = groups[gi].members.to_vec();
+        let u = rest_members.remove(pos);
         let rest_top = rec.top_k(&rest_members, cfg.k);
         groups[gi] = Group {
             satisfaction: score(&rest_members),
             top_k: rest_top,
-            members: rest_members,
+            members: rest_members.into(),
         };
         let singleton_top = rec.top_k(&[u], cfg.k);
         groups.push(Group {
             satisfaction: score(&[u]),
             top_k: singleton_top,
-            members: vec![u],
+            members: Arc::new([u]),
         });
     }
 }
@@ -354,7 +355,7 @@ mod tests {
             .grouping
             .groups
             .iter()
-            .map(|g| g.members.clone())
+            .map(|g| g.members.to_vec())
             .collect();
         gs.sort();
         gs
@@ -374,7 +375,7 @@ mod tests {
             .grouping
             .groups
             .iter()
-            .find(|g| g.members == vec![2, 3])
+            .find(|g| *g.members == [2, 3])
             .unwrap();
         assert_eq!(g34.top_k, vec![(1, 5.0)]);
     }
@@ -464,7 +465,7 @@ mod tests {
         let cfg = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 1, 1);
         let r = GreedyFormer::new().form(&m, &p, &cfg).unwrap();
         assert_eq!(r.grouping.len(), 1);
-        assert_eq!(r.grouping.groups[0].members, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(*r.grouping.groups[0].members, [0, 1, 2, 3, 4, 5]);
         // LM over everyone: every item bottoms out at 1.
         assert_eq!(r.objective, 1.0);
     }

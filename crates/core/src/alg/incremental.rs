@@ -10,8 +10,9 @@
 //! ordered index of bucket ranks that only the touched buckets update,
 //! and maintains the tail group's member list and per-item score
 //! aggregates under member churn. Refresh cost is proportional to the
-//! update batch (plus an `O(m)` tail scoring pass and memcpy-grade
-//! emission), not to a full `O(nnz log nnz)` rebuild.
+//! update batch (plus an `O(m)` tail scoring pass), not to a full
+//! `O(nnz log nnz)` rebuild, and the emitted grouping shares every member
+//! list the refresh left alone with the previous one.
 //!
 //! ## Equivalence to a cold rebuild
 //!
@@ -53,11 +54,15 @@
 //!   list's first entry, plus an `O(log d)` lookup in its row per item),
 //!   `O(nnz_tail)` under `Skip`/`UserMean` (full rescore);
 //! * tail membership churn: `O(Σ d_u)` over users that enter/leave the
-//!   tail, plus an `O(n)` shift per user spliced into or out of the sorted
-//!   tail list (a bulk change re-reads the `n` membership flags once);
-//! * emission: cloning the tail list and the selected buckets into the
-//!   [`FormationResult`], which owns its member vectors — an `O(n)`
-//!   memcpy, not a scan.
+//!   tail, plus one `O(n)` merge into a fresh tail list when any user
+//!   flips (none when no user does);
+//! * emission: `O(ell · k)` plus the members of the selected buckets the
+//!   refresh touched. Member lists are shared `Arc<[u32]>`s
+//!   ([`Group::members`]): an untouched selected bucket re-emits its
+//!   previous group, a touched one keeps the previous member list at its
+//!   index when its members are unchanged, and the tail group hands out
+//!   the maintained tail list itself, so a refresh that flips no tail
+//!   member emits the same tail allocation as the one before.
 //!
 //! Building a former ([`IncrementalFormer::new`],
 //! [`IncrementalFormer::import_state`]) sorts the `B` ranks once and
@@ -448,7 +453,9 @@ pub struct IncrementalFormer {
     selected: Vec<Key>,
     in_tail: Vec<bool>,
     /// The tail's members, ascending: exactly the users with `in_tail` set.
-    tail: Vec<u32>,
+    /// This is the member list the tail group emits, so a refresh that
+    /// flips no user hands the same allocation to the next formation.
+    tail: Arc<[u32]>,
     /// `Some` under `MissingPolicy::Min` (the maintained fast path);
     /// `None` falls back to full tail rescoring via the shared repair
     /// machinery.
@@ -519,10 +526,10 @@ impl IncrementalFormer {
                 in_tail[u as usize] = false;
             }
         }
-        let tail = tail_of(&in_tail);
+        let tail: Arc<[u32]> = tail_of(&in_tail).into();
         let mut agg_tail = TailAgg::for_config(&cfg, matrix);
         if let Some(agg) = &mut agg_tail {
-            for &u in &tail {
+            for &u in tail.iter() {
                 for (i, s) in matrix.user_ratings(u) {
                     agg.add(i, s);
                 }
@@ -544,7 +551,7 @@ impl IncrementalFormer {
                 n_buckets: 0,
             },
         };
-        former.emit(matrix);
+        former.emit(matrix, &[], &Touched::default());
         former
     }
 
@@ -588,7 +595,7 @@ impl IncrementalFormer {
                 fresh.len()
             ));
         }
-        if self.tail != tail_of(&self.in_tail) {
+        if *self.tail != *tail_of(&self.in_tail) {
             return Err(format!(
                 "the tail list ({} users) is not the flagged tail members",
                 self.tail.len()
@@ -614,6 +621,13 @@ impl IncrementalFormer {
                 .filter_map(|(i, &c)| (c == 0).then_some(i as u32))
                 .collect(),
         )
+    }
+
+    /// The tail's members, ascending: the member list of the tail group
+    /// (the last group of [`IncrementalFormer::result`]) when it is
+    /// non-empty, shared with it.
+    pub fn tail(&self) -> &Arc<[u32]> {
+        &self.tail
     }
 
     /// Projects the standing Step-1/2 state into a serializable
@@ -890,14 +904,14 @@ impl IncrementalFormer {
         //    rejoined often ranks as before, and then the index is left
         //    alone.
         let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
-        for (key, old) in touched {
-            let new = self.buckets.get_mut(&key).map(|b| {
+        for (key, old) in &touched {
+            let new = self.buckets.get_mut(key).map(|b| {
                 recompute_bucket_scores(matrix, prefs, &self.cfg, b);
-                BucketRank::of(&key, b, sem, agg)
+                BucketRank::of(key, b, sem, agg)
             });
-            if new != old {
+            if new.as_ref() != old.as_ref() {
                 if let Some(old) = old {
-                    let indexed = self.index.remove(&old);
+                    let indexed = self.index.remove(old);
                     debug_assert!(indexed, "every standing bucket is indexed");
                 }
                 if let Some(new) = new {
@@ -910,10 +924,10 @@ impl IncrementalFormer {
         //    splice users whose tail membership changed (bucket admissions,
         //    evictions, and dirty users that hopped across the boundary).
         let selected = indexed_selection(&self.index, self.cfg.ell);
-        self.apply_selection(matrix, selected, &dirty);
+        let previous = self.apply_selection(matrix, selected, &dirty);
 
-        // 5. Emit the patched grouping.
-        self.emit(matrix);
+        // 5. Emit the patched grouping, re-emitting what it left alone.
+        self.emit(matrix, &previous, &touched);
         Ok(&self.result)
     }
 
@@ -968,8 +982,14 @@ impl IncrementalFormer {
     }
 
     /// Installs `new_selected` and splices every user whose tail
-    /// membership changed into/out of the tail aggregates.
-    fn apply_selection(&mut self, matrix: &RatingMatrix, new_selected: Vec<Key>, dirty: &[u32]) {
+    /// membership changed into/out of the tail aggregates; returns the
+    /// selection it replaced.
+    fn apply_selection(
+        &mut self,
+        matrix: &RatingMatrix,
+        new_selected: Vec<Key>,
+        dirty: &[u32],
+    ) -> Vec<Key> {
         let new_set: FxHashSet<&Key> = new_selected.iter().collect();
         let mut affected: Vec<u32> = dirty.to_vec();
         for key in &self.selected {
@@ -1012,43 +1032,65 @@ impl IncrementalFormer {
         }
         drop(new_set);
         self.splice_tail(entered, left);
-        self.selected = new_selected;
+        std::mem::replace(&mut self.selected, new_selected)
     }
 
     /// Brings the sorted tail list in line with `in_tail` after the users
-    /// in `entered` joined the tail and those in `left` quit it: a few
-    /// flips are spliced in place, a bulk change re-reads the flags.
-    fn splice_tail(&mut self, entered: Vec<u32>, left: Vec<u32>) {
-        if entered.len() + left.len() > SPLICE_IN_PLACE_MAX {
-            self.tail = tail_of(&self.in_tail);
+    /// in `entered` joined the tail and those in `left` quit it. No flip
+    /// keeps the list (and the emitted tail group) as it is; any flip
+    /// builds the successor list once, merging the flips into a copy of
+    /// the old one.
+    fn splice_tail(&mut self, mut entered: Vec<u32>, mut left: Vec<u32>) {
+        if entered.is_empty() && left.is_empty() {
             return;
         }
-        for u in left {
-            let pos = self
-                .tail
-                .binary_search(&u)
-                .expect("a leaving user is listed");
-            self.tail.remove(pos);
+        entered.sort_unstable();
+        left.sort_unstable();
+        let mut next = Vec::with_capacity(self.tail.len() + entered.len() - left.len());
+        let (mut entered, mut left) = (entered.into_iter().peekable(), left.into_iter().peekable());
+        for &u in self.tail.iter() {
+            while let Some(e) = entered.next_if(|&e| e < u) {
+                next.push(e);
+            }
+            if left.next_if_eq(&u).is_none() {
+                next.push(u);
+            }
         }
-        for u in entered {
-            let pos = self
-                .tail
-                .binary_search(&u)
-                .expect_err("an entering user is not listed yet");
-            self.tail.insert(pos, u);
-        }
+        next.extend(entered);
+        debug_assert!(left.next().is_none(), "every leaving user was listed");
+        self.tail = next.into();
     }
 
-    /// Rebuilds `self.result` from the selected buckets plus the tail.
-    fn emit(&mut self, matrix: &RatingMatrix) {
+    /// Rebuilds `self.result` from the selected buckets plus the tail,
+    /// copying no member list it already emitted: a selected bucket that
+    /// is not in `touched` re-emits its group from the previous result
+    /// (whose selection was `previous`), a rebuilt group keeps the member
+    /// list of the previous group at its index when the members are the
+    /// same, and the tail group shares the maintained tail list. Only the
+    /// tail's top-`k` is rescored.
+    fn emit(&mut self, matrix: &RatingMatrix, previous: &[Key], touched: &Touched) {
+        let old = std::mem::take(&mut self.result.grouping.groups);
         let mut groups: Vec<Group> = Vec::with_capacity(self.selected.len() + 1);
-        for key in &self.selected {
-            let b = self.buckets[key].clone();
-            groups.push(bucket_to_group(b, &self.cfg));
+        for (gi, key) in self.selected.iter().enumerate() {
+            let kept = previous
+                .iter()
+                .position(|p| p == key)
+                .filter(|_| !touched.contains_key(key));
+            let group = match kept {
+                Some(pi) => old[pi].clone(),
+                None => {
+                    let mut group = bucket_to_group(&self.buckets[key], &self.cfg);
+                    if let Some(same) = old.get(gi).filter(|g| g.members == group.members) {
+                        group.members = Arc::clone(&same.members);
+                    }
+                    group
+                }
+            };
+            groups.push(group);
         }
         if !self.tail.is_empty() {
             let mut tail = Group {
-                members: self.tail.clone(),
+                members: Arc::clone(&self.tail),
                 top_k: Vec::new(),
                 satisfaction: 0.0,
             };
@@ -1075,11 +1117,6 @@ impl IncrementalFormer {
         };
     }
 }
-
-/// Flip counts above this rebuild the tail list from the `in_tail` flags
-/// (one `O(n)` pass) instead of splicing each user in or out (an `O(n)`
-/// shift apiece).
-const SPLICE_IN_PLACE_MAX: usize = 16;
 
 /// The users flagged in `in_tail`, ascending.
 fn tail_of(in_tail: &[bool]) -> Vec<u32> {
@@ -1547,12 +1584,12 @@ mod tests {
             let groups = &emitted.grouping.groups;
             assert_eq!(groups.len(), stale.selected.len() + 1, "{sem}");
             for (group, users) in groups.iter().zip(&selected_users) {
-                assert_eq!(group.members.as_slice(), *users, "{sem}");
+                assert_eq!(&*group.members, *users, "{sem}");
             }
             let tail: Vec<u32> = (0..m.n_users())
                 .filter(|u| !selected_users.iter().any(|users| users.contains(u)))
                 .collect();
-            assert_eq!(groups.last().unwrap().members, tail, "{sem}");
+            assert_eq!(*groups.last().unwrap().members, *tail, "{sem}");
             let cold = GreedyFormer::new().form(&m, &p, &cfg).unwrap();
             assert_ne!(
                 &emitted, &cold,

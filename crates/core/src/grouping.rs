@@ -1,14 +1,23 @@
 //! Groups and groupings (the output of group formation).
 
 use crate::error::{GfError, Result};
+use std::sync::Arc;
+
+/// The entry of a [`Grouping::assignment`] for a user no group covers.
+pub const UNASSIGNED: u32 = u32::MAX;
 
 /// One formed group: its members, the top-`k` item list recommended to it,
 /// and its satisfaction with that list.
+///
+/// The member list is shared: cloning a group copies a pointer, not the
+/// members, and [`crate::IncrementalFormer`] hands the member lists a
+/// refresh left alone to the next formation as they are. Equality
+/// compares contents.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Group {
     /// Member user indices, sorted ascending.
-    pub members: Vec<u32>,
+    pub members: Arc<[u32]>,
     /// The recommended top-`k` list: `(item, group score)` pairs, best first.
     /// Scores follow the semantics the group was formed under.
     pub top_k: Vec<(u32, f64)>,
@@ -72,13 +81,14 @@ impl Grouping {
         self.groups.iter().map(Group::len).collect()
     }
 
-    /// The group index each user belongs to; `None` where unassigned.
-    pub fn assignment(&self, n_users: u32) -> Vec<Option<usize>> {
-        let mut assign = vec![None; n_users as usize];
+    /// The group index each of the first `n_users` users belongs to,
+    /// [`UNASSIGNED`] where no group covers it: 4 bytes per user.
+    pub fn assignment(&self, n_users: u32) -> Vec<u32> {
+        let mut assign = vec![UNASSIGNED; n_users as usize];
         for (gi, g) in self.groups.iter().enumerate() {
-            for &u in &g.members {
-                if (u as usize) < assign.len() {
-                    assign[u as usize] = Some(gi);
+            for &u in g.members.iter() {
+                if let Some(slot) = assign.get_mut(u as usize) {
+                    *slot = gi as u32;
                 }
             }
         }
@@ -99,7 +109,7 @@ impl Grouping {
             if g.is_empty() {
                 return Err(GfError::InvalidGrouping(format!("group {gi} is empty")));
             }
-            for &u in &g.members {
+            for &u in g.members.iter() {
                 if u >= n_users {
                     return Err(GfError::UserOutOfRange { user: u, n_users });
                 }
@@ -126,7 +136,7 @@ mod tests {
 
     fn group(members: &[u32], sat: f64) -> Group {
         Group {
-            members: members.to_vec(),
+            members: members.into(),
             top_k: vec![],
             satisfaction: sat,
         }
@@ -179,6 +189,6 @@ mod tests {
     #[test]
     fn assignment_maps_users() {
         let g = Grouping::new(vec![group(&[0, 2], 1.0), group(&[1], 1.0)]);
-        assert_eq!(g.assignment(4), vec![Some(0), Some(1), Some(0), None]);
+        assert_eq!(g.assignment(4), vec![0, 1, 0, UNASSIGNED]);
     }
 }

@@ -87,7 +87,7 @@ pub use alg::{
 pub use candidates::{brute_force_candidates, CandidateEngine};
 pub use error::{GfError, Result};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use grouping::{Group, Grouping};
+pub use grouping::{Group, Grouping, UNASSIGNED};
 pub use grouprec::{GroupRecommender, MissingPolicy};
 pub use ids::{ItemId, UserId};
 pub use matrix::{GrowthPolicy, MatrixBuilder, RatingMatrix};

@@ -91,7 +91,7 @@ pub fn per_user_satisfaction(
     let mut out = Vec::with_capacity(matrix.n_users() as usize);
     for g in &grouping.groups {
         let rec_items: Vec<u32> = g.items().collect();
-        for &u in &g.members {
+        for &u in g.members.iter() {
             out.push((
                 u,
                 crate::ndcg::user_satisfaction(matrix, prefs, u, &rec_items, k),
@@ -166,7 +166,7 @@ mod tests {
         // One singleton group per user: group scores = personal scores.
         let groups = (0..6u32)
             .map(|u| crate::grouping::Group {
-                members: vec![u],
+                members: std::sync::Arc::new([u]),
                 top_k: vec![],
                 satisfaction: 0.0,
             })
@@ -186,7 +186,7 @@ mod tests {
             .map(|u| {
                 let rec = GroupRecommender::new(&m, Semantics::LeastMisery);
                 crate::grouping::Group {
-                    members: vec![u],
+                    members: std::sync::Arc::new([u]),
                     top_k: rec.top_k(&[u], 2),
                     satisfaction: 0.0,
                 }

@@ -158,14 +158,15 @@ impl OnlineEval {
     }
 
     /// Grades the grouping named `scope`: `assignment[u]` maps each user
-    /// to its group, `group_items[g]` is the item list group `g` is being
-    /// served (best first), `k` the truncation depth. Events scoped to a
-    /// different grouping, from unassigned users, or from users outside
+    /// to its group (the compact form of [`crate::Grouping::assignment`]),
+    /// `group_items[g]` is the item list group `g` is being served (best
+    /// first), `k` the truncation depth. Events scoped to a different
+    /// grouping, from [`crate::UNASSIGNED`] users, or from users outside
     /// `assignment` are ignored.
     pub fn evaluate(
         &self,
         scope: &str,
-        assignment: &[Option<usize>],
+        assignment: &[u32],
         group_items: &[Vec<u32>],
         k: usize,
     ) -> QualitySummary {
@@ -175,9 +176,10 @@ impl OnlineEval {
             if ev.scope.as_deref().is_some_and(|s| s != scope) {
                 continue;
             }
-            let Some(Some(gi)) = assignment.get(ev.user as usize).copied() else {
+            let Some(&gi) = assignment.get(ev.user as usize) else {
                 continue;
             };
+            let gi = gi as usize;
             if gi >= consumed.len() {
                 continue;
             }
@@ -237,6 +239,7 @@ impl OnlineEval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UNASSIGNED;
 
     fn ev(user: u32, item: u32) -> FeedbackEvent {
         FeedbackEvent {
@@ -285,7 +288,7 @@ mod tests {
     fn evaluate_grades_hits_and_misses() {
         // Group 0 = users {0,1} served [10, 11]; group 1 = user {2}
         // served [12, 13].
-        let assignment = vec![Some(0), Some(0), Some(1)];
+        let assignment = vec![0, 0, 1];
         let lists = vec![vec![10, 11], vec![12, 13]];
         let w = OnlineEval::from_parts(
             8,
@@ -309,7 +312,7 @@ mod tests {
 
     #[test]
     fn scoped_events_only_count_for_their_grouping() {
-        let assignment = vec![Some(0)];
+        let assignment = vec![0];
         let lists = vec![vec![10]];
         let w = OnlineEval::from_parts(8, vec![scoped(0, 10, "other"), scoped(0, 10, "mine")], 2);
         let mine = w.evaluate("mine", &assignment, &lists, 1);
@@ -322,7 +325,7 @@ mod tests {
 
     #[test]
     fn duplicate_consumptions_dedupe() {
-        let assignment = vec![Some(0)];
+        let assignment = vec![0];
         let lists = vec![vec![10, 11]];
         let w = OnlineEval::from_parts(8, vec![ev(0, 10), ev(0, 10), ev(0, 10)], 3);
         let q = w.evaluate("default", &assignment, &lists, 2);
@@ -335,7 +338,7 @@ mod tests {
     fn ndcg_rewards_rank() {
         // One consumed item: at rank 0 NDCG = 1; at rank 1 NDCG =
         // (1/log2(3)) / 1 < 1.
-        let assignment = vec![Some(0)];
+        let assignment = vec![0];
         let w = OnlineEval::from_parts(8, vec![ev(0, 11)], 1);
         let top = w.evaluate("default", &assignment, &[vec![11, 10]], 2);
         let low = w.evaluate("default", &assignment, &[vec![10, 11]], 2);
@@ -345,7 +348,7 @@ mod tests {
 
     #[test]
     fn unassigned_and_out_of_range_users_are_ignored() {
-        let assignment = vec![Some(0), None];
+        let assignment = vec![0, UNASSIGNED];
         let lists = vec![vec![10]];
         let w = OnlineEval::from_parts(8, vec![ev(1, 10), ev(9, 10)], 2);
         let q = w.evaluate("default", &assignment, &lists, 1);

@@ -7,10 +7,12 @@
 
 use gf_core::alg::bucket::{bucket_order, build_buckets, canonical_buckets};
 use gf_core::{
-    brute_force_candidates, Aggregation, FormationConfig, GreedyFormer, GroupFormer, GrowthPolicy,
-    IncrementalFormer, MissingPolicy, PrefIndex, RatingDelta, RatingMatrix, RatingScale, Semantics,
+    brute_force_candidates, Aggregation, FormationConfig, FormationResult, GreedyFormer,
+    GroupFormer, GrowthPolicy, IncrementalFormer, MissingPolicy, PrefIndex, RatingDelta,
+    RatingMatrix, RatingScale, Semantics,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random sparse instance on the 1..5 integer grid with at least one
 /// rating (builders reject empty matrices).
@@ -179,6 +181,43 @@ fn assert_index_is_the_scan(
     }
 }
 
+/// A refresh hands on what it left alone. The tail list is the tail
+/// group's member list itself; a refresh that flipped no user's tail
+/// membership (the tail kept its members) keeps the same allocation; and
+/// every group whose members are unchanged at its index shares the
+/// previous group's allocation. `before` and `before_tail` are the result
+/// and tail list before the refresh. A refresh that rebuilt the former
+/// from scratch (an item admission crossing `k`) shares nothing and is
+/// exempt.
+fn assert_shares_what_it_kept(
+    former: &IncrementalFormer,
+    before: &FormationResult,
+    before_tail: &Arc<[u32]>,
+) {
+    let groups = &former.result().grouping.groups;
+    if !former.tail().is_empty() {
+        let emitted = &groups.last().unwrap().members;
+        assert!(
+            Arc::ptr_eq(former.tail(), emitted),
+            "the tail group copied the tail list"
+        );
+    }
+    if **before_tail == **former.tail() {
+        assert!(
+            Arc::ptr_eq(before_tail, former.tail()),
+            "a refresh that flipped no tail member rebuilt the tail list"
+        );
+    }
+    for (gi, (old, new)) in before.grouping.groups.iter().zip(groups).enumerate() {
+        if old.members == new.members {
+            assert!(
+                Arc::ptr_eq(&old.members, &new.members),
+                "group {gi} copied an unchanged member list"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -203,9 +242,11 @@ proptest! {
             .collect();
         for batch in partition(&updates, &sizes) {
             let deltas = apply_batch(&mut matrix, &mut prefs, &batch);
+            let (before, before_tail) = (former.result().clone(), Arc::clone(former.tail()));
             former.refresh(&matrix, &prefs, &deltas).unwrap();
             assert_buckets_match_cold(&former, &matrix, &prefs, &cfg);
             assert_index_is_the_scan(&former, &matrix, &prefs, &cfg);
+            assert_shares_what_it_kept(&former, &before, &before_tail);
         }
         // Final state: the whole result (grouping order, top-k lists,
         // satisfactions, objective, bucket count) is the cold run's.
@@ -247,9 +288,15 @@ proptest! {
                 let mut prefs = PrefIndex::build(&matrix);
                 let mut former = IncrementalFormer::new(&matrix, &prefs, cfg).unwrap();
                 for batch in partition(&updates, &sizes) {
+                    let old_m = matrix.n_items() as usize;
                     let deltas = apply_batch_under(&mut matrix, &mut prefs, &batch, growth);
+                    let before = former.result().clone();
+                    let before_tail = Arc::clone(former.tail());
                     former.refresh(&matrix, &prefs, &deltas).unwrap();
                     assert_index_is_the_scan(&former, &matrix, &prefs, &cfg);
+                    if cfg.k.min(old_m) == cfg.k.min(matrix.n_items() as usize) {
+                        assert_shares_what_it_kept(&former, &before, &before_tail);
+                    }
                     let cold = GreedyFormer::new()
                         .form(&matrix, &PrefIndex::build(&matrix), &cfg)
                         .unwrap();

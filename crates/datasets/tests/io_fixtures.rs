@@ -95,7 +95,7 @@ fn loaded_fixture_supports_group_formation_end_to_end() {
     assert!(plain.objective > 0.0);
     // Report groups against the original MovieLens user ids.
     for g in &plain.grouping.groups {
-        for &u in &g.members {
+        for &u in g.members.iter() {
             assert!(loaded.user_ids[u as usize] >= 101);
         }
     }

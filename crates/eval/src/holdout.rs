@@ -72,15 +72,16 @@ fn discount(position: usize) -> f64 {
 }
 
 /// Judges the grouping named `scope` against a held-out event set:
-/// `assignment[u]` maps each user to its group, `group_items[g]` is the
-/// item list group `g` was served (best first), `k` the truncation depth.
-/// Events scoped to a different grouping, from unassigned users, or from
+/// `assignment[u]` maps each user to its group (the compact form of
+/// [`gf_core::Grouping::assignment`]), `group_items[g]` is the item list
+/// group `g` was served (best first), `k` the truncation depth. Events
+/// scoped to a different grouping, from [`gf_core::UNASSIGNED`] users, or from
 /// users outside `assignment` are ignored, as are events pointing at
 /// groups beyond `group_items`.
 pub fn evaluate_holdout(
     scope: &str,
     events: &[HoldoutEvent],
-    assignment: &[Option<usize>],
+    assignment: &[u32],
     group_items: &[Vec<u32>],
     k: usize,
 ) -> HoldoutReport {
@@ -93,7 +94,7 @@ pub fn evaluate_holdout(
             }
         }
         let group = match assignment.get(ev.user as usize) {
-            Some(&Some(g)) if g < group_items.len() => g,
+            Some(&g) if (g as usize) < group_items.len() => g as usize,
             _ => continue,
         };
         events_attributed += 1;
@@ -155,6 +156,7 @@ pub fn evaluate_holdout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gf_core::UNASSIGNED;
 
     fn ev(user: u32, item: u32) -> HoldoutEvent {
         HoldoutEvent {
@@ -166,7 +168,7 @@ mod tests {
 
     #[test]
     fn grades_hits_misses_and_rank() {
-        let assignment = vec![Some(0), Some(0), Some(1)];
+        let assignment = vec![0, 0, 1];
         let lists = vec![vec![10, 11], vec![12, 13]];
         let events = vec![ev(0, 10), ev(1, 11), ev(2, 99)];
         let r = evaluate_holdout("default", &events, &assignment, &lists, 2);
@@ -183,7 +185,7 @@ mod tests {
 
     #[test]
     fn scoping_dedup_and_bad_users_match_the_online_contract() {
-        let assignment = vec![Some(0), None];
+        let assignment = vec![0, UNASSIGNED];
         let lists = vec![vec![10, 11]];
         let events = vec![
             ev(0, 10),
@@ -207,7 +209,7 @@ mod tests {
     fn agrees_with_the_online_accumulator() {
         // The cross-check in miniature: identical inputs through both
         // implementations, identical numbers out.
-        let assignment = vec![Some(0), Some(1), Some(0), Some(1), None];
+        let assignment = vec![0, 1, 0, 1, UNASSIGNED];
         let lists = vec![vec![3, 1, 4], vec![1, 5, 9]];
         let pairs = [(0u32, 3u32), (1, 5), (2, 4), (2, 7), (3, 9), (3, 1), (0, 3)];
         let events: Vec<HoldoutEvent> = pairs.iter().map(|&(u, i)| ev(u, i)).collect();

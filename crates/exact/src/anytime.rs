@@ -106,7 +106,7 @@ impl GroupFormer for LocalSearch {
             .grouping
             .groups
             .iter()
-            .map(|g| g.members.clone())
+            .map(|g| g.members.to_vec())
             .collect();
         let mut cache = SatCache {
             rec: GroupRecommender::new(matrix, cfg.semantics).with_policy(cfg.policy),
@@ -217,7 +217,7 @@ impl GroupFormer for LocalSearch {
             .iter()
             .zip(&sats)
             .map(|(members, &satisfaction)| Group {
-                members: members.clone(),
+                members: members.as_slice().into(),
                 top_k: rec.top_k(members, cfg.k),
                 satisfaction,
             })

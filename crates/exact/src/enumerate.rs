@@ -111,7 +111,7 @@ mod tests {
             .grouping
             .groups
             .iter()
-            .map(|g| g.members.clone())
+            .map(|g| g.members.to_vec())
             .collect();
         groups.sort();
         assert_eq!(groups, vec![vec![0, 2, 3], vec![1, 5], vec![4]]);

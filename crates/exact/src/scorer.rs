@@ -69,7 +69,7 @@ impl<'a> MaskScorer<'a> {
         let top_k = self.rec.top_k(&members, self.k);
         let satisfaction = self.score(mask);
         Group {
-            members,
+            members: members.into(),
             top_k,
             satisfaction,
         }
@@ -139,7 +139,7 @@ mod tests {
         let m = example1();
         let mut s = MaskScorer::new(&m, &cfg());
         let g = s.group(0b001100);
-        assert_eq!(g.members, vec![2, 3]);
+        assert_eq!(*g.members, [2, 3]);
         assert_eq!(g.top_k, vec![(1, 5.0)]);
         assert_eq!(g.satisfaction, 5.0);
     }

@@ -384,7 +384,7 @@ fn decode_formation(body: &[u8]) -> Result<FormationResult> {
         }
         let satisfaction = r.f64("satisfaction")?;
         groups.push(Group {
-            members,
+            members: members.into(),
             top_k,
             satisfaction,
         });

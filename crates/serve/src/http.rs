@@ -436,7 +436,7 @@ fn quality_json(snap: &Snapshot) -> Json {
                     .collect();
                 let q = snap
                     .feedback
-                    .evaluate(name, &g.assignment, &group_items, g.config.k);
+                    .evaluate(name, g.assignment(), &group_items, g.config.k);
                 (
                     name.clone(),
                     obj([
@@ -508,7 +508,7 @@ fn group_of(state: &ServeState, name: &str, user: u32, page: Page) -> (u16, Json
             error_body("unknown_grouping", format!("no grouping named {name:?}")),
         );
     };
-    match g.assignment.get(user as usize).copied().flatten() {
+    match g.group_of(user) {
         Some(gi) => {
             let mut body = group_body(&snap, name, g, gi, page);
             if let Json::Obj(fields) = &mut body {

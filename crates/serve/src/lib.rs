@@ -89,7 +89,7 @@
 //! let snap = state.snapshot();
 //! assert_eq!(snap.version, 2);
 //! assert_eq!(snap.matrix.get(0, 2), Some(5.0));
-//! # assert!(snap.default_grouping().assignment.iter().all(Option::is_some));
+//! # assert!((0..snap.matrix.n_users()).all(|u| snap.default_grouping().group_of(u).is_some()));
 //! ```
 //!
 //! To serve over TCP, wrap the state in a [`net::Server`] (or run the

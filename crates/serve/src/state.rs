@@ -7,11 +7,11 @@
 //! an immutable, `Arc`-shared bundle of the rating matrix, the preference
 //! index and a **registry of named groupings** ([`GroupingState`]), each
 //! carrying its own [`FormationConfig`], [`FormationResult`] and
-//! user→group assignment. Readers clone the `Arc` under a briefly-held
-//! read lock and then work lock-free; writers build the next snapshot off
-//! to the side and swap it in with a briefly-held write lock. A query
-//! therefore always sees an internally consistent formation, never a
-//! half-applied update.
+//! user→group assignment ([`GroupingState::group_of`]). Readers clone
+//! the `Arc` under a briefly-held read lock and then work lock-free;
+//! writers build the next snapshot off to the side and swap it in with a
+//! briefly-held write lock. A query therefore always sees an internally
+//! consistent formation, never a half-applied update.
 //!
 //! ## The registry
 //!
@@ -49,6 +49,14 @@
 //!   grouping, making refresh cost proportional to the update batch;
 //! * **cold** — a fresh former over the whole population.
 //!
+//! Installing the result shares what the pass left alone. Member lists
+//! are `Arc<[u32]>`s the former hands on unchanged, and a grouping
+//! reuses its predecessor's assignment allocation when every group keeps
+//! its member list allocation at the same index (a pointer test per
+//! group), so an install that moves no member costs `O(ell · k)` plus the
+//! tail's `O(m)` candidate list, not `O(n)`. A pass that moves a member
+//! rebuilds the assignment once.
+//!
 //! An item admission that pushes the catalogue past a grouping's `k`
 //! changes every user's top-`k` signature at once, so that grouping
 //! rebuilds cold in the same pass, over the post-chunk matrix; the rest
@@ -57,11 +65,11 @@
 //!
 //! A grouping without a former — restored from a checkpoint that carried
 //! none, whose refresh returned an error, or left by a pass that failed
-//! midway — gets a fresh one on its next rating pass. Both paths are
-//! **test-enforced** to converge, per grouping, to exactly the snapshot a
-//! cold rebuild over the same ratings produces, whatever the refresh mode
-//! (`tests/serve_props.rs`); `/stats` reports which path each grouping
-//! refresh took.
+//! midway — gets a fresh one on its next rating pass, which `/stats`
+//! counts as cold. Both paths are **test-enforced** to converge, per
+//! grouping, to exactly the snapshot a cold rebuild over the same ratings
+//! produces, whatever the refresh mode (`tests/serve_props.rs`); `/stats`
+//! reports which path each grouping refresh took.
 //!
 //! ## The quality loop
 //!
@@ -87,7 +95,7 @@ use crate::batch::{BatchOutcome, Batcher};
 use crate::remap::RawIdLayer;
 use gf_core::{
     CandidateEngine, FeedbackEvent, FormationConfig, FormationResult, GfError, GrowthPolicy,
-    IncrementalFormer, OnlineEval, PrefIndex, RatingDelta, RatingMatrix, Result,
+    IncrementalFormer, OnlineEval, PrefIndex, RatingDelta, RatingMatrix, Result, UNASSIGNED,
 };
 use gf_persist::wal::{Wal, WalPayload, WalRecord};
 use gf_persist::{CheckpointGrouping, CheckpointState, StateDigest};
@@ -198,16 +206,24 @@ pub struct Progress {
 /// One named grouping inside a snapshot: its configuration, formation,
 /// derived user→group assignment and the global snapshot version at
 /// which the formation last changed.
+///
+/// Everything sizeable is shared by `Arc`: each group's member list
+/// ([`gf_core::Group::members`]) and the assignment. A pass that moves
+/// no member hands both to the successor as they are, so installing a
+/// refreshed grouping, and cloning one forward on a feedback-only pass
+/// or into a checkpoint export, costs `O(ell · k)`, not `O(n)`.
 #[derive(Debug, Clone)]
 pub struct GroupingState {
     /// The formation configuration the groups were formed under.
     pub config: FormationConfig,
     /// The current formation.
     pub formation: FormationResult,
-    /// `assignment[u]` = index into `formation.grouping.groups`, `None`
-    /// for users the formation did not cover (impossible for valid
-    /// formations, kept as `Option` for defense in depth).
-    pub assignment: Vec<Option<usize>>,
+    /// `assignment[u]` = index into `formation.grouping.groups`, or
+    /// [`UNASSIGNED`] for a user the formation does not cover (impossible
+    /// for valid formations, kept for defense in depth); read through
+    /// [`GroupingState::group_of`]. A successor reuses this allocation
+    /// while every group keeps its member list allocation.
+    assignment: Arc<[u32]>,
     /// Global snapshot version at which this grouping's formation was
     /// last (re)computed. Rating passes refresh every grouping, so after
     /// a pass all groupings carry the pass's version; a `/form` advances
@@ -216,9 +232,11 @@ pub struct GroupingState {
     /// Per-group candidate stamps: `stamps[g]` is the version at which
     /// group `g`'s member list last changed, one of its members was
     /// rated or the catalogue grew — what its candidate list depends on,
-    /// so [`ServeState::candidate_items`] caches by it. Process-local:
-    /// a booted, restored or re-formed grouping stamps every group with
-    /// its own version.
+    /// so [`ServeState::candidate_items`] caches by it. A pass carries a
+    /// stamp over only when the group shares its member list allocation
+    /// with the previous grouping's group at the same index (a pointer
+    /// test, `O(1)` per group). Process-local: a booted, restored or
+    /// re-formed grouping stamps every group with its own version.
     pub stamps: Vec<u64>,
     /// The tail group's candidate list, computed by the pass that built
     /// this grouping from its former's maintained rater counts
@@ -228,18 +246,37 @@ pub struct GroupingState {
 }
 
 impl GroupingState {
-    /// A grouping holding `former`'s formation at `version`, with the
-    /// assignment of all `n_users` users derived from it and every group
-    /// stamped with `version`.
+    /// A grouping holding `former`'s formation at `version`, every group
+    /// stamped with `version`, and the assignment of all `n_users` users.
+    /// The assignment is `prev`'s own allocation when `prev` covers the
+    /// same population and every group shares its member list with
+    /// `prev`'s group at the same index (see [`GroupingState::shares_members`]);
+    /// otherwise it is derived once from the formation.
     fn formed(
         config: FormationConfig,
         former: &IncrementalFormer,
+        prev: Option<&GroupingState>,
         n_users: u32,
         version: u64,
     ) -> GroupingState {
-        let mut g = GroupingState::restored(config, former.result().clone(), n_users, version);
-        g.tail_candidates = former.tail_candidates().map(Arc::new);
-        g
+        let formation = former.result().clone();
+        let reusable = prev.filter(|p| {
+            p.assignment.len() == n_users as usize
+                && p.formation.grouping.len() == formation.grouping.len()
+                && (0..formation.grouping.len()).all(|gi| p.shares_members(&formation, gi))
+        });
+        let assignment = match reusable {
+            Some(p) => Arc::clone(&p.assignment),
+            None => formation.grouping.assignment(n_users).into(),
+        };
+        GroupingState {
+            config,
+            stamps: vec![version; formation.grouping.len()],
+            formation,
+            assignment,
+            version,
+            tail_candidates: former.tail_candidates().map(Arc::new),
+        }
     }
 
     /// A grouping holding `formation` at `version` with no precomputed
@@ -250,35 +287,63 @@ impl GroupingState {
         n_users: u32,
         version: u64,
     ) -> GroupingState {
-        let assignment = formation.grouping.assignment(n_users);
-        let stamps = vec![version; formation.grouping.len()];
         GroupingState {
             config,
+            assignment: formation.grouping.assignment(n_users).into(),
+            stamps: vec![version; formation.grouping.len()],
             formation,
-            assignment,
             version,
-            stamps,
             tail_candidates: None,
         }
     }
 
-    /// Keeps `prev`'s stamp for every group whose member list is
-    /// unchanged, none of whose members is in `rated` and whose
-    /// catalogue did not grow: its candidate list is still `prev`'s.
+    /// The index into `formation.grouping.groups` of `user`'s group;
+    /// `None` for a user outside the population.
+    pub fn group_of(&self, user: u32) -> Option<usize> {
+        self.assignment
+            .get(user as usize)
+            .filter(|&&gi| gi != UNASSIGNED)
+            .map(|&gi| gi as usize)
+    }
+
+    /// The assignment in its compact form, for
+    /// [`OnlineEval::evaluate`].
+    pub(crate) fn assignment(&self) -> &[u32] {
+        &self.assignment
+    }
+
+    /// Whether `self` and `other` share one assignment allocation (test
+    /// support: a successor that moved no member must).
+    #[doc(hidden)]
+    pub fn shares_assignment(&self, other: &GroupingState) -> bool {
+        Arc::ptr_eq(&self.assignment, &other.assignment)
+    }
+
+    /// Whether group `gi` of `formation` holds the very member list (the
+    /// same allocation, not merely equal contents) as group `gi` of this
+    /// grouping. A pointer test: what a refresh left alone it hands on.
+    fn shares_members(&self, formation: &FormationResult, gi: usize) -> bool {
+        let (mine, theirs) = (&self.formation.grouping.groups, &formation.grouping.groups);
+        mine.get(gi)
+            .zip(theirs.get(gi))
+            .is_some_and(|(a, b)| Arc::ptr_eq(&a.members, &b.members))
+    }
+
+    /// Keeps `prev`'s stamp for every group that shares its member list
+    /// with `prev`'s group at the same index, none of whose members is in
+    /// `rated` and whose catalogue did not grow: its candidate list is
+    /// still `prev`'s.
     fn carry_stamps(mut self, prev: &GroupingState, rated: &[u32], grew: bool) -> GroupingState {
         if grew {
             return self;
         }
-        let groups = &self.formation.grouping.groups;
         for (gi, stamp) in self.stamps.iter_mut().enumerate() {
-            if prev.formation.grouping.groups.get(gi).map(|g| &g.members)
-                == Some(&groups[gi].members)
-            {
+            if prev.shares_members(&self.formation, gi) {
                 *stamp = prev.stamps[gi];
             }
         }
         for &u in rated {
-            if let Some(gi) = self.assignment[u as usize] {
+            if let Some(gi) = self.group_of(u) {
                 self.stamps[gi] = self.version;
             }
         }
@@ -374,7 +439,9 @@ pub struct Stats {
     /// registered, one background pass counts once per grouping.
     pub refresh_incremental: AtomicU64,
     /// Grouping refreshes that re-formed the whole population from
-    /// scratch (counted per grouping, like `refresh_incremental`).
+    /// scratch (counted per grouping, like `refresh_incremental`): by
+    /// refresh mode or batch size, after a `k` crossing, for a grouping
+    /// without a former, or after its refresh returned an error.
     pub refresh_cold: AtomicU64,
     /// Users admitted at serve time under [`gf_core::GrowthPolicy::Grow`] (includes
     /// the empty gap rows a sparse admission creates).
@@ -528,7 +595,13 @@ impl ServeState {
             let former = IncrementalFormer::new(&matrix, &prefs, fc)?;
             groupings.insert(
                 name.clone(),
-                Arc::new(GroupingState::formed(fc, &former, matrix.n_users(), 1)),
+                Arc::new(GroupingState::formed(
+                    fc,
+                    &former,
+                    None,
+                    matrix.n_users(),
+                    1,
+                )),
             );
             formers.insert(name, former);
         }
@@ -988,7 +1061,8 @@ impl ServeState {
             // version — exactly what a rating pass over the same records
             // would do — so versioning (and the crash digest) stays
             // chunking-invariant. Candidate stamps carry over: no member
-            // list or rating moved.
+            // list or rating moved. Each clone shares the member lists and
+            // the assignment, so it costs `O(ell · k)`, not `O(n)`.
             let groupings = current
                 .groupings
                 .iter()
@@ -1049,7 +1123,7 @@ impl ServeState {
             users_admitted: current.progress.users_admitted + admitted_users,
             items_admitted: current.progress.items_admitted + admitted_items,
         };
-        let n_users = matrix.n_users() as usize;
+        let n_users = matrix.n_users();
         // The formers leave their slots for the pass and return with the
         // snapshot they match: a pass that fails midway leaves every
         // grouping without one, and the next pass builds fresh ones.
@@ -1062,7 +1136,8 @@ impl ServeState {
             // degenerate, so take the cold rebuild deliberately.
             let k_crossed = cfg.k.min(current.matrix.n_items() as usize)
                 != cfg.k.min(matrix.n_items() as usize);
-            let incremental = !k_crossed && cfg.refresh.use_incremental(dirty.len(), n_users);
+            let incremental =
+                !k_crossed && cfg.refresh.use_incremental(dirty.len(), n_users as usize);
             // A grouping without a former, or whose refresh fails, gets a
             // fresh one, exactly as on a cold pass.
             let refreshed = incremental
@@ -1080,13 +1155,14 @@ impl ServeState {
                 let former = IncrementalFormer::new(&matrix, &prefs, cfg)?;
                 formers.insert(name.clone(), former);
             }
-            let path = if incremental {
+            // Counted by the path that ran, not the one intended.
+            let path = if refreshed {
                 &self.stats.refresh_incremental
             } else {
                 &self.stats.refresh_cold
             };
             path.fetch_add(1, Ordering::Relaxed);
-            let next = GroupingState::formed(cfg, &formers[name], matrix.n_users(), next_version)
+            let next = GroupingState::formed(cfg, &formers[name], Some(g), n_users, next_version)
                 .carry_stamps(g, &dirty, admitted_items > 0);
             groupings.insert(name.clone(), Arc::new(next));
         }
@@ -1163,7 +1239,13 @@ impl ServeState {
             let n_users = current.matrix.n_users();
             groupings.insert(
                 name.to_string(),
-                Arc::new(GroupingState::formed(cfg, &former, n_users, next_version)),
+                Arc::new(GroupingState::formed(
+                    cfg,
+                    &former,
+                    None,
+                    n_users,
+                    next_version,
+                )),
             );
             let shared = self.install(current.with_groupings(groupings, next_version));
             writer.insert(name.to_string(), former);
@@ -1206,8 +1288,10 @@ impl ServeState {
 
     /// Freezes a consistent bundle for the checkpointer. Taking `writer`
     /// briefly excludes concurrent installs, so each exported former
-    /// state matches its exported grouping; the deep copy into owned
-    /// checkpoint structures happens in the caller, outside every lock.
+    /// state matches its exported grouping. Each formation clone shares
+    /// its member lists (`O(ell · k)`); the deep copy of the matrix and
+    /// preference index into owned checkpoint structures happens in the
+    /// caller, outside every lock.
     pub(crate) fn export_for_checkpoint(&self) -> ExportedState {
         let formers = self.writer.lock().expect("writer lock poisoned");
         let snap = self.snapshot();
@@ -1360,7 +1444,8 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.version, 1);
         let g = snap.default_grouping();
-        assert!(g.assignment.iter().all(Option::is_some));
+        assert!((0..12).all(|u| g.group_of(u).is_some()));
+        assert_eq!(g.group_of(12), None);
         g.formation.grouping.validate(12, 3).unwrap();
     }
 
@@ -1470,8 +1555,8 @@ mod tests {
         let snap = s.snapshot();
         let g = snap.default_grouping();
         assert_eq!(snap.matrix.n_users(), 14);
-        assert_eq!(g.assignment.len(), 14);
-        assert!(g.assignment.iter().all(Option::is_some));
+        assert!((0..14).all(|u| g.group_of(u).is_some()));
+        assert_eq!(g.group_of(14), None);
         // Equal to a cold boot over the grown universe.
         assert_matches_cold(&snap, g);
     }
@@ -1509,13 +1594,16 @@ mod tests {
         s.flush().unwrap();
         let snap = s.snapshot();
         assert_matches_cold(&snap, snap.default_grouping());
+        // The failed refresh rebuilt cold and counts as cold.
+        assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 0);
+        assert_eq!(s.stats.refresh_cold.load(Ordering::Relaxed), 1);
         // The rebuilt former is in sync: the next pass refreshes it.
         s.rate(4, 2, 1.0).unwrap();
         s.flush().unwrap();
         let snap = s.snapshot();
         assert_matches_cold(&snap, snap.default_grouping());
-        assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 2);
-        assert_eq!(s.stats.refresh_cold.load(Ordering::Relaxed), 0);
+        assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 1);
+        assert_eq!(s.stats.refresh_cold.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1562,7 +1650,7 @@ mod tests {
         for name in ["default", "av", "cons"] {
             let g = snap.grouping(name).unwrap();
             assert_eq!(g.version, 1);
-            assert!(g.assignment.iter().all(Option::is_some));
+            assert!((0..12).all(|u| g.group_of(u).is_some()));
         }
         assert_eq!(
             snap.grouping("av").unwrap().config.semantics,

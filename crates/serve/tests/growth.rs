@@ -107,10 +107,13 @@ fn never_seen_user_is_admitted_and_served() {
         snap.default_grouping().formation,
         cold.snapshot().default_grouping().formation
     );
-    assert_eq!(
-        snap.default_grouping().assignment,
-        cold.snapshot().default_grouping().assignment
-    );
+    let cold = cold.snapshot();
+    for u in 0..snap.matrix.n_users() + 1 {
+        assert_eq!(
+            snap.default_grouping().group_of(u),
+            cold.default_grouping().group_of(u)
+        );
+    }
 }
 
 /// Admissions and plain updates interleave across several bounded passes;
@@ -153,11 +156,7 @@ fn interleaved_admissions_and_rates_apply_in_order() {
         .grouping
         .validate(12, 3)
         .unwrap();
-    assert!(snap
-        .default_grouping()
-        .assignment
-        .iter()
-        .all(Option::is_some));
+    assert!((0..12).all(|u| snap.default_grouping().group_of(u).is_some()));
 }
 
 /// Exhaustion is a clean, atomic refusal: the journal stays empty, the

@@ -382,11 +382,7 @@ fn admission_load_generator() {
         .grouping
         .validate(snap.matrix.n_users(), 8)
         .unwrap();
-    assert!(snap
-        .default_grouping()
-        .assignment
-        .iter()
-        .all(Option::is_some));
+    assert!((0..snap.matrix.n_users()).all(|u| snap.default_grouping().group_of(u).is_some()));
     server.stop();
 }
 

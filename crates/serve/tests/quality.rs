@@ -169,7 +169,7 @@ fn assert_no_rated_items_served(state: &ServeState) {
                     .collect(),
                 other => panic!("{name}/{g}: top_k missing: {other:?}"),
             };
-            for &member in &group.members {
+            for &member in group.members.iter() {
                 for &item in &served {
                     assert!(
                         matrix.get(member, item).is_none(),
@@ -277,13 +277,11 @@ fn online_quality_equals_offline_holdout() {
             .iter()
             .map(|g| g.top_k.iter().map(|&(item, _)| item).collect())
             .collect();
-        let offline = evaluate_holdout(
-            name,
-            &events,
-            &grouping.assignment,
-            &served,
-            grouping.config.k,
-        );
+        let assignment = grouping
+            .formation
+            .grouping
+            .assignment(snap.matrix.n_users());
+        let offline = evaluate_holdout(name, &events, &assignment, &served, grouping.config.k);
         let online = stats
             .get("quality")
             .and_then(|q| q.get(name))

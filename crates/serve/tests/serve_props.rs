@@ -4,12 +4,13 @@
 //! the snapshot a cold rebuild over the same final ratings produces.
 
 use gf_core::{
-    brute_force_candidates, Aggregation, FormationConfig, GrowthPolicy, MissingPolicy, PrefIndex,
-    RatingMatrix, RatingScale, RefreshMode, Semantics,
+    brute_force_candidates, Aggregation, FormationConfig, GrowthPolicy, IncrementalFormer,
+    MissingPolicy, PrefIndex, RatingMatrix, RatingScale, RefreshMode, Semantics, UNASSIGNED,
 };
-use gf_serve::{ServeConfig, ServeState};
+use gf_serve::{GroupingState, ServeConfig, ServeState};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,6 +46,12 @@ fn instance(max_users: u32, max_items: u32) -> impl Strategy<Value = Instance> {
             }
             Instance { n, m, triples }
         })
+}
+
+/// `g`'s group of every user id below `n_users`, read through
+/// [`GroupingState::group_of`].
+fn assignment_of(g: &GroupingState, n_users: u32) -> Vec<Option<usize>> {
+    (0..n_users).map(|u| g.group_of(u)).collect()
 }
 
 fn matrix_of(inst: &Instance) -> RatingMatrix {
@@ -112,7 +119,10 @@ proptest! {
             prop_assert_eq!(warm.prefs.ranked_scores(u), cold_prefs.ranked_scores(u));
         }
         prop_assert_eq!(&warm.default_grouping().formation, &cold.default_grouping().formation);
-        prop_assert_eq!(&warm.default_grouping().assignment, &cold.default_grouping().assignment);
+        prop_assert_eq!(
+            assignment_of(warm.default_grouping(), inst.n + 1),
+            assignment_of(cold.default_grouping(), inst.n + 1)
+        );
         warm.default_grouping().formation.grouping.validate(inst.n, ell).unwrap();
     }
 
@@ -171,7 +181,11 @@ proptest! {
             let w = warm.grouping(name).unwrap();
             let c = cold.grouping(name).unwrap();
             prop_assert_eq!(&w.formation, &c.formation, "grouping {}", name);
-            prop_assert_eq!(&w.assignment, &c.assignment, "grouping {}", name);
+            prop_assert_eq!(
+                assignment_of(w, inst.n + 1),
+                assignment_of(c, inst.n + 1),
+                "grouping {}", name
+            );
         }
     }
 
@@ -219,7 +233,11 @@ proptest! {
             for (name, cg) in &c.groupings {
                 let ag = a.grouping(name).unwrap();
                 prop_assert_eq!(&cg.formation, &ag.formation, "grouping {} at step {}", name, step);
-                prop_assert_eq!(&cg.assignment, &ag.assignment, "grouping {} at step {}", name, step);
+                prop_assert_eq!(
+                    assignment_of(cg, inst.n + 1),
+                    assignment_of(ag, inst.n + 1),
+                    "grouping {} at step {}", name, step
+                );
             }
         }
     }
@@ -257,12 +275,25 @@ proptest! {
     }
 
     /// Candidate lists stay exact and survive passes that leave their
-    /// group alone. Over random steps — rating batches that may admit
-    /// users and items, feedback-only chunks and `/form` runs — every
-    /// group's list equals the brute-force one. A group served from the
-    /// cache (all but a `Min` tail) whose members are unchanged, none of
-    /// them rated and whose catalogue did not grow, returns the very
-    /// `Arc` it returned before the step.
+    /// group alone, and what a pass shares is real and never stale. Over
+    /// random steps — rating batches that may admit users and items (and
+    /// cross the `ldr` grouping's `k`, which rebuilds it cold),
+    /// feedback-only chunks and `/form` runs — after every step:
+    ///
+    /// * every group's list equals the brute-force one, and a group
+    ///   served from the cache (all but a `Min` tail) whose members are
+    ///   unchanged, none of them rated and whose catalogue did not grow,
+    ///   returns the very `Arc` it returned before the step;
+    /// * every grouping equals a fresh former's formation over the
+    ///   snapshot's ratings, and answers `group_of` exactly as an
+    ///   assignment derived from scratch from its groups, for every user
+    ///   (and `None` past the last);
+    /// * every group that does not share its member list with the
+    ///   predecessor's group at its index carries its own version as
+    ///   candidate stamp;
+    /// * a grouping that moved no member on a step that refreshed every
+    ///   grouping incrementally shares every member list and the
+    ///   assignment with its predecessor by pointer.
     #[test]
     fn candidate_lists_are_exact_and_survive_untouched_passes(
         inst in instance(9, 7),
@@ -277,11 +308,14 @@ proptest! {
         let skip = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Sum, 2, 3)
             .with_policy(MissingPolicy::Skip);
         let cons = FormationConfig::new(Semantics::Consensus { lambda: 0.5 }, Aggregation::Min, 1, 4);
+        // k = 3 over as few as two items: an item admission can cross it.
+        let ldr = FormationConfig::new(Semantics::LeaderWeighted, Aggregation::Sum, 3, 3);
         let state = ServeState::new(
             matrix_of(&inst),
             ServeConfig::new(lm)
                 .with_grouping("skip", skip)
                 .with_grouping("cons", cons)
+                .with_grouping("ldr", ldr)
                 .with_batch_window(Duration::ZERO),
         )
         .unwrap();
@@ -303,6 +337,7 @@ proptest! {
             let (n, m) = (prev.matrix.n_users(), prev.matrix.n_items());
             let mut rated = BTreeSet::new();
             let mut formed = None;
+            let cold_before = state.stats.refresh_cold.load(Ordering::Relaxed);
             match kind {
                 0 | 1 => {
                     for &(u, i, r) in &cells {
@@ -324,6 +359,53 @@ proptest! {
             }
             state.flush().unwrap();
             let now = state.snapshot();
+            let n_now = now.matrix.n_users();
+            let all_incremental = state.stats.refresh_cold.load(Ordering::Relaxed) == cold_before;
+            for (name, g) in &now.groupings {
+                let fresh = IncrementalFormer::new(&now.matrix, &now.prefs, g.config).unwrap();
+                prop_assert_eq!(&g.formation, fresh.result(), "grouping {} went stale", name);
+                let derived = g.formation.grouping.assignment(n_now);
+                for u in 0..=n_now {
+                    let want = derived
+                        .get(u as usize)
+                        .filter(|&&gi| gi != UNASSIGNED)
+                        .map(|&gi| gi as usize);
+                    prop_assert_eq!(g.group_of(u), want, "grouping {} user {}", name, u);
+                }
+                let p = prev.grouping(name);
+                let groups = &g.formation.grouping.groups;
+                let shared = |gi: usize| {
+                    p.and_then(|p| p.formation.grouping.groups.get(gi))
+                        .is_some_and(|pg| Arc::ptr_eq(&pg.members, &groups[gi].members))
+                };
+                for gi in 0..groups.len() {
+                    if !shared(gi) {
+                        prop_assert_eq!(
+                            g.stamps[gi], g.version,
+                            "grouping {} group {} kept a stale stamp", name, gi
+                        );
+                    }
+                }
+                let Some(p) = p else { continue };
+                let unmoved = p.formation.grouping.len() == groups.len()
+                    && prev.matrix.n_users() == n_now
+                    && groups
+                        .iter()
+                        .zip(&p.formation.grouping.groups)
+                        .all(|(a, b)| a.members == b.members);
+                if unmoved && all_incremental && formed != Some(name.as_str()) {
+                    for gi in 0..groups.len() {
+                        prop_assert!(
+                            shared(gi),
+                            "grouping {} group {} copied unmoved members", name, gi
+                        );
+                    }
+                    prop_assert!(
+                        g.shares_assignment(p),
+                        "grouping {} rebuilt an unmoved assignment", name
+                    );
+                }
+            }
             let after = lists(&now);
             let grew = now.matrix.n_items() != m;
             for ((name, gi), list) in &after {

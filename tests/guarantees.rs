@@ -201,7 +201,7 @@ fn x3c_reduction_instance() {
         .grouping
         .groups
         .iter()
-        .map(|g| g.members.clone())
+        .map(|g| g.members.to_vec())
         .collect();
     groups.sort();
     assert_eq!(groups, vec![vec![0, 1, 2], vec![3, 4, 5]]);

@@ -63,7 +63,7 @@ fn members_sorted(r: &FormationResult) -> Vec<Vec<u32>> {
         .grouping
         .groups
         .iter()
-        .map(|g| g.members.clone())
+        .map(|g| g.members.to_vec())
         .collect();
     g.sort();
     g
