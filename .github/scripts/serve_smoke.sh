@@ -44,6 +44,21 @@ request() {
   echo "$out"
 }
 
+# stats_match_digest: once the writes drain, /v1/stats reports the
+# snapshot's journal progress, so its rates_applied, users_admitted and
+# items_admitted equal /v1/digest's applied, users_admitted and
+# items_admitted.
+stats_match_digest() {
+  local stats digest
+  stats=$(request GET /v1/stats 200)
+  digest=$(request GET /v1/digest 200)
+  jq -e --argjson d "$digest" '.pending == 0
+    and .rates_applied == $d.applied
+    and .users_admitted == $d.users_admitted
+    and .items_admitted == $d.items_admitted' <<<"$stats" >/dev/null \
+    || { echo "FAIL: /v1/stats progress differs from /v1/digest: $stats vs $digest" >&2; exit 1; }
+}
+
 echo "== /health =="
 health=$(request GET /v1/health 200)
 jq -e '.status == "ok" and .users == 20' <<<"$health" >/dev/null
@@ -144,6 +159,7 @@ echo "== growth: /stats counters advanced =="
 request GET /v1/stats 200 | jq -e '.n_users == 43 and .n_items == 26
   and .users_admitted == 13 and .items_admitted == 16
   and .rates_applied >= 1' >/dev/null
+stats_match_digest
 
 echo "== growth: cap exhaustion is a clean 409 =="
 request POST /v1/rate 409 '{"user":9999,"item":0,"rating":3}' | jq -e '.error' >/dev/null
@@ -194,6 +210,7 @@ for _ in $(seq 1 100); do
 done
 [ "$applied" -eq 3 ] || { echo "FAIL: ratings never applied"; exit 1; }
 request GET /v1/stats 200 | jq -e '.wal_records == 3 and .wal_seq == 3' >/dev/null
+stats_match_digest
 digest_before=$(request GET /v1/digest 200 | jq -r '.digest')
 version_before=$(request GET /v1/digest 200 | jq -r '.version')
 
@@ -205,6 +222,7 @@ grep -q "recovery: checkpoint version 1 + 3 wal records replayed" "$PERSIST_LOG"
   || { echo "FAIL: warm-restart recovery line missing/wrong"; exit 1; }
 request GET /v1/stats 200 | jq -e '.recovery_replayed == 3 and .recovery_dropped_bytes == 0
   and .rates_applied == 3 and .users_admitted >= 1' >/dev/null
+stats_match_digest
 request GET /v1/digest 200 | jq -e '.digest == "'"$digest_before"'"
   and .version == '"$version_before" >/dev/null
 request GET /v1/group/50 200 | jq -e '.user == 50 and (.members | index(50) != null)' >/dev/null

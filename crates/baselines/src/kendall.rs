@@ -106,19 +106,6 @@ pub fn full_ranking(
     personal_top_k(matrix, prefs, policy, u, m).0
 }
 
-/// Kendall-Tau distance between two users' full rankings.
-pub fn user_distance(
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    policy: MissingPolicy,
-    a: u32,
-    b: u32,
-) -> u64 {
-    let ra = full_ranking(matrix, prefs, policy, a);
-    let rb = full_ranking(matrix, prefs, policy, b);
-    kendall_tau(&ra, &rb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,21 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn user_distance_reflects_preference_disagreement() {
-        // u0 and u1 agree; u2 is reversed.
-        let m = RatingMatrix::from_dense(
-            &[&[5.0, 3.0, 1.0][..], &[4.0, 3.0, 2.0], &[1.0, 3.0, 5.0]],
-            RatingScale::one_to_five(),
-        )
-        .unwrap();
-        let prefs = PrefIndex::build(&m);
-        let d01 = user_distance(&m, &prefs, MissingPolicy::Min, 0, 1);
-        let d02 = user_distance(&m, &prefs, MissingPolicy::Min, 0, 2);
-        assert_eq!(d01, 0);
-        assert_eq!(d02, 3); // complete reversal of 3 items
-    }
-
-    #[test]
     fn sparse_users_get_full_rankings() {
         let m = RatingMatrix::from_triples(
             2,
@@ -218,6 +190,6 @@ mod tests {
         assert_eq!(r0[0], 4);
         let r1 = full_ranking(&m, &prefs, MissingPolicy::Min, 1);
         assert_eq!(r1[0], 0);
-        assert!(user_distance(&m, &prefs, MissingPolicy::Min, 0, 1) > 0);
+        assert!(kendall_tau(&r0, &r1) > 0);
     }
 }

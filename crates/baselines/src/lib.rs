@@ -32,8 +32,6 @@ pub mod kendall;
 pub mod kmeans;
 pub mod kmedoids;
 pub mod pipeline;
-pub mod random;
 
 pub use distance::DistanceMatrix;
 pub use pipeline::{BaselineFormer, ClusterStrategy};
-pub use random::RandomFormer;

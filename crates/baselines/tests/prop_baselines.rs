@@ -7,7 +7,7 @@ use gf_baselines::kendall::{
 };
 use gf_baselines::kmeans::{kmeans, kmeans_threaded};
 use gf_baselines::kmedoids::kmedoids;
-use gf_baselines::{BaselineFormer, ClusterStrategy, RandomFormer};
+use gf_baselines::{BaselineFormer, ClusterStrategy};
 use gf_core::{Aggregation, FormationConfig, GroupFormer, PrefIndex, Semantics};
 use gf_datasets::SynthConfig;
 use proptest::prelude::*;
@@ -137,7 +137,6 @@ proptest! {
         let formers: Vec<Box<dyn GroupFormer>> = vec![
             Box::new(BaselineFormer::new().with_strategy(ClusterStrategy::KendallMedoids).with_max_iter(15)),
             Box::new(BaselineFormer::new().with_strategy(ClusterStrategy::RatingKMeans).with_max_iter(15)),
-            Box::new(RandomFormer::new()),
         ];
         for former in formers {
             let r = former.form(&d.matrix, &prefs, &cfg).unwrap();

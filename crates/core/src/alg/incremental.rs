@@ -1291,9 +1291,10 @@ mod tests {
 
     #[test]
     fn moment_semantics_init_and_refresh_track_cold_rebuild() {
-        // Consensus and LeaderWeighted have no TailAgg fast path; the
-        // exact rescoring fallback must still equal a cold build after
-        // every batch, for each missing policy.
+        // Under `Min` the maintained tail scores Consensus (from its
+        // `sum_sq` moments) and LeaderWeighted (from the leader's row);
+        // under `UserMean`/`Skip` the exact rescoring fallback runs. Both
+        // must equal a cold build after every batch.
         for sem in [
             Semantics::Consensus { lambda: 0.6 },
             Semantics::LeaderWeighted,

@@ -67,7 +67,6 @@ pub mod error;
 pub mod fxhash;
 pub mod grouping;
 pub mod grouprec;
-pub mod ids;
 pub mod matrix;
 pub mod metrics;
 pub mod ndcg;
@@ -89,13 +88,12 @@ pub use error::{GfError, Result};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use grouping::{Group, Grouping, UNASSIGNED};
 pub use grouprec::{GroupRecommender, MissingPolicy};
-pub use ids::{ItemId, UserId};
 pub use matrix::{GrowthPolicy, MatrixBuilder, RatingMatrix};
-pub use metrics::{avg_group_satisfaction, objective_value, recompute_objective};
+pub use metrics::{avg_group_satisfaction, recompute_objective};
 pub use ndcg::{dcg, ndcg, user_satisfaction};
 pub use online::{FeedbackEvent, GroupQuality, OnlineEval, QualitySummary};
 pub use prefs::PrefIndex;
 pub use scale::RatingScale;
-pub use semantics::{AggSemantics, Semantics};
+pub use semantics::Semantics;
 pub use threads::resolve_threads;
 pub use weights::WeightScheme;

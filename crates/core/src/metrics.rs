@@ -1,7 +1,8 @@
 //! Quality metrics from Section 7 ("Experimental Analysis Setup").
 //!
 //! * the **objective function value** — the total satisfaction of a
-//!   grouping under the configured semantics and aggregation;
+//!   grouping under the configured semantics and aggregation (stored on
+//!   the grouping itself, [`Grouping::objective`]);
 //! * the **average group satisfaction** over the recommended top-`k`
 //!   lists, `(Σ_x Σ_j sc(g_x, i^j)) / ℓ`;
 //! * recomputation helpers that re-derive both from scratch through the
@@ -12,12 +13,6 @@ use crate::grouping::Grouping;
 use crate::grouprec::{GroupRecommender, MissingPolicy};
 use crate::matrix::RatingMatrix;
 use crate::semantics::Semantics;
-
-/// The objective `Obj = Σ_j gs_j(I_gj^k)` as reported by the grouping
-/// itself (sum of stored group satisfactions).
-pub fn objective_value(grouping: &Grouping) -> f64 {
-    grouping.objective()
-}
 
 /// Recomputes the objective from scratch: re-derives every group's top-`k`
 /// list and satisfaction through the [`GroupRecommender`]. Algorithms must
@@ -202,7 +197,7 @@ mod tests {
     fn empty_grouping_metrics() {
         let (m, _) = example1();
         let g = Grouping::default();
-        assert_eq!(objective_value(&g), 0.0);
+        assert_eq!(g.objective(), 0.0);
         assert_eq!(
             avg_group_satisfaction(&m, &g, Semantics::LeastMisery, MissingPolicy::Min, 2),
             0.0

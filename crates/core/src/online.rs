@@ -8,9 +8,9 @@
 //! accumulator:
 //!
 //! * it keeps the newest `capacity` [`FeedbackEvent`]s (plus a cumulative
-//!   counter of everything ever observed), as an **immutable** value —
-//!   [`OnlineEval::observe`] returns a successor, so a snapshot-swapping
-//!   server can share the window by `Arc` exactly like its matrix;
+//!   counter of everything ever observed); a snapshot-swapping server
+//!   shares the window by `Arc` exactly like its matrix and
+//!   [`OnlineEval::push`]es new events into its successor's own clone;
 //! * [`OnlineEval::evaluate`] grades one grouping on demand: events are
 //!   attributed to the consuming user's *current* group, each group's
 //!   consumed set is compared against the top-`k` list it was actually
@@ -72,8 +72,8 @@ pub struct QualitySummary {
     pub per_group: Vec<GroupQuality>,
 }
 
-/// An immutable sliding window of the newest `capacity` consumption
-/// events, plus a cumulative count of everything ever observed.
+/// A sliding window of the newest `capacity` consumption events, plus a
+/// cumulative count of everything ever observed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineEval {
     capacity: usize,
@@ -136,25 +136,17 @@ impl OnlineEval {
         self.observed_total
     }
 
-    /// Returns the successor window with `event` appended (and the oldest
-    /// event evicted if the window is full). The receiver is unchanged —
-    /// readers of the old snapshot keep a consistent view.
-    pub fn observe(&self, event: FeedbackEvent) -> OnlineEval {
-        let mut events = Vec::with_capacity((self.events.len() + 1).min(self.capacity.max(1)));
-        let start = if self.capacity == 0 {
-            self.events.len()
-        } else {
-            (self.events.len() + 1).saturating_sub(self.capacity)
-        };
-        events.extend_from_slice(&self.events[start..]);
-        if self.capacity > 0 {
-            events.push(event);
+    /// Appends `event`, evicting the oldest event if the window is full,
+    /// and counts it. A zero-capacity window only counts.
+    pub fn push(&mut self, event: FeedbackEvent) {
+        self.observed_total += 1;
+        if self.capacity == 0 {
+            return;
         }
-        OnlineEval {
-            capacity: self.capacity,
-            events,
-            observed_total: self.observed_total + 1,
+        if self.events.len() == self.capacity {
+            self.events.remove(0);
         }
+        self.events.push(event);
     }
 
     /// Grades the grouping named `scope`: `assignment[u]` maps each user
@@ -261,7 +253,7 @@ mod tests {
     fn window_evicts_oldest_and_counts_everything() {
         let mut w = OnlineEval::new(2);
         for i in 0..4 {
-            w = w.observe(ev(0, i));
+            w.push(ev(0, i));
         }
         assert_eq!(w.len(), 2);
         assert_eq!(w.observed_total(), 4);
@@ -271,7 +263,9 @@ mod tests {
 
     #[test]
     fn zero_capacity_window_still_counts() {
-        let w = OnlineEval::new(0).observe(ev(0, 0)).observe(ev(0, 1));
+        let mut w = OnlineEval::new(0);
+        w.push(ev(0, 0));
+        w.push(ev(0, 1));
         assert!(w.is_empty());
         assert_eq!(w.observed_total(), 2);
     }

@@ -77,10 +77,6 @@ pub enum Semantics {
     LeaderWeighted,
 }
 
-/// Alias used by the serving layer and the multi-grouping registry: the
-/// extended semantics family (paper + aggregation variants).
-pub type AggSemantics = Semantics;
-
 impl PartialEq for Semantics {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {

@@ -66,11 +66,6 @@ impl DatasetStats {
             rating_range: (lo, hi),
         }
     }
-
-    /// The Table-3 row: `dataset name | # users | # items`.
-    pub fn table3_row(&self) -> String {
-        format!("{} | {} | {}", self.name, self.n_users, self.n_items)
-    }
 }
 
 impl fmt::Display for DatasetStats {
@@ -126,13 +121,6 @@ mod tests {
         assert!(s.min_ratings_per_user >= 20);
         assert_eq!(s.rating_range.0, 1.0);
         assert_eq!(s.rating_range.1, 5.0);
-    }
-
-    #[test]
-    fn table3_row_format() {
-        let d = SynthConfig::tiny(5, 3).generate();
-        let s = DatasetStats::compute("tiny", &d.matrix);
-        assert_eq!(s.table3_row(), "tiny | 5 | 3");
     }
 
     #[test]

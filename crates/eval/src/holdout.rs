@@ -215,7 +215,7 @@ mod tests {
         let events: Vec<HoldoutEvent> = pairs.iter().map(|&(u, i)| ev(u, i)).collect();
         let mut online = gf_core::OnlineEval::new(64);
         for &(user, item) in &pairs {
-            online = online.observe(gf_core::FeedbackEvent {
+            online.push(gf_core::FeedbackEvent {
                 user,
                 item,
                 scope: None,

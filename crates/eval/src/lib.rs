@@ -12,7 +12,7 @@
 //!   other;
 //! * [`quantile`] — the five-number summaries behind Table 4's group-size
 //!   distribution;
-//! * [`table`] — plain-text / CSV table rendering for the bench harness;
+//! * [`table`] — plain-text table rendering for the bench harness;
 //! * [`userstudy`] — the Section 7.3 AMT study, simulated: Phase-1 worker
 //!   preference collection over 10 POIs and similar/dissimilar/random
 //!   sampling with the paper's `sim(u, u')`, Phase-2 satisfaction ratings

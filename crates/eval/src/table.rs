@@ -1,4 +1,4 @@
-//! Plain-text and CSV table rendering for the bench harness.
+//! Plain-text table rendering for the bench harness.
 
 use std::fmt;
 
@@ -35,33 +35,6 @@ impl Table {
     /// Number of data rows.
     pub fn n_rows(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Serializes as CSV (headers first; fields quoted when they contain
-    /// commas or quotes).
-    pub fn to_csv(&self) -> String {
-        let escape = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -133,15 +106,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("x", &["a", "b"]);
         t.push_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.push_row(vec!["hello, world".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"hello, world\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

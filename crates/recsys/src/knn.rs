@@ -96,11 +96,6 @@ impl ItemItemKnn {
     pub fn neighbors(&self, i: u32) -> &[(u32, f64)] {
         &self.neighbors[i as usize]
     }
-
-    /// The underlying bias model.
-    pub fn bias_model(&self) -> &BiasModel {
-        &self.bias
-    }
 }
 
 impl RatingPredictor for ItemItemKnn {

@@ -11,7 +11,6 @@
 //!   cosine similarities and top-`N` neighbor lists;
 //! * [`MatrixFactorization`] — biased matrix factorization trained with
 //!   SGD (Funk-SVD style), seeded and deterministic;
-//! * [`SlopeOne`] — the hyper-parameter-free pairwise-deviation predictor;
 //! * [`complete_matrix`] — fills every missing `(user, item)` cell with a
 //!   prediction, producing the dense preference matrix the paper's quality
 //!   experiments implicitly operate on;
@@ -27,7 +26,6 @@ pub mod knn;
 pub mod means;
 pub mod mf;
 pub mod predictor;
-pub mod slopeone;
 
 pub use complete::{complete_matrix, complete_matrix_threaded};
 pub use eval::{mae, rmse};
@@ -35,4 +33,3 @@ pub use knn::ItemItemKnn;
 pub use means::BiasModel;
 pub use mf::{MatrixFactorization, MfConfig};
 pub use predictor::RatingPredictor;
-pub use slopeone::SlopeOne;

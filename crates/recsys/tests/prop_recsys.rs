@@ -5,7 +5,7 @@
 use gf_core::{RatingMatrix, RatingScale};
 use gf_recsys::{
     complete_matrix, complete_matrix_threaded, mae, rmse, BiasModel, ItemItemKnn,
-    MatrixFactorization, MfConfig, RatingPredictor, SlopeOne,
+    MatrixFactorization, MfConfig, RatingPredictor,
 };
 use proptest::prelude::*;
 
@@ -60,16 +60,15 @@ fn quick_mf() -> MfConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// All four predictors stay within the scale everywhere, including
+    /// All three predictors stay within the scale everywhere, including
     /// out-of-range indices.
     #[test]
     fn predictors_respect_scale(inst in sparse_instance()) {
         let m = matrix_of(&inst);
         let bias = BiasModel::fit(&m, 10.0);
         let knn = ItemItemKnn::fit(&m, 5, 1.0);
-        let slope = SlopeOne::fit(&m);
         let mf = MatrixFactorization::fit(&m, quick_mf());
-        let predictors: [&dyn RatingPredictor; 4] = [&bias, &knn, &slope, &mf];
+        let predictors: [&dyn RatingPredictor; 3] = [&bias, &knn, &mf];
         for p in predictors {
             for u in 0..inst.n + 2 {
                 for i in 0..inst.m + 2 {
@@ -151,25 +150,5 @@ proptest! {
         prop_assert_eq!(mae(&oracle, &test), 0.0);
         let bias = BiasModel::fit(&m, 10.0);
         prop_assert!(mae(&bias, &test) <= rmse(&bias, &test) + 1e-12);
-    }
-
-    /// Slope One deviations are antisymmetric for every co-rated pair.
-    #[test]
-    fn slopeone_antisymmetry(inst in sparse_instance()) {
-        let m = matrix_of(&inst);
-        let s = SlopeOne::fit(&m);
-        for i in 0..inst.m {
-            for j in 0..inst.m {
-                if i == j { continue; }
-                match (s.deviation(i, j), s.deviation(j, i)) {
-                    (Some((dij, nij)), Some((dji, nji))) => {
-                        prop_assert_eq!(nij, nji);
-                        prop_assert!((dij + dji).abs() < 1e-12);
-                    }
-                    (None, None) => {}
-                    _ => prop_assert!(false, "one-sided deviation for ({i},{j})"),
-                }
-            }
-        }
     }
 }

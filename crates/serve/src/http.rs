@@ -173,10 +173,7 @@ fn dispatch(state: &ServeState, req: &HttpRequest, path: &str) -> (u16, Json) {
                         "rates_accepted",
                         Json::from(s.rates_accepted.load(Ordering::Relaxed)),
                     ),
-                    (
-                        "rates_applied",
-                        Json::from(s.rates_applied.load(Ordering::Relaxed)),
-                    ),
+                    ("rates_applied", Json::from(snap.progress.applied)),
                     (
                         "refresh_passes",
                         Json::from(s.refresh_passes.load(Ordering::Relaxed)),
@@ -196,14 +193,8 @@ fn dispatch(state: &ServeState, req: &HttpRequest, path: &str) -> (u16, Json) {
                     ("groupings", groupings_json(&snap)),
                     ("n_users", Json::from(snap.matrix.n_users())),
                     ("n_items", Json::from(snap.matrix.n_items())),
-                    (
-                        "users_admitted",
-                        Json::from(s.users_admitted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "items_admitted",
-                        Json::from(s.items_admitted.load(Ordering::Relaxed)),
-                    ),
+                    ("users_admitted", Json::from(snap.progress.users_admitted)),
+                    ("items_admitted", Json::from(snap.progress.items_admitted)),
                     (
                         "form_requests",
                         Json::from(s.form_requests.load(Ordering::Relaxed)),
@@ -246,7 +237,7 @@ fn dispatch(state: &ServeState, req: &HttpRequest, path: &str) -> (u16, Json) {
                     ),
                     (
                         "feedback_applied",
-                        Json::from(s.feedback_applied.load(Ordering::Relaxed)),
+                        Json::from(snap.feedback.observed_total()),
                     ),
                     ("feedback_window_events", Json::from(snap.feedback.len())),
                     ("quality", quality_json(&snap)),

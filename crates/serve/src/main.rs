@@ -480,11 +480,7 @@ fn main() {
         let corpus = load_corpus(&opts);
         let matrix = corpus.matrix;
         *corpus_ids.borrow_mut() = corpus.raw_ids;
-        let n = matrix.n_users() as usize;
-        cfg.formation.ell = cfg.formation.ell.min(n).max(1);
-        for (_, gc) in &mut cfg.groupings {
-            gc.ell = gc.ell.min(n).max(1);
-        }
+        let cfg = cfg.clamp_ell(matrix.n_users());
         let state = ServeState::new(matrix, cfg)
             .unwrap_or_else(|e| fail(format!("initial formation: {e}")));
         (state, None)

@@ -113,16 +113,10 @@ pub fn boot(
             (ServeState::restore_from(ck, cfg)?, false, version, wal_seq)
         }
         None => {
-            let mut cfg = cfg;
             let matrix = make_matrix()?;
-            // The cold path clamps ell (for every boot grouping) like a
-            // volatile boot would; the warm path inherits the
-            // checkpointed (already valid) configs.
-            let n = matrix.n_users() as usize;
-            cfg.formation.ell = cfg.formation.ell.min(n).max(1);
-            for (_, gc) in &mut cfg.groupings {
-                gc.ell = gc.ell.min(n).max(1);
-            }
+            // The cold path clamps ell like a volatile boot does; the warm
+            // path inherits the checkpointed (already valid) configs.
+            let cfg = cfg.clamp_ell(matrix.n_users());
             (ServeState::new(matrix, cfg)?, true, 0, 0)
         }
     };

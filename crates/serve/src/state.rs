@@ -165,6 +165,18 @@ impl ServeConfig {
         self.feedback_window = capacity;
         self
     }
+
+    /// Clamps the `ell` of every boot grouping, the default and each
+    /// [`ServeConfig::with_grouping`] entry, to `1..=n_users`: a boot
+    /// over `n_users` users cannot form more groups than that.
+    pub fn clamp_ell(mut self, n_users: u32) -> Self {
+        let n = n_users as usize;
+        self.formation.ell = self.formation.ell.min(n).max(1);
+        for (_, gc) in &mut self.groupings {
+            gc.ell = gc.ell.min(n).max(1);
+        }
+        self
+    }
 }
 
 /// Checks that a grouping name is non-empty, at most 64 bytes and uses
@@ -187,14 +199,16 @@ pub fn validate_grouping_name(name: &str) -> Result<()> {
 /// Durable progress carried by every snapshot: how much of the journal
 /// the snapshot's state bakes in. A checkpoint freezes these alongside
 /// the matrix so a warm restart knows exactly which WAL records are
-/// already applied (`seq <= wal_seq`) and which to replay.
+/// already applied (`seq <= wal_seq`) and which to replay. `/v1/stats`
+/// reports `applied`, `users_admitted` and `items_admitted` as
+/// `rates_applied`, `users_admitted` and `items_admitted`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Progress {
     /// Highest journal sequence number applied into this snapshot
     /// (0 before any rating lands).
     pub wal_seq: u64,
     /// Total rating updates applied since the serving lineage began
-    /// (survives restarts, unlike the process-local `/stats` counters).
+    /// (survives restarts).
     pub applied: u64,
     /// Users admitted at serve time under [`gf_core::GrowthPolicy::Grow`],
     /// cumulative across restarts.
@@ -425,8 +439,6 @@ impl Snapshot {
 pub struct Stats {
     /// Ratings accepted into the pending journal.
     pub rates_accepted: AtomicU64,
-    /// Ratings applied by background passes.
-    pub rates_applied: AtomicU64,
     /// Background re-formation passes run.
     pub refresh_passes: AtomicU64,
     /// `/form` requests received.
@@ -443,11 +455,6 @@ pub struct Stats {
     /// refresh mode or batch size, after a `k` crossing, for a grouping
     /// without a former, or after its refresh returned an error.
     pub refresh_cold: AtomicU64,
-    /// Users admitted at serve time under [`gf_core::GrowthPolicy::Grow`] (includes
-    /// the empty gap rows a sparse admission creates).
-    pub users_admitted: AtomicU64,
-    /// Items admitted at serve time under [`gf_core::GrowthPolicy::Grow`].
-    pub items_admitted: AtomicU64,
     /// WAL records appended by this process (0 when running volatile).
     pub wal_records: AtomicU64,
     /// Checkpoints written by this process (boot checkpoint included).
@@ -460,8 +467,6 @@ pub struct Stats {
     pub recovery_dropped_bytes: AtomicU64,
     /// Feedback events accepted into the pending journal (`/v1/feedback`).
     pub feedback_accepted: AtomicU64,
-    /// Feedback events folded into the online window by background passes.
-    pub feedback_applied: AtomicU64,
     /// TCP connections accepted by the transport (either `--net` mode).
     pub conns_accepted: AtomicU64,
     /// Connections closed by the idle/stall deadline (`--conn-timeout-ms`):
@@ -676,22 +681,12 @@ impl ServeState {
             feedback,
         };
         let stats = Stats::default();
-        // Seed the process-local counters so `/stats` stays meaningful
-        // across restarts: everything the checkpoint baked in counts as
-        // accepted and applied by this lineage.
+        // Seed the acceptance counters so `/stats` stays meaningful across
+        // restarts: everything the checkpoint baked in counts as accepted
+        // by this lineage.
         stats.rates_accepted.store(ck.applied, Ordering::Relaxed);
-        stats.rates_applied.store(ck.applied, Ordering::Relaxed);
-        stats
-            .users_admitted
-            .store(ck.users_admitted, Ordering::Relaxed);
-        stats
-            .items_admitted
-            .store(ck.items_admitted, Ordering::Relaxed);
         stats
             .feedback_accepted
-            .store(feedback_observed, Ordering::Relaxed);
-        stats
-            .feedback_applied
             .store(feedback_observed, Ordering::Relaxed);
         Ok(Self::assemble(snapshot, formers, &cfg, stats))
     }
@@ -767,31 +762,16 @@ impl ServeState {
         if !matrix.scale().contains(score) {
             return Err(GfError::ScaleViolation { user, item, score });
         }
-        let mut q = self.pending.lock().expect("pending lock poisoned");
-        // Journal before acknowledging: when a WAL is attached, the record
-        // must be on disk (per the sync mode) before this call can return
-        // Ok. A failed append rejects the rating — nothing is enqueued, so
-        // the durable log never lags the accepted set.
-        let journaled = q.wal.is_some();
-        let seq = match q.wal.as_mut() {
-            Some(wal) => wal.append(&[(user, item, score)]).map_err(GfError::from)?,
-            None => q.next_seq,
-        };
-        q.next_seq = seq + 1;
-        q.entries.push(PendingEntry::Rating {
-            seq,
-            user,
-            item,
-            score,
-        });
-        let depth = q.entries.len();
-        drop(q);
-        self.stats.rates_accepted.fetch_add(1, Ordering::Relaxed);
-        if journaled {
-            self.stats.wal_records.fetch_add(1, Ordering::Relaxed);
-        }
-        self.wakeup.notify_one();
-        Ok(depth)
+        self.journal(
+            |wal| wal.append(&[(user, item, score)]),
+            |seq| PendingEntry::Rating {
+                seq,
+                user,
+                item,
+                score,
+            },
+            &self.stats.rates_accepted,
+        )
     }
 
     /// Accepts one feedback event (`user` consumed `item`) into the
@@ -825,24 +805,43 @@ impl ServeState {
                 )));
             }
         }
+        self.journal(
+            |wal| wal.append_feedback(user, item, scope),
+            |seq| PendingEntry::Feedback {
+                seq,
+                user,
+                item,
+                scope: scope.map(String::from),
+            },
+            &self.stats.feedback_accepted,
+        )
+    }
+
+    /// Journals one validated record before acknowledging it: under the
+    /// `pending` mutex, `append` writes it to the WAL when one is attached
+    /// (on disk per the sync mode before this returns `Ok`) and yields its
+    /// sequence number; standalone, it takes the next one. Only then is
+    /// `entry(seq)` enqueued, so on-disk journal order is exactly queue
+    /// order, and a failed append rejects the record with nothing
+    /// enqueued — the durable log never lags the accepted set. Counts the
+    /// record in `accepted` and returns the number now pending.
+    fn journal(
+        &self,
+        append: impl FnOnce(&mut Wal) -> gf_persist::Result<u64>,
+        entry: impl FnOnce(u64) -> PendingEntry,
+        accepted: &AtomicU64,
+    ) -> Result<usize> {
         let mut q = self.pending.lock().expect("pending lock poisoned");
         let journaled = q.wal.is_some();
         let seq = match q.wal.as_mut() {
-            Some(wal) => wal
-                .append_feedback(user, item, scope)
-                .map_err(GfError::from)?,
+            Some(wal) => append(wal).map_err(GfError::from)?,
             None => q.next_seq,
         };
         q.next_seq = seq + 1;
-        q.entries.push(PendingEntry::Feedback {
-            seq,
-            user,
-            item,
-            scope: scope.map(String::from),
-        });
+        q.entries.push(entry(seq));
         let depth = q.entries.len();
         drop(q);
-        self.stats.feedback_accepted.fetch_add(1, Ordering::Relaxed);
+        accepted.fetch_add(1, Ordering::Relaxed);
         if journaled {
             self.stats.wal_records.fetch_add(1, Ordering::Relaxed);
         }
@@ -1029,10 +1028,9 @@ impl ServeState {
                 PendingEntry::Feedback { .. } => None,
             })
             .collect();
-        let n_feedback = (chunk.len() - updates.len()) as u64;
         // Fold newly journaled feedback into the successor window in
         // journal order; rating-only chunks share the window `Arc`.
-        let feedback = if n_feedback == 0 {
+        let feedback = if updates.len() == chunk.len() {
             Arc::clone(&current.feedback)
         } else {
             let mut window = (*current.feedback).clone();
@@ -1041,7 +1039,7 @@ impl ServeState {
                     user, item, scope, ..
                 } = e
                 {
-                    window = window.observe(FeedbackEvent {
+                    window.push(FeedbackEvent {
                         user: *user,
                         item: *item,
                         scope: scope.clone(),
@@ -1082,9 +1080,6 @@ impl ServeState {
                 feedback,
                 ..current.with_groupings(groupings, next_version)
             });
-            self.stats
-                .feedback_applied
-                .fetch_add(n_feedback, Ordering::Relaxed);
             return Ok(chunk.len());
         }
         // Build the patched successors in one storage pass each (no
@@ -1175,29 +1170,9 @@ impl ServeState {
             feedback,
         });
         *writer = formers;
-        // Counter order matters for observers: `refresh_passes` last, so
-        // `refresh_incremental + refresh_cold >= refresh_passes` holds in
-        // every interleaving a `/stats` read can see. Admission counters
-        // increment after the install for the same reason: once visible,
-        // the snapshot's `n_users`/`n_items` already cover them.
-        if admitted_users > 0 {
-            self.stats
-                .users_admitted
-                .fetch_add(admitted_users, Ordering::Relaxed);
-        }
-        if admitted_items > 0 {
-            self.stats
-                .items_admitted
-                .fetch_add(admitted_items, Ordering::Relaxed);
-        }
-        self.stats
-            .rates_applied
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
-        if n_feedback > 0 {
-            self.stats
-                .feedback_applied
-                .fetch_add(n_feedback, Ordering::Relaxed);
-        }
+        // `refresh_passes` counts last, so `refresh_incremental +
+        // refresh_cold >= refresh_passes` holds in every interleaving a
+        // `/stats` read can see.
         self.stats.refresh_passes.fetch_add(1, Ordering::Relaxed);
         Ok(chunk.len())
     }
@@ -1503,7 +1478,7 @@ mod tests {
         assert_eq!(s.pending_len(), 3);
         s.flush().unwrap();
         assert_eq!(s.pending_len(), 0);
-        assert_eq!(s.stats.rates_applied.load(Ordering::Relaxed), 5);
+        assert_eq!(s.snapshot().progress.applied, 5);
         assert!(s.stats.refresh_passes.load(Ordering::Relaxed) >= 3);
     }
 
@@ -1550,9 +1525,9 @@ mod tests {
         s.rate(13, 6, 4.0).unwrap(); // admission lands on the warm former
         s.flush().unwrap();
         assert_eq!(s.stats.refresh_incremental.load(Ordering::Relaxed), 2);
-        assert_eq!(s.stats.users_admitted.load(Ordering::Relaxed), 4);
-        assert_eq!(s.stats.items_admitted.load(Ordering::Relaxed), 2);
         let snap = s.snapshot();
+        assert_eq!(snap.progress.users_admitted, 4);
+        assert_eq!(snap.progress.items_admitted, 2);
         let g = snap.default_grouping();
         assert_eq!(snap.matrix.n_users(), 14);
         assert!((0..14).all(|u| g.group_of(u).is_some()));
@@ -1774,7 +1749,7 @@ mod tests {
         }
         assert_eq!(after.feedback.len(), 2);
         assert_eq!(after.feedback.observed_total(), 2);
-        assert_eq!(s.stats.feedback_applied.load(Ordering::Relaxed), 2);
+        assert_eq!(s.snapshot().feedback.observed_total(), 2);
         // A feedback-only pass leaves the standing formers in sync: the
         // next rating still refreshes incrementally.
         s.rate(0, 0, 5.0).unwrap();

@@ -124,10 +124,7 @@ fn readers_stay_consistent_under_rating_stream() {
         .grouping
         .validate(N_USERS, 5)
         .unwrap();
-    assert_eq!(
-        state.stats.rates_applied.load(Ordering::Relaxed),
-        N_UPDATES as u64
-    );
+    assert_eq!(snap.progress.applied, N_UPDATES as u64);
 }
 
 /// Concurrent same-config `/form` requests coalesce: with a generous

@@ -11,9 +11,10 @@
 //!   expected status and schema;
 //! * snapshot versions observed on one connection are monotone
 //!   non-decreasing (each response carries the serving version);
-//! * nothing is lost: after a final flush, `rates_applied` equals the
-//!   number of accepted `/rate` requests, and `feedback_applied` the
-//!   number of accepted `/v1/feedback` requests.
+//! * nothing is lost: after a final flush, the snapshot's applied-rating
+//!   count equals the number of accepted `/rate` requests, and its
+//!   feedback window's observed total the number of accepted
+//!   `/v1/feedback` requests.
 //!
 //! The default profile is CI-sized (a few hundred requests); set
 //! `GF_LOAD_SCALE=8` (any positive integer) to multiply both the
@@ -360,19 +361,16 @@ fn admission_load_generator() {
         stats.rates_accepted.load(Ordering::Relaxed),
         total_rates as u64
     );
-    assert_eq!(
-        stats.rates_applied.load(Ordering::Relaxed),
-        total_rates as u64
-    );
     assert_eq!(server.state().pending_len(), 0);
     let snap = server.state().snapshot();
+    assert_eq!(snap.progress.applied, total_rates as u64);
     assert!(snap.matrix.n_users() > N_USERS, "no admission ever landed");
     assert_eq!(
-        stats.users_admitted.load(Ordering::Relaxed),
+        snap.progress.users_admitted,
         u64::from(snap.matrix.n_users() - N_USERS)
     );
     assert_eq!(
-        stats.items_admitted.load(Ordering::Relaxed),
+        snap.progress.items_admitted,
         u64::from(snap.matrix.n_items() - N_ITEMS)
     );
     // Every user — original or admitted — resolves from the final
@@ -424,16 +422,12 @@ fn keep_alive_load_generator() {
         total_rates as u64
     );
     assert_eq!(
-        stats.rates_applied.load(Ordering::Relaxed),
+        server.state().snapshot().progress.applied,
         total_rates as u64
     );
     assert!(total_feedback > 0, "the mix never exercised /v1/feedback");
     assert_eq!(
         stats.feedback_accepted.load(Ordering::Relaxed),
-        total_feedback as u64
-    );
-    assert_eq!(
-        stats.feedback_applied.load(Ordering::Relaxed),
         total_feedback as u64
     );
     assert_eq!(
@@ -489,7 +483,7 @@ fn keep_alive_load_generator_blocking_transport() {
         total_rates as u64
     );
     assert_eq!(
-        stats.rates_applied.load(Ordering::Relaxed),
+        server.state().snapshot().progress.applied,
         total_rates as u64
     );
     assert!(stats.conns_accepted.load(Ordering::Relaxed) >= n_connections as u64);
@@ -532,7 +526,7 @@ fn connection_sweep_in_process() {
         "accepted-rate ledgers disagree"
     );
     assert_eq!(
-        stats.rates_applied.load(Ordering::Relaxed),
+        server.state().snapshot().progress.applied,
         report.rates_accepted,
         "a rate was acknowledged but never applied"
     );

@@ -5,8 +5,9 @@
 use gf_core::{Aggregation, FormationConfig, GrowthPolicy, RatingMatrix, RatingScale, Semantics};
 use gf_persist::checkpoint;
 use gf_persist::wal::{SyncMode, Wal};
+use gf_serve::http::route_full;
 use gf_serve::persist::{boot, checkpoint_now, DurabilityOptions};
-use gf_serve::{ServeConfig, ServeState};
+use gf_serve::{HttpRequest, Json, ServeConfig, ServeState};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -109,6 +110,79 @@ fn warm_restart_is_bit_for_bit_identical() {
     assert_eq!(snap.progress.users_admitted, 3);
     assert_eq!(snap.progress.items_admitted, 2);
     assert_eq!(snap.progress.applied, SCRIPT.len() as u64);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `GET path` on `state` without a socket; the body must be a JSON
+/// object.
+fn get(state: &ServeState, path: &str) -> Json {
+    let req = HttpRequest {
+        method: "GET".to_string(),
+        path: path.to_string(),
+        query: String::new(),
+        body: String::new(),
+        keep_alive: false,
+    };
+    let out = route_full(state, &req);
+    assert_eq!(out.status, 200, "GET {path}: {:?}", out.body);
+    out.body
+}
+
+fn field(body: &Json, key: &str) -> u64 {
+    body.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no u64 {key:?} in {body:?}"))
+}
+
+/// `/v1/stats` reads its four progress keys from the snapshot, so a warm
+/// restart that restores a checkpoint and replays a WAL tail (ratings,
+/// both kinds of admission and feedback on both sides of the checkpoint)
+/// reports exactly the recovered journal progress: `rates_applied`,
+/// `users_admitted` and `items_admitted` equal `/v1/digest`'s `applied`,
+/// `users_admitted` and `items_admitted`, and `feedback_applied` the
+/// window's cumulative observed total.
+#[test]
+fn stats_progress_keys_equal_the_snapshot_after_a_replay() {
+    let dir = tmpdir("statskeys");
+    let o = opts(&dir);
+    let (state, _) = boot(grow_config(), &o, || Ok(base_matrix())).unwrap();
+    let mut feedback = 0;
+    for (step, &(u, i, s)) in SCRIPT.iter().enumerate() {
+        state.rate(u, i, s).unwrap();
+        if step % 3 == 0 {
+            state.feedback(u % 12, i % 6, None).unwrap();
+            feedback += 1;
+        }
+        // Checkpoint mid-script: the user admission lands before it, the
+        // item admission in the replayed tail.
+        if step == 3 {
+            state.flush().unwrap();
+            assert!(checkpoint_now(&state, &o).unwrap().is_some());
+        }
+    }
+    state.flush().unwrap();
+    drop(state); // crash: the tail after the checkpoint lives in the WAL only
+
+    let (restored, report) = boot(grow_config(), &o, || unreachable!()).unwrap();
+    assert!(!report.cold_start);
+    assert!(report.replayed > 0, "nothing was replayed");
+    let stats = get(&restored, "/v1/stats");
+    let digest = get(&restored, "/v1/digest");
+    for (stat, progress) in [
+        ("rates_applied", "applied"),
+        ("users_admitted", "users_admitted"),
+        ("items_admitted", "items_admitted"),
+    ] {
+        assert_eq!(field(&stats, stat), field(&digest, progress), "{stat}");
+    }
+    assert_eq!(
+        field(&stats, "feedback_applied"),
+        restored.snapshot().feedback.observed_total()
+    );
+    assert_eq!(field(&stats, "rates_applied"), SCRIPT.len() as u64);
+    assert_eq!(field(&stats, "users_admitted"), 3);
+    assert_eq!(field(&stats, "items_admitted"), 2);
+    assert_eq!(field(&stats, "feedback_applied"), feedback);
     fs::remove_dir_all(&dir).unwrap();
 }
 
