@@ -23,10 +23,13 @@ use crate::grouprec::MissingPolicy;
 use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
 use crate::semantics::Semantics;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Hash key identifying an intermediate group.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketKey {
     /// The top-`k` item sequence.
     pub items: Box<[u32]>,
@@ -35,8 +38,87 @@ pub struct BucketKey {
     pub score_bits: Box<[u64]>,
 }
 
+/// The two parts of a bucket key, read from an owned [`BucketKey`] or in
+/// place. A bucket map keyed by `Arc<BucketKey>` (an
+/// [`IncrementalFormer`](super::IncrementalFormer)'s) is looked up through
+/// `&dyn KeyView`, so placing a user finds its bucket without building an
+/// owned key: one is allocated only when the user opens a new bucket.
+pub trait KeyView {
+    /// The top-`k` item sequence.
+    fn items(&self) -> &[u32];
+    /// The key's score bit patterns.
+    fn score_bits(&self) -> &[u64];
+}
+
+impl KeyView for BucketKey {
+    fn items(&self) -> &[u32] {
+        &self.items
+    }
+
+    fn score_bits(&self) -> &[u64] {
+        &self.score_bits
+    }
+}
+
+/// A bucket key read in place: the item sequence borrowed from the
+/// [`PrefIndex`] (or a padding buffer) and the score bits from a reused
+/// buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct KeyRef<'a> {
+    pub(crate) items: &'a [u32],
+    pub(crate) score_bits: &'a [u64],
+}
+
+impl KeyRef<'_> {
+    /// The owned key, for a bucket this key opens.
+    pub(crate) fn to_key(self) -> BucketKey {
+        BucketKey {
+            items: self.items.into(),
+            score_bits: self.score_bits.into(),
+        }
+    }
+}
+
+impl KeyView for KeyRef<'_> {
+    fn items(&self) -> &[u32] {
+        self.items
+    }
+
+    fn score_bits(&self) -> &[u64] {
+        self.score_bits
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.items().hash(state);
+        self.score_bits().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.items() == other.items() && self.score_bits() == other.score_bits()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+/// Hashes as its [`KeyView`], which [`Borrow`] requires.
+impl Hash for BucketKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Arc<BucketKey> {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        &**self
+    }
+}
+
 /// An intermediate group: users indistinguishable under the current key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Bucket {
     /// The shared top-`k` item sequence.
     pub items: Box<[u32]>,
@@ -51,18 +133,21 @@ pub struct Bucket {
 }
 
 impl Bucket {
-    /// Folds one member's personal score vector into the per-position
-    /// aggregates. This is **the** accumulation every bucket builder
-    /// shares — sequential and threaded Step 1, split-aware rebuilds, and
-    /// the incremental former's touched-bucket recomputation — so the
-    /// "bit-for-bit equal to `build_buckets`" contracts all hang off a
-    /// single fold (min is order-independent; sums must run in the same
-    /// member order to be bit-identical off-grid).
-    pub(crate) fn accumulate_scores(&mut self, scores: &[f64]) {
-        for (slot, &s) in scores.iter().enumerate() {
-            self.pos_min[slot] = self.pos_min[slot].min(s);
-            self.pos_sum[slot] += s;
+    /// A bucket holding user `u` alone, with top-`k` list `items` scored
+    /// `scores`.
+    pub(crate) fn of_user(u: u32, items: &[u32], scores: &[f64]) -> Self {
+        Bucket {
+            items: items.into(),
+            users: vec![u],
+            pos_min: scores.to_vec(),
+            pos_sum: scores.to_vec(),
         }
+    }
+
+    /// Folds one member's personal score vector into the per-position
+    /// aggregates (see [`fold_scores`]).
+    pub(crate) fn accumulate_scores(&mut self, scores: &[f64]) {
+        fold_scores(&mut self.pos_min, &mut self.pos_sum, scores, scores);
     }
 
     /// The group's per-item score vector under `semantics` for the shared
@@ -86,6 +171,31 @@ impl Bucket {
     pub fn satisfaction(&self, semantics: Semantics, agg: Aggregation) -> f64 {
         agg.apply(self.score_vector(semantics))
     }
+
+    /// What [`bucket_order`] compares of this bucket.
+    pub(crate) fn ranked(&self, semantics: Semantics) -> Ranked<'_> {
+        Ranked {
+            scores: self.score_vector(semantics),
+            size: self.users.len(),
+            items: &self.items,
+            first: self.users.first().copied(),
+        }
+    }
+}
+
+/// Folds per-position minima `mins` and sums `sums` into a bucket's
+/// `pos_min` and `pos_sum`: one member's personal scores (passed as both),
+/// or a Step-1 shard's partial aggregates. This is **the** accumulation
+/// every bucket build shares — sequential and threaded Step 1,
+/// split-aware rebuilds, and the incremental former's touched-bucket
+/// recomputation — so the "bit-for-bit equal to `build_buckets`"
+/// contracts all hang off a single fold (min is order-independent; sums
+/// must run in the same member order to be bit-identical off-grid).
+fn fold_scores(pos_min: &mut [f64], pos_sum: &mut [f64], mins: &[f64], sums: &[f64]) {
+    for (slot, (&mn, &sm)) in mins.iter().zip(sums).enumerate() {
+        pos_min[slot] = pos_min[slot].min(mn);
+        pos_sum[slot] += sm;
+    }
 }
 
 /// A user's personal top-`k` list, padded to length `k` when the user rated
@@ -99,51 +209,190 @@ pub fn personal_top_k(
     u: u32,
     k: usize,
 ) -> (Vec<u32>, Vec<f64>) {
-    let (items, scores) = prefs.top_k(u, k);
-    let m = matrix.n_items() as usize;
-    let want = k.min(m);
-    if items.len() >= want {
-        return (items.to_vec(), scores.to_vec());
-    }
-    // Sparse user: merge the rated list with a floor stream of unrated ids.
-    let imputed = match policy {
-        MissingPolicy::Min | MissingPolicy::Skip => matrix.scale().min(),
-        MissingPolicy::UserMean => matrix.user_mean(u),
-    };
-    let rated_all = prefs.ranked_items(u);
-    let rated_scores_all = prefs.ranked_scores(u);
-    let rated: crate::fxhash::FxHashSet<u32> = rated_all.iter().copied().collect();
-    let mut out_items = Vec::with_capacity(want);
-    let mut out_scores = Vec::with_capacity(want);
-    let mut ri = 0usize;
-    let mut next_floor = 0u32;
-    while out_items.len() < want {
-        while (next_floor as usize) < m && rated.contains(&next_floor) {
-            next_floor += 1;
+    let mut pad = Padding::default();
+    let (items, scores) = pad.top_k(matrix, prefs, policy, u, k);
+    (items.to_vec(), scores.to_vec())
+}
+
+/// Buffers a sparse user's padded top-`k` list is built in, reused from
+/// user to user.
+#[derive(Debug, Default)]
+struct Padding {
+    items: Vec<u32>,
+    scores: Vec<f64>,
+    /// The user's rated item ids, ascending.
+    rated: Vec<u32>,
+}
+
+impl Padding {
+    /// User `u`'s [`personal_top_k`] list: borrowed from `prefs` when `u`
+    /// rated at least `min(k, m)` items, else padded into `self`.
+    fn top_k<'s>(
+        &'s mut self,
+        matrix: &RatingMatrix,
+        prefs: &'s PrefIndex,
+        policy: MissingPolicy,
+        u: u32,
+        k: usize,
+    ) -> (&'s [u32], &'s [f64]) {
+        let (items, scores) = prefs.top_k(u, k);
+        let m = matrix.n_items() as usize;
+        let want = k.min(m);
+        if items.len() >= want {
+            return (items, scores);
         }
-        let take_rated = if ri < rated_all.len() {
-            if (next_floor as usize) >= m {
-                true
-            } else {
-                let (it, sc) = (rated_all[ri], rated_scores_all[ri]);
-                sc > imputed || (sc == imputed && it < next_floor)
-            }
-        } else {
-            false
+        // Sparse user: merge the rated list with a floor stream of unrated ids.
+        let imputed = match policy {
+            MissingPolicy::Min | MissingPolicy::Skip => matrix.scale().min(),
+            MissingPolicy::UserMean => matrix.user_mean(u),
         };
-        if take_rated {
-            out_items.push(rated_all[ri]);
-            out_scores.push(rated_scores_all[ri]);
-            ri += 1;
-        } else if (next_floor as usize) < m {
-            out_items.push(next_floor);
-            out_scores.push(imputed);
-            next_floor += 1;
-        } else {
-            break;
+        let rated_all = prefs.ranked_items(u);
+        let rated_scores_all = prefs.ranked_scores(u);
+        self.rated.clear();
+        self.rated.extend_from_slice(rated_all);
+        self.rated.sort_unstable();
+        self.items.clear();
+        self.scores.clear();
+        let mut ri = 0usize;
+        let mut next_floor = 0u32;
+        while self.items.len() < want {
+            while (next_floor as usize) < m && self.rated.binary_search(&next_floor).is_ok() {
+                next_floor += 1;
+            }
+            let take_rated = if ri < rated_all.len() {
+                if (next_floor as usize) >= m {
+                    true
+                } else {
+                    let (it, sc) = (rated_all[ri], rated_scores_all[ri]);
+                    sc > imputed || (sc == imputed && it < next_floor)
+                }
+            } else {
+                false
+            };
+            if take_rated {
+                self.items.push(rated_all[ri]);
+                self.scores.push(rated_scores_all[ri]);
+                ri += 1;
+            } else if (next_floor as usize) < m {
+                self.items.push(next_floor);
+                self.scores.push(imputed);
+                next_floor += 1;
+            } else {
+                break;
+            }
+        }
+        (&self.items, &self.scores)
+    }
+}
+
+/// Reads users' personal top-`k` lists and bucket keys in place: a user
+/// who rated at least `min(k, m)` items is read as borrowed slices of the
+/// [`PrefIndex`], a sparser one is padded into buffers the reader reuses,
+/// and the key's score bits go to one more reused buffer. Once its
+/// buffers have grown, reading a user allocates nothing.
+#[derive(Debug)]
+pub(crate) struct TopKReader<'a> {
+    matrix: &'a RatingMatrix,
+    prefs: &'a PrefIndex,
+    semantics: Semantics,
+    aggregation: Aggregation,
+    policy: MissingPolicy,
+    k: usize,
+    pad: Padding,
+    bits: Vec<u64>,
+}
+
+impl<'a> TopKReader<'a> {
+    pub(crate) fn new(
+        matrix: &'a RatingMatrix,
+        prefs: &'a PrefIndex,
+        semantics: Semantics,
+        aggregation: Aggregation,
+        policy: MissingPolicy,
+        k: usize,
+    ) -> Self {
+        TopKReader {
+            matrix,
+            prefs,
+            semantics,
+            aggregation,
+            policy,
+            k,
+            pad: Padding::default(),
+            bits: Vec::new(),
         }
     }
-    (out_items, out_scores)
+
+    /// A reader for the formation `cfg` configures.
+    pub(crate) fn for_config(
+        matrix: &'a RatingMatrix,
+        prefs: &'a PrefIndex,
+        cfg: &super::FormationConfig,
+    ) -> Self {
+        Self::new(
+            matrix,
+            prefs,
+            cfg.semantics,
+            cfg.aggregation,
+            cfg.policy,
+            cfg.k,
+        )
+    }
+
+    /// User `u`'s [`personal_top_k`] list.
+    pub(crate) fn top_k(&mut self, u: u32) -> (&[u32], &[f64]) {
+        self.pad
+            .top_k(self.matrix, self.prefs, self.policy, u, self.k)
+    }
+
+    /// User `u`'s bucket key (what [`key_for`] builds) and personal
+    /// scores.
+    pub(crate) fn key(&mut self, u: u32) -> (KeyRef<'_>, &[f64]) {
+        let (items, scores) = self
+            .pad
+            .top_k(self.matrix, self.prefs, self.policy, u, self.k);
+        key_bits(
+            self.semantics,
+            self.aggregation,
+            items,
+            scores,
+            &mut self.bits,
+        );
+        let key = KeyRef {
+            items,
+            score_bits: &self.bits,
+        };
+        (key, scores)
+    }
+}
+
+/// Writes into `bits` the score bit patterns of the bucket key for a user
+/// with top-`k` list `items` scored `scores`.
+fn key_bits(
+    semantics: Semantics,
+    aggregation: Aggregation,
+    items: &[u32],
+    scores: &[f64],
+    bits: &mut Vec<u64>,
+) {
+    bits.clear();
+    match semantics {
+        Semantics::AggregateVoting => {}
+        Semantics::LeastMisery => match aggregation.pivot(items.len().max(1)) {
+            Pivot::Position(p) => {
+                let p = p.min(scores.len().saturating_sub(1));
+                bits.extend(scores.get(p).map(|s| s.to_bits()));
+            }
+            Pivot::All => bits.extend(scores.iter().map(|s| s.to_bits())),
+        },
+        // Moment-based semantics: bucket only users whose whole score
+        // vector matches, so within a bucket every position is unanimous
+        // and the group score collapses to the shared personal score
+        // (zero consensus disagreement; leader-weighted mean of equals).
+        Semantics::Consensus { .. } | Semantics::LeaderWeighted => {
+            bits.extend(scores.iter().map(|s| s.to_bits()))
+        }
+    }
 }
 
 /// Builds the bucket key for one user under the configured semantics and
@@ -154,65 +403,17 @@ pub fn key_for(
     items: &[u32],
     scores: &[f64],
 ) -> BucketKey {
-    let score_bits: Box<[u64]> = match semantics {
-        Semantics::AggregateVoting => Box::default(),
-        Semantics::LeastMisery => match aggregation.pivot(items.len().max(1)) {
-            Pivot::Position(p) => {
-                let p = p.min(scores.len().saturating_sub(1));
-                scores
-                    .get(p)
-                    .map(|s| vec![s.to_bits()].into_boxed_slice())
-                    .unwrap_or_default()
-            }
-            Pivot::All => scores.iter().map(|s| s.to_bits()).collect(),
-        },
-        // Moment-based semantics: bucket only users whose whole score
-        // vector matches, so within a bucket every position is unanimous
-        // and the group score collapses to the shared personal score
-        // (zero consensus disagreement; leader-weighted mean of equals).
-        Semantics::Consensus { .. } | Semantics::LeaderWeighted => {
-            scores.iter().map(|s| s.to_bits()).collect()
-        }
-    };
-    BucketKey {
-        items: items.into(),
-        score_bits,
+    let mut bits = Vec::new();
+    key_bits(semantics, aggregation, items, scores, &mut bits);
+    KeyRef {
+        items,
+        score_bits: &bits,
     }
-}
-
-/// Hashes one user into the bucket map.
-#[allow(clippy::too_many_arguments)] // private helper: build_buckets' arguments plus (map, u)
-fn insert_user(
-    map: &mut FxHashMap<BucketKey, Bucket>,
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    semantics: Semantics,
-    aggregation: Aggregation,
-    policy: MissingPolicy,
-    k: usize,
-    u: u32,
-) {
-    let (items, scores) = personal_top_k(matrix, prefs, policy, u, k);
-    let key = key_for(semantics, aggregation, &items, &scores);
-    match map.entry(key) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            let b = e.get_mut();
-            b.users.push(u);
-            b.accumulate_scores(&scores);
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(Bucket {
-                items: items.into(),
-                users: vec![u],
-                pos_min: scores.clone(),
-                pos_sum: scores,
-            });
-        }
-    }
+    .to_key()
 }
 
 /// Runs Step 1: hashes every user into buckets. Returns the buckets in
-/// arbitrary order (callers sort or heapify with [`bucket_order`]).
+/// arbitrary order (callers select with [`bucket_order`]).
 pub fn build_buckets(
     matrix: &RatingMatrix,
     prefs: &PrefIndex,
@@ -221,15 +422,13 @@ pub fn build_buckets(
     policy: MissingPolicy,
     k: usize,
 ) -> Vec<Bucket> {
-    build_sharded(matrix, prefs, semantics, aggregation, policy, k, 1)
-        .into_values()
-        .collect()
+    build_buckets_threaded(matrix, prefs, semantics, aggregation, policy, k, 1)
 }
 
 /// Runs Step 1 with `n_threads` scoped worker threads (`0` = auto, see
-/// [`crate::resolve_threads`]): each worker builds a private bucket map over
-/// a contiguous range of user ids, and the per-shard maps are merged in
-/// shard order.
+/// [`crate::resolve_threads`]): each worker hashes a contiguous range of
+/// user ids into a private bucket table, and the per-shard tables are
+/// merged in shard order.
 ///
 /// The merge is exact: member lists concatenate back into ascending user
 /// order (shards are contiguous and ascending), per-position minima compose
@@ -250,97 +449,319 @@ pub fn build_buckets_threaded(
     k: usize,
     n_threads: usize,
 ) -> Vec<Bucket> {
-    build_sharded(matrix, prefs, semantics, aggregation, policy, k, n_threads)
-        .into_values()
+    BucketTable::build(matrix, prefs, semantics, aggregation, policy, k, n_threads)
+        .buckets()
         .collect()
 }
 
-/// Step-1 build that keeps the bucket map, keys included — what a
-/// standing [`IncrementalFormer`](super::IncrementalFormer) needs to keep
-/// its bucket state patchable. Threaded exactly like
-/// [`build_buckets_threaded`] (same sharding, same merge, same bit-for-bit
-/// caveats); the sequential path (`threads <= 1`) inserts users in
-/// ascending id order, matching [`build_buckets`] unconditionally.
-pub fn build_bucket_map_threaded(
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    semantics: Semantics,
-    aggregation: Aggregation,
-    policy: MissingPolicy,
-    k: usize,
-    n_threads: usize,
-) -> FxHashMap<BucketKey, Bucket> {
-    build_sharded(matrix, prefs, semantics, aggregation, policy, k, n_threads)
+/// No bucket (the end of a fingerprint chain).
+const NONE: u32 = u32::MAX;
+
+/// Step 1's one bucket build and its result: every bucket's key, size, first
+/// member and per-position score aggregates in flat arrays (a stride of
+/// `len` values per bucket; every key of one build has the same top-`k`
+/// length `min(k, m)` and score-bit count), plus each user's bucket.
+/// Building it allocates `O(log B)` times, whatever `n` and `B` are: a
+/// user is looked up by its key read in place ([`TopKReader::key`]),
+/// hashed to a fingerprint, through a fingerprint-to-bucket map and an
+/// equality check on the flat key. [`Bucket`]s are materialized from it
+/// only where a caller needs them: all of them
+/// ([`BucketTable::buckets`]), or Step 2's `ell - 1` candidates
+/// ([`BucketTable::materialize`]).
+#[derive(Debug)]
+pub(crate) struct BucketTable {
+    /// Items (and scores) per bucket.
+    len: usize,
+    /// Key score-bit words per bucket.
+    n_bits: usize,
+    items: Vec<u32>,
+    bits: Vec<u64>,
+    pos_min: Vec<f64>,
+    pos_sum: Vec<f64>,
+    size: Vec<u32>,
+    /// Each bucket's lowest member.
+    first: Vec<u32>,
+    /// Each user's bucket, from the first user of the build on.
+    bucket_of: Vec<u32>,
+    /// Key fingerprint -> newest bucket with that fingerprint.
+    index: FxHashMap<u64, u32>,
+    /// Per bucket: the next older bucket with its fingerprint, or `NONE`.
+    same_fingerprint: Vec<u32>,
 }
 
-/// The one Step-1 builder behind the three public ones: hashes users
-/// `0..n` into a bucket map on `n_threads` workers over contiguous user
-/// ranges and merges the shard maps in shard order.
-fn build_sharded(
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    semantics: Semantics,
-    aggregation: Aggregation,
-    policy: MissingPolicy,
-    k: usize,
-    n_threads: usize,
-) -> FxHashMap<BucketKey, Bucket> {
-    let n = matrix.n_users() as usize;
-    let threads = crate::resolve_threads(n_threads, n);
-    let build_range = |range: std::ops::Range<usize>| {
-        let mut map: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-        for u in range {
-            insert_user(
-                &mut map,
-                matrix,
-                prefs,
-                semantics,
-                aggregation,
-                policy,
-                k,
-                u as u32,
-            );
-        }
-        map
-    };
-    if threads <= 1 {
-        return build_range(0..n);
+impl BucketTable {
+    /// Runs Step 1 over every user on `n_threads` workers (see
+    /// [`build_buckets_threaded`] for the sharding and the exactness of
+    /// the merge; one worker inserts users in ascending id order).
+    pub(crate) fn build(
+        matrix: &RatingMatrix,
+        prefs: &PrefIndex,
+        semantics: Semantics,
+        aggregation: Aggregation,
+        policy: MissingPolicy,
+        k: usize,
+        n_threads: usize,
+    ) -> Self {
+        let n = matrix.n_users() as usize;
+        let threads = crate::resolve_threads(n_threads, n);
+        let len = k.min(matrix.n_items() as usize);
+        // Every key's score-bit count: that of any list of length `len`.
+        let mut probe = Vec::new();
+        key_bits(
+            semantics,
+            aggregation,
+            &vec![0; len],
+            &vec![0.0; len],
+            &mut probe,
+        );
+        let n_bits = probe.len();
+        let build_range = |range: std::ops::Range<usize>| {
+            let mut table = BucketTable::empty(len, n_bits, range.len());
+            let mut reader = TopKReader::new(matrix, prefs, semantics, aggregation, policy, k);
+            for u in range {
+                let u = u as u32;
+                let (key, scores) = reader.key(u);
+                let b = table.find_or_open(key, scores, u);
+                table.bucket_of.push(b);
+            }
+            table
+        };
+        let mut table = if threads <= 1 {
+            build_range(0..n)
+        } else {
+            let build_range = &build_range;
+            let shards: Vec<BucketTable> = std::thread::scope(|scope| {
+                let handles: Vec<_> = crate::threads::even_ranges(n, threads)
+                    .into_iter()
+                    .map(|range| scope.spawn(move || build_range(range)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("bucket worker panicked"))
+                    .collect()
+            });
+            let mut shards = shards.into_iter();
+            let mut merged = shards.next().expect("at least one shard");
+            for shard in shards {
+                merged.absorb(shard);
+            }
+            merged
+        };
+        // No key is looked up any more: release the fingerprint index.
+        table.index = FxHashMap::default();
+        table.same_fingerprint = Vec::new();
+        table
     }
-    let build_range = &build_range;
-    let shards: Vec<FxHashMap<BucketKey, Bucket>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = crate::threads::even_ranges(n, threads)
-            .into_iter()
-            .map(|range| scope.spawn(move || build_range(range)))
+
+    fn empty(len: usize, n_bits: usize, n_users: usize) -> Self {
+        BucketTable {
+            len,
+            n_bits,
+            items: Vec::new(),
+            bits: Vec::new(),
+            pos_min: Vec::new(),
+            pos_sum: Vec::new(),
+            size: Vec::new(),
+            first: Vec::new(),
+            bucket_of: Vec::with_capacity(n_users),
+            index: FxHashMap::default(),
+            same_fingerprint: Vec::new(),
+        }
+    }
+
+    /// How many buckets the table holds.
+    pub(crate) fn len(&self) -> usize {
+        self.size.len()
+    }
+
+    /// Where bucket `b`'s items and scores sit in the flat arrays.
+    fn span(&self, b: u32) -> std::ops::Range<usize> {
+        b as usize * self.len..(b as usize + 1) * self.len
+    }
+
+    /// Bucket `b`'s key.
+    pub(crate) fn key(&self, b: u32) -> KeyRef<'_> {
+        let bits = b as usize * self.n_bits..(b as usize + 1) * self.n_bits;
+        KeyRef {
+            items: &self.items[self.span(b)],
+            score_bits: &self.bits[bits],
+        }
+    }
+
+    /// Bucket `b`'s group score vector under `semantics` (see
+    /// [`Bucket::score_vector`]).
+    pub(crate) fn score_vector(&self, b: u32, semantics: Semantics) -> &[f64] {
+        let span = self.span(b);
+        match semantics {
+            Semantics::AggregateVoting => &self.pos_sum[span],
+            _ => &self.pos_min[span],
+        }
+    }
+
+    /// What [`bucket_order`] compares of bucket `b`.
+    pub(crate) fn ranked(&self, b: u32, semantics: Semantics) -> Ranked<'_> {
+        Ranked {
+            scores: self.score_vector(b, semantics),
+            size: self.size[b as usize] as usize,
+            items: self.key(b).items,
+            first: Some(self.first[b as usize]),
+        }
+    }
+
+    /// The bucket with `key`, whose fingerprint is `fingerprint`, or
+    /// `NONE`; and the newest bucket with that fingerprint (`NONE` if
+    /// there is none).
+    fn find(&self, key: KeyRef<'_>, fingerprint: u64) -> (u32, u32) {
+        let newest = self.index.get(&fingerprint).copied().unwrap_or(NONE);
+        let mut b = newest;
+        while b != NONE && self.key(b) != key {
+            b = self.same_fingerprint[b as usize];
+        }
+        (b, newest)
+    }
+
+    /// Adds user `u` with key `key` and personal scores `scores` to its
+    /// bucket, opening the bucket if the key is new, and returns it.
+    fn find_or_open(&mut self, key: KeyRef<'_>, scores: &[f64], u: u32) -> u32 {
+        assert!(
+            key.items.len() == self.len && key.score_bits.len() == self.n_bits,
+            "every Step-1 key has the build's top-k length"
+        );
+        let fingerprint = fingerprint(key);
+        let (b, newest) = self.find(key, fingerprint);
+        if b != NONE {
+            let span = self.span(b);
+            fold_scores(
+                &mut self.pos_min[span.clone()],
+                &mut self.pos_sum[span],
+                scores,
+                scores,
+            );
+            self.size[b as usize] += 1;
+            return b;
+        }
+        self.open(key, scores, scores, 1, u, fingerprint, newest)
+    }
+
+    /// Appends a bucket and indexes it as the newest with `fingerprint`.
+    #[allow(clippy::too_many_arguments)] // one bucket's fields, flattened
+    fn open(
+        &mut self,
+        key: KeyRef<'_>,
+        pos_min: &[f64],
+        pos_sum: &[f64],
+        size: u32,
+        first: u32,
+        fingerprint: u64,
+        older: u32,
+    ) -> u32 {
+        let b = self.len() as u32;
+        self.items.extend_from_slice(key.items);
+        self.bits.extend_from_slice(key.score_bits);
+        self.pos_min.extend_from_slice(pos_min);
+        self.pos_sum.extend_from_slice(pos_sum);
+        self.size.push(size);
+        self.first.push(first);
+        self.same_fingerprint.push(older);
+        self.index.insert(fingerprint, b);
+        b
+    }
+
+    /// Merges `shard`, built over the users right after this table's, into
+    /// this table: shared keys fold the shard's partial aggregates into
+    /// this table's, new keys open buckets in the shard's order.
+    fn absorb(&mut self, shard: BucketTable) {
+        let mut to_merged = Vec::with_capacity(shard.len());
+        for b in 0..shard.len() as u32 {
+            let key = shard.key(b);
+            let span = shard.span(b);
+            let (pos_min, pos_sum) = (&shard.pos_min[span.clone()], &shard.pos_sum[span]);
+            let fingerprint = fingerprint(key);
+            let (mut m, newest) = self.find(key, fingerprint);
+            if m == NONE {
+                let (size, first) = (shard.size[b as usize], shard.first[b as usize]);
+                m = self.open(key, pos_min, pos_sum, size, first, fingerprint, newest);
+            } else {
+                let span = self.span(m);
+                fold_scores(
+                    &mut self.pos_min[span.clone()],
+                    &mut self.pos_sum[span],
+                    pos_min,
+                    pos_sum,
+                );
+                self.size[m as usize] += shard.size[b as usize];
+            }
+            to_merged.push(m);
+        }
+        self.bucket_of
+            .extend(shard.bucket_of.iter().map(|&b| to_merged[b as usize]));
+    }
+
+    /// Bucket `b` with the member list `users`.
+    fn bucket(&self, b: u32, users: Vec<u32>) -> Bucket {
+        let span = self.span(b);
+        Bucket {
+            items: self.key(b).items.into(),
+            users,
+            pos_min: self.pos_min[span.clone()].to_vec(),
+            pos_sum: self.pos_sum[span].to_vec(),
+        }
+    }
+
+    /// Every user's bucket, by user id.
+    pub(crate) fn bucket_of(&self) -> &[u32] {
+        &self.bucket_of
+    }
+
+    /// Every bucket, in table order, members ascending, each made as the
+    /// iterator reaches it.
+    pub(crate) fn buckets(&self) -> impl ExactSizeIterator<Item = Bucket> + '_ {
+        let mut users: Vec<Vec<u32>> = self
+            .size
+            .iter()
+            .map(|&size| Vec::with_capacity(size as usize))
             .collect();
-        handles
+        for (u, &b) in self.bucket_of.iter().enumerate() {
+            users[b as usize].push(u as u32);
+        }
+        users
             .into_iter()
-            .map(|h| h.join().expect("bucket worker panicked"))
-            .collect()
-    });
-    let mut merged: FxHashMap<BucketKey, Bucket> = FxHashMap::default();
-    for map in shards {
-        for (key, shard_bucket) in map {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let b = e.get_mut();
-                    b.users.extend_from_slice(&shard_bucket.users);
-                    for (slot, (&mn, &sm)) in shard_bucket
-                        .pos_min
-                        .iter()
-                        .zip(shard_bucket.pos_sum.iter())
-                        .enumerate()
-                    {
-                        b.pos_min[slot] = b.pos_min[slot].min(mn);
-                        b.pos_sum[slot] += sm;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(shard_bucket);
-                }
+            .enumerate()
+            .map(|(b, users)| self.bucket(b as u32, users))
+    }
+
+    /// The buckets `picked`, in that order, members ascending: one pass
+    /// over the users.
+    pub(crate) fn materialize(&self, picked: &[u32]) -> Vec<Bucket> {
+        let mut slot = vec![NONE; self.len()];
+        let mut users: Vec<Vec<u32>> = Vec::with_capacity(picked.len());
+        for (i, &b) in picked.iter().enumerate() {
+            slot[b as usize] = i as u32;
+            users.push(Vec::with_capacity(self.size[b as usize] as usize));
+        }
+        for (u, &b) in self.bucket_of.iter().enumerate() {
+            if slot[b as usize] != NONE {
+                users[slot[b as usize] as usize].push(u as u32);
             }
         }
+        picked
+            .iter()
+            .zip(users)
+            .map(|(&b, users)| self.bucket(b, users))
+            .collect()
     }
-    merged
+}
+
+/// The hash of a key, by which [`BucketTable`] indexes its buckets.
+fn fingerprint(key: KeyRef<'_>) -> u64 {
+    let mut h = crate::fxhash::FxHasher::default();
+    for &item in key.items {
+        h.write_u32(item);
+    }
+    for &bits in key.score_bits {
+        h.write_u64(bits);
+    }
+    h.finish()
 }
 
 /// `(items, users, pos_min bits, pos_sum bits)` — one bucket in the
@@ -375,23 +796,38 @@ pub fn canonical_buckets(buckets: Vec<Bucket>) -> Vec<CanonicalBucket> {
 /// sequence, then smallest member id. This ordering reproduces every worked
 /// example in the paper (Examples 1, 2, 5 and Appendix B).
 pub fn bucket_order(a: &Bucket, b: &Bucket, semantics: Semantics, agg: Aggregation) -> Ordering {
-    let sa = a.satisfaction(semantics, agg);
-    let sb = b.satisfaction(semantics, agg);
+    ranked_order(a.ranked(semantics), b.ranked(semantics), agg)
+}
+
+/// The fields of a bucket [`bucket_order`] compares, read from a
+/// [`Bucket`] or a [`BucketTable`] row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranked<'a> {
+    /// The group score vector.
+    pub(crate) scores: &'a [f64],
+    pub(crate) size: usize,
+    pub(crate) items: &'a [u32],
+    /// The first member listed.
+    pub(crate) first: Option<u32>,
+}
+
+/// [`bucket_order`] over the compared fields.
+pub(crate) fn ranked_order(a: Ranked<'_>, b: Ranked<'_>, agg: Aggregation) -> Ordering {
+    let sa = agg.apply(a.scores);
+    let sb = agg.apply(b.scores);
     sb.total_cmp(&sa)
         .then_with(|| {
-            let va = a.score_vector(semantics);
-            let vb = b.score_vector(semantics);
-            for (x, y) in va.iter().zip(vb.iter()) {
+            for (x, y) in a.scores.iter().zip(b.scores.iter()) {
                 match y.total_cmp(x) {
                     Ordering::Equal => continue,
                     ord => return ord,
                 }
             }
-            vb.len().cmp(&va.len())
+            b.scores.len().cmp(&a.scores.len())
         })
-        .then_with(|| b.users.len().cmp(&a.users.len()))
-        .then_with(|| a.items.cmp(&b.items))
-        .then_with(|| a.users.first().cmp(&b.users.first()))
+        .then_with(|| b.size.cmp(&a.size))
+        .then_with(|| a.items.cmp(b.items))
+        .then_with(|| a.first.cmp(&b.first))
 }
 
 #[cfg(test)]

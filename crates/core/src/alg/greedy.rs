@@ -1,7 +1,8 @@
 //! Steps 2–3 of the greedy algorithms (Algorithm 1 of the paper) and the
 //! [`GreedyFormer`] front-end covering all six `GRD-*` variants.
 
-use super::bucket::{self, Bucket};
+use super::bucket::{self, Bucket, BucketTable, TopKReader};
+use super::tail::{self, TailAgg};
 use super::{FormationConfig, FormationResult, GroupFormer};
 use crate::aggregate::Aggregation;
 use crate::error::Result;
@@ -11,16 +12,24 @@ use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
 use crate::semantics::Semantics;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The paper's greedy group formation algorithm, parameterised by a
 /// [`FormationConfig`] into `GRD-LM-MIN`, `GRD-LM-MAX`, `GRD-LM-SUM`,
 /// `GRD-AV-MIN`, `GRD-AV-MAX` or `GRD-AV-SUM`.
 ///
-/// Runs in `O(n k + ℓ log n)` after the `O(Σ d_u log d_u)` preference index
-/// build, plus the cost of scoring the final merged group (Sections 4.3 and
-/// 5.1 of the paper).
+/// After the `O(Σ d_u log d_u)` preference index build, Steps 1–2 run in
+/// `O(n k + B k + ℓ log ℓ)` expected time for `B` intermediate groups
+/// (Sections 4.3 and 5.1 of the paper): Step 1 hashes each user's top-`k`
+/// key, and Step 2 selects the `ℓ - 1` best buckets in `O(B)` expected
+/// comparisons and lists their members in one `O(n)` pass. Split-aware
+/// selection adds `O(|bucket| k)` per split. The paper's bound leaves out
+/// Step 3, which scores the merged last group from its members' ratings:
+/// `O(nnz_tail + m)` under
+/// [`MissingPolicy::Min`](crate::MissingPolicy::Min), from dense per-item
+/// aggregates, and the full recommendation engine's
+/// `O(nnz_tail + C log C)` over the `C` items the tail rated under the
+/// other policies.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyFormer {
     split_surplus: bool,
@@ -68,59 +77,6 @@ impl GreedyFormer {
     }
 }
 
-/// Max-heap entry wrapping a bucket with the ordering of
-/// [`bucket::bucket_order`]. The satisfaction is cached at construction:
-/// for Sum aggregation it costs O(k) to compute, and heap maintenance
-/// performs O(B log B) comparisons — recomputing per comparison made large
-/// top-k runs (k = 625 in Figure 5) an order of magnitude slower.
-struct HeapEntry {
-    sat: f64,
-    bucket: Bucket,
-    semantics: Semantics,
-    aggregation: Aggregation,
-}
-
-impl HeapEntry {
-    fn new(bucket: Bucket, semantics: Semantics, aggregation: Aggregation) -> Self {
-        let sat = bucket.satisfaction(semantics, aggregation);
-        HeapEntry {
-            sat,
-            bucket,
-            semantics,
-            aggregation,
-        }
-    }
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Higher satisfaction pops first (cached fast path); full
-        // bucket_order only breaks exact ties. bucket_order returns Less
-        // for the bucket that should be picked first; BinaryHeap pops the
-        // greatest, so reverse it.
-        self.sat.total_cmp(&other.sat).then_with(|| {
-            bucket::bucket_order(
-                &self.bucket,
-                &other.bucket,
-                self.semantics,
-                self.aggregation,
-            )
-            .reverse()
-        })
-    }
-}
-
 impl GroupFormer for GreedyFormer {
     fn name(&self, cfg: &FormationConfig) -> String {
         cfg.grd_name()
@@ -135,7 +91,7 @@ impl GroupFormer for GreedyFormer {
         cfg.validate(matrix)?;
         // Step 1: intermediate groups (threaded when cfg.n_threads asks
         // for it; resolves to the sequential path at one worker).
-        let buckets = bucket::build_buckets_threaded(
+        let table = BucketTable::build(
             matrix,
             prefs,
             cfg.semantics,
@@ -144,44 +100,48 @@ impl GroupFormer for GreedyFormer {
             cfg.k,
             cfg.n_threads,
         );
-        let n_buckets = buckets.len();
-        let mut heap: BinaryHeap<HeapEntry> = buckets
-            .into_iter()
-            .map(|bucket| HeapEntry::new(bucket, cfg.semantics, cfg.aggregation))
-            .collect();
+        let n_buckets = table.len();
 
-        // Step 2: greedily emit the ell - 1 best intermediate groups.
-        let split_buckets = self.split_aware && cfg.semantics == Semantics::LeastMisery;
+        // Step 2: greedily emit the ell - 1 best intermediate groups. Only
+        // the ell - 1 best buckets can be popped (see `Queue`), so they
+        // alone enter the queue.
+        let slots = cfg.ell - 1;
+        let mut queue = Queue::best_of(&table, slots, cfg.semantics, cfg.aggregation);
+        drop(table);
+        let mut split = (self.split_aware && cfg.semantics == Semantics::LeastMisery)
+            .then(|| TopKReader::for_config(matrix, prefs, cfg));
+        let mut in_tail = vec![true; matrix.n_users() as usize];
         let mut groups: Vec<Group> = Vec::with_capacity(cfg.ell.min(n_buckets));
-        while groups.len() + 1 < cfg.ell {
-            let Some(entry) = heap.pop() else { break };
-            if split_buckets && entry.bucket.users.len() > 1 {
-                // Emit one user; the remainder keeps the same LM score and
-                // competes again (it may be split further).
-                let (single, remainder) = split_bucket(matrix, prefs, cfg, entry.bucket);
-                groups.push(bucket_to_group(&single, cfg));
-                heap.push(HeapEntry::new(remainder, cfg.semantics, cfg.aggregation));
-            } else {
-                groups.push(bucket_to_group(&entry.bucket, cfg));
+        while groups.len() < slots {
+            let Some(best) = queue.pop() else { break };
+            let group = match &mut split {
+                Some(reader) if best.users.len() > 1 => {
+                    // Emit one user; the remainder keeps the same LM score
+                    // and competes again (it may be split further).
+                    let (single, remainder) = split_bucket(reader, best);
+                    queue.push(remainder);
+                    bucket_to_group(&single, cfg)
+                }
+                _ => bucket_to_group(&best, cfg),
+            };
+            for &u in group.members.iter() {
+                in_tail[u as usize] = false;
             }
+            groups.push(group);
         }
+        drop(queue);
 
         // Step 3: merge everything left into the final group and score it
-        // with the full recommendation engine (the rescoring
-        // IncrementalFormer shares).
-        let mut remaining: Vec<u32> = heap
-            .into_iter()
-            .flat_map(|e| e.bucket.users.into_iter())
-            .collect();
-        remaining.sort_unstable();
+        // (the scorer IncrementalFormer shares).
+        let remaining = tail::members_of(&in_tail);
         if !remaining.is_empty() {
-            let mut tail = Group {
-                members: remaining.into(),
-                top_k: Vec::new(),
-                satisfaction: 0.0,
-            };
-            rescore_group(matrix, cfg, &mut tail);
-            groups.push(tail);
+            let mut agg = TailAgg::for_config(cfg, matrix, &remaining);
+            groups.push(tail::tail_group(
+                matrix,
+                cfg,
+                remaining.into(),
+                agg.as_mut(),
+            ));
         }
 
         if self.split_surplus && groups.len() < cfg.ell {
@@ -199,14 +159,94 @@ impl GroupFormer for GreedyFormer {
     }
 }
 
+/// Step 2's candidates, each with its cached satisfaction, in reverse pop
+/// order: the next bucket to emit is the last. Pop order is
+/// [`bucket::bucket_order`] (satisfaction first; the cached value saves
+/// the `O(k)` recomputation for Sum aggregation on every comparison), a
+/// total order since memberships are disjoint.
+///
+/// Seeding it with only the `ℓ - 1` best buckets is exact: each of the at
+/// most `ℓ - 1` pops removes at most one of them, so before every pop one
+/// still waits, and it outranks every bucket left out. A split remainder
+/// re-enters at its own rank, which is all a queue over every bucket would
+/// do with it.
+struct Queue {
+    entries: Vec<(f64, Bucket)>,
+    semantics: Semantics,
+    aggregation: Aggregation,
+}
+
+impl Queue {
+    /// The queue of the `slots` best buckets of `table`.
+    fn best_of(
+        table: &BucketTable,
+        slots: usize,
+        semantics: Semantics,
+        aggregation: Aggregation,
+    ) -> Self {
+        let slots = slots.min(table.len());
+        let mut ranked: Vec<(f64, u32)> = if slots == 0 {
+            Vec::new()
+        } else {
+            (0..table.len() as u32)
+                .map(|b| (aggregation.apply(table.score_vector(b, semantics)), b))
+                .collect()
+        };
+        let pops_first = |x: &(f64, u32), y: &(f64, u32)| {
+            y.0.total_cmp(&x.0).then_with(|| {
+                bucket::ranked_order(
+                    table.ranked(x.1, semantics),
+                    table.ranked(y.1, semantics),
+                    aggregation,
+                )
+            })
+        };
+        if slots < ranked.len() {
+            ranked.select_nth_unstable_by(slots - 1, pops_first);
+            ranked.truncate(slots);
+        }
+        ranked.sort_unstable_by(|x, y| pops_first(y, x));
+        let picked: Vec<u32> = ranked.iter().map(|&(_, b)| b).collect();
+        let entries = ranked
+            .iter()
+            .zip(table.materialize(&picked))
+            .map(|(&(sat, _), bucket)| (sat, bucket))
+            .collect();
+        Queue {
+            entries,
+            semantics,
+            aggregation,
+        }
+    }
+
+    fn pop(&mut self) -> Option<Bucket> {
+        self.entries.pop().map(|(_, b)| b)
+    }
+
+    fn push(&mut self, bucket: Bucket) {
+        let sat = bucket.satisfaction(self.semantics, self.aggregation);
+        let (sem, agg) = (self.semantics, self.aggregation);
+        let at = self
+            .entries
+            .partition_point(|(s, b)| pop_order((*s, b), (sat, &bucket), sem, agg).is_gt());
+        self.entries.insert(at, (sat, bucket));
+    }
+}
+
+/// `Less` when the bucket `x` (with satisfaction `x.0`) pops before `y`.
+fn pop_order(
+    x: (f64, &Bucket),
+    y: (f64, &Bucket),
+    semantics: Semantics,
+    aggregation: Aggregation,
+) -> Ordering {
+    y.0.total_cmp(&x.0)
+        .then_with(|| bucket::bucket_order(x.1, y.1, semantics, aggregation))
+}
+
 /// Splits the lowest-id user out of a multi-user bucket, rebuilding the
 /// remainder's per-position score vectors from the members' personal lists.
-fn split_bucket(
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    cfg: &FormationConfig,
-    mut b: Bucket,
-) -> (Bucket, Bucket) {
+fn split_bucket(reader: &mut TopKReader<'_>, mut b: Bucket) -> (Bucket, Bucket) {
     debug_assert!(b.users.len() > 1);
     let lowest_pos = b
         .users
@@ -216,21 +256,13 @@ fn split_bucket(
         .map(|(pos, _)| pos)
         .expect("non-empty bucket");
     let user = b.users.swap_remove(lowest_pos);
-    let (_, single_scores) = bucket::personal_top_k(matrix, prefs, cfg.policy, user, cfg.k);
-    let single = Bucket {
-        items: b.items.clone(),
-        users: vec![user],
-        pos_min: single_scores.clone(),
-        pos_sum: single_scores,
-    };
+    let single = Bucket::of_user(user, &b.items, reader.top_k(user).1);
     // Rebuild the remainder's vectors exactly.
-    let len = b.pos_min.len();
-    b.pos_min = vec![f64::INFINITY; len];
-    b.pos_sum = vec![0.0; len];
+    b.pos_min.fill(f64::INFINITY);
+    b.pos_sum.fill(0.0);
     for idx in 0..b.users.len() {
-        let u = b.users[idx];
-        let (_, scores) = bucket::personal_top_k(matrix, prefs, cfg.policy, u, cfg.k);
-        b.accumulate_scores(&scores);
+        let (_, scores) = reader.top_k(b.users[idx]);
+        b.accumulate_scores(scores);
     }
     (single, b)
 }
@@ -249,19 +281,6 @@ pub(crate) fn bucket_to_group(bucket: &Bucket, cfg: &FormationConfig) -> Group {
         top_k: bucket.items.iter().copied().zip(vector).collect(),
         satisfaction,
     }
-}
-
-/// Rescores `group` from its member list with the full recommendation
-/// engine under `cfg`: recomputes the top-`k` list and satisfaction. Scores
-/// the greedy's final merged group, and the incremental former's tail
-/// group under the policies without a maintained tail
-/// ([`super::incremental`]).
-pub(crate) fn rescore_group(matrix: &RatingMatrix, cfg: &FormationConfig, group: &mut Group) {
-    let rec = GroupRecommender::new(matrix, cfg.semantics).with_policy(cfg.policy);
-    let top_k = rec.top_k(&group.members, cfg.k);
-    let scores: Vec<f64> = top_k.iter().map(|&(_, s)| s).collect();
-    group.satisfaction = cfg.aggregation.apply(&scores);
-    group.top_k = top_k;
 }
 
 /// Spends leftover group budget splitting singletons out of existing groups
@@ -675,6 +694,139 @@ mod tests {
             );
             assert!((recomputed - a.objective).abs() < 1e-9, "trial {trial}");
         }
+    }
+
+    /// The Step 2–3 loop before the selection was seeded with the
+    /// `ell - 1` best buckets: a max-heap over every bucket, the tail
+    /// flattened from the heap's leftovers, sorted, and scored by the
+    /// engine. The oracle the seeded queue and the dense tail are checked
+    /// against.
+    fn full_heap_formation(
+        matrix: &RatingMatrix,
+        prefs: &PrefIndex,
+        cfg: &FormationConfig,
+        split_aware: bool,
+    ) -> FormationResult {
+        use std::collections::BinaryHeap;
+        struct Entry(f64, Bucket, Semantics, Aggregation);
+        impl PartialEq for Entry {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+        impl Eq for Entry {}
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                self.0
+                    .total_cmp(&other.0)
+                    .then_with(|| bucket::bucket_order(&self.1, &other.1, self.2, self.3).reverse())
+            }
+        }
+        let (sem, agg) = (cfg.semantics, cfg.aggregation);
+        let entry = |b: Bucket| Entry(b.satisfaction(sem, agg), b, sem, agg);
+        let buckets = bucket::build_buckets(matrix, prefs, sem, agg, cfg.policy, cfg.k);
+        let n_buckets = buckets.len();
+        let mut heap: BinaryHeap<Entry> = buckets.into_iter().map(entry).collect();
+        let mut groups = Vec::new();
+        while groups.len() + 1 < cfg.ell {
+            let Some(Entry(_, mut b, _, _)) = heap.pop() else {
+                break;
+            };
+            if split_aware && sem == Semantics::LeastMisery && b.users.len() > 1 {
+                let lowest = (0..b.users.len()).min_by_key(|&p| b.users[p]).unwrap();
+                let user = b.users.swap_remove(lowest);
+                let (_, scores) = bucket::personal_top_k(matrix, prefs, cfg.policy, user, cfg.k);
+                groups.push(bucket_to_group(
+                    &Bucket::of_user(user, &b.items, &scores),
+                    cfg,
+                ));
+                b.pos_min = vec![f64::INFINITY; b.pos_min.len()];
+                b.pos_sum = vec![0.0; b.pos_sum.len()];
+                for &u in &b.users.clone() {
+                    let (_, scores) = bucket::personal_top_k(matrix, prefs, cfg.policy, u, cfg.k);
+                    b.accumulate_scores(&scores);
+                }
+                heap.push(entry(b));
+            } else {
+                groups.push(bucket_to_group(&b, cfg));
+            }
+        }
+        let mut remaining: Vec<u32> = heap.into_iter().flat_map(|e| e.1.users).collect();
+        remaining.sort_unstable();
+        if !remaining.is_empty() {
+            let rec = GroupRecommender::new(matrix, sem).with_policy(cfg.policy);
+            let top_k = rec.top_k(&remaining, cfg.k);
+            let scores: Vec<f64> = top_k.iter().map(|&(_, s)| s).collect();
+            groups.push(Group {
+                satisfaction: agg.apply(&scores),
+                top_k,
+                members: remaining.into(),
+            });
+        }
+        let grouping = Grouping::new(groups);
+        let objective = grouping.objective();
+        FormationResult {
+            grouping,
+            objective,
+            n_buckets,
+        }
+    }
+
+    #[test]
+    fn seeded_selection_equals_the_full_heap() {
+        // Duplicate-heavy rows: many users share a key, so split-aware
+        // selection re-inserts remainders that outrank fresh buckets.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut split_cases = 0;
+        for trial in 0..40 {
+            let n_rows = rng.gen_range(2..6);
+            let rows: Vec<Vec<f64>> = (0..n_rows)
+                .map(|_| (0..4).map(|_| rng.gen_range(1..=5) as f64).collect())
+                .collect();
+            let n = rng.gen_range(3..25);
+            let picked: Vec<&[f64]> = (0..n)
+                .map(|_| rows[rng.gen_range(0..rows.len())].as_slice())
+                .collect();
+            let (m, p) = dense(&picked);
+            for agg in Aggregation::paper_set() {
+                let k = 1 + trial % 3;
+                let b = bucket::build_buckets(
+                    &m,
+                    &p,
+                    Semantics::LeastMisery,
+                    agg,
+                    MissingPolicy::Min,
+                    k,
+                )
+                .len();
+                for ell in 1..=b + 2 {
+                    let cfg = FormationConfig::new(Semantics::LeastMisery, agg, k, ell);
+                    let mut outcomes = Vec::new();
+                    for split_aware in [false, true] {
+                        let former = GreedyFormer::new().with_split_aware_selection(split_aware);
+                        let got = former.form(&m, &p, &cfg).unwrap();
+                        let want = full_heap_formation(&m, &p, &cfg, split_aware);
+                        assert_eq!(
+                            got, want,
+                            "trial {trial} {agg} k={k} ell={ell} split={split_aware}"
+                        );
+                        outcomes.push(got);
+                    }
+                    split_cases += usize::from(outcomes[0] != outcomes[1]);
+                }
+            }
+        }
+        assert!(
+            split_cases > 50,
+            "only {split_cases} cases where splitting changed the output"
+        );
     }
 
     #[test]

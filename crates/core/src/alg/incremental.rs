@@ -66,10 +66,15 @@
 //!
 //! Building a former ([`IncrementalFormer::new`],
 //! [`IncrementalFormer::import_state`]) sorts the `B` ranks once and
-//! bulk-loads the index from them.
+//! bulk-loads the index from them, and fills the tail aggregates with one
+//! pass over the tail members' rows. [`IncrementalFormer::new`] takes its
+//! Step-1 state from the same bucket table as the cold
+//! [`GreedyFormer`](super::GreedyFormer), which allocates per bucket, not
+//! per user, and then gives each bucket its own key and member list.
 
-use super::bucket::{self, Bucket, BucketKey};
-use super::greedy::{bucket_to_group, rescore_group};
+use super::bucket::{self, Bucket, BucketKey, BucketTable, KeyView, TopKReader};
+use super::greedy::bucket_to_group;
+use super::tail::{self, TailAgg};
 use super::{FormationConfig, FormationResult};
 use crate::aggregate::Aggregation;
 use crate::error::{GfError, Result};
@@ -78,7 +83,7 @@ use crate::grouping::{Group, Grouping};
 use crate::grouprec::MissingPolicy;
 use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
-use crate::semantics::{consensus_score, Semantics};
+use crate::semantics::Semantics;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -228,178 +233,6 @@ impl RatingDelta {
     }
 }
 
-/// Incrementally-maintained per-item aggregates of the tail (merged
-/// remainder) group under [`MissingPolicy::Min`]: rater count, score sum
-/// (AV and LeaderWeighted scoring), sum of squares (Consensus scoring)
-/// and rater minimum with lazy recomputation (LM scoring).
-#[derive(Debug, Clone)]
-struct TailAgg {
-    r_min: f64,
-    count: Vec<u32>,
-    sum: Vec<f64>,
-    sum_sq: Vec<f64>,
-    min: Vec<f64>,
-    /// How many raters sit at `min`; when removals drain it the minimum is
-    /// marked stale and lazily recomputed at scoring time (only ever
-    /// needed for items every tail member rated).
-    min_count: Vec<u32>,
-    stale: Vec<bool>,
-}
-
-impl TailAgg {
-    fn new(n_items: usize, r_min: f64) -> Self {
-        TailAgg {
-            r_min,
-            count: vec![0; n_items],
-            sum: vec![0.0; n_items],
-            sum_sq: vec![0.0; n_items],
-            min: vec![f64::INFINITY; n_items],
-            min_count: vec![0; n_items],
-            stale: vec![false; n_items],
-        }
-    }
-
-    /// The maintained tail for `cfg`: `Some` under `MissingPolicy::Min`,
-    /// for every semantics (the moments kept here cover all four closed
-    /// forms). `Skip`/`UserMean` fall back to exact tail rescoring through
-    /// the shared repair machinery.
-    fn for_config(cfg: &FormationConfig, matrix: &RatingMatrix) -> Option<Self> {
-        matches!(cfg.policy, MissingPolicy::Min)
-            .then(|| TailAgg::new(matrix.n_items() as usize, matrix.scale().min()))
-    }
-
-    /// Extends the per-item aggregates for newly admitted items (which no
-    /// tail member has rated yet, so every new slot starts empty).
-    fn grow_items(&mut self, n_items: usize) {
-        self.count.resize(n_items, 0);
-        self.sum.resize(n_items, 0.0);
-        self.sum_sq.resize(n_items, 0.0);
-        self.min.resize(n_items, f64::INFINITY);
-        self.min_count.resize(n_items, 0);
-        self.stale.resize(n_items, false);
-    }
-
-    fn add(&mut self, item: u32, score: f64) {
-        let i = item as usize;
-        self.count[i] += 1;
-        self.sum[i] += score;
-        self.sum_sq[i] += score * score;
-        if self.stale[i] {
-            return;
-        }
-        if self.count[i] == 1 || score < self.min[i] {
-            self.min[i] = score;
-            self.min_count[i] = 1;
-        } else if score == self.min[i] {
-            self.min_count[i] += 1;
-        }
-    }
-
-    fn remove(&mut self, item: u32, score: f64) {
-        let i = item as usize;
-        debug_assert!(self.count[i] > 0, "removing unseen rating");
-        self.count[i] -= 1;
-        self.sum[i] -= score;
-        self.sum_sq[i] -= score * score;
-        if self.count[i] == 0 {
-            // Empty items reset exactly, killing any off-grid sum drift.
-            self.sum[i] = 0.0;
-            self.sum_sq[i] = 0.0;
-            self.min[i] = f64::INFINITY;
-            self.min_count[i] = 0;
-            self.stale[i] = false;
-            return;
-        }
-        if self.stale[i] {
-            return;
-        }
-        if score == self.min[i] {
-            self.min_count[i] -= 1;
-            if self.min_count[i] == 0 {
-                self.stale[i] = true;
-            }
-        }
-    }
-
-    fn recompute_min(&mut self, matrix: &RatingMatrix, tail: &[u32], item: u32) {
-        let i = item as usize;
-        let mut mn = f64::INFINITY;
-        let mut cnt = 0u32;
-        for &u in tail {
-            if let Some(s) = matrix.get(u, item) {
-                match s.total_cmp(&mn) {
-                    Ordering::Less => {
-                        mn = s;
-                        cnt = 1;
-                    }
-                    Ordering::Equal => cnt += 1,
-                    Ordering::Greater => {}
-                }
-            }
-        }
-        self.min[i] = mn;
-        self.min_count[i] = cnt;
-        self.stale[i] = false;
-    }
-
-    /// The tail's top-`k` list, exactly as
-    /// [`crate::GroupRecommender::top_k`] computes it under
-    /// `MissingPolicy::Min` for the current tail membership: the same
-    /// closed form per semantics, with non-raters imputed at `r_min` and
-    /// items no member rated at the `r_min` floor.
-    fn top_k(
-        &mut self,
-        matrix: &RatingMatrix,
-        tail: &[u32],
-        semantics: Semantics,
-        k: usize,
-    ) -> Vec<(u32, f64)> {
-        let r_min = self.r_min;
-        let tail_len = tail.len();
-        let g = tail_len as f64;
-        // LeaderWeighted's leader: the lowest-id tail member.
-        let leader = tail.first().copied().unwrap_or(0);
-        let m = self.count.len();
-        let mut scored: Vec<(u32, f64)> = Vec::with_capacity(m);
-        for i in 0..m {
-            let count = self.count[i] as usize;
-            let miss = (tail_len - count) as f64;
-            let score = match semantics {
-                Semantics::LeastMisery => {
-                    if count == tail_len {
-                        if self.stale[i] {
-                            self.recompute_min(matrix, tail, i as u32);
-                        }
-                        self.min[i]
-                    } else {
-                        r_min
-                    }
-                }
-                Semantics::AggregateVoting => self.sum[i] + miss * r_min,
-                _ if count == 0 => r_min,
-                Semantics::Consensus { lambda } => consensus_score(
-                    lambda,
-                    g,
-                    self.sum[i] + miss * r_min,
-                    self.sum_sq[i] + miss * r_min * r_min,
-                ),
-                Semantics::LeaderWeighted => {
-                    let s_l = matrix.get(leader, i as u32).unwrap_or(r_min);
-                    (self.sum[i] + miss * r_min + s_l) / (g + 1.0)
-                }
-            };
-            scored.push((i as u32, score));
-        }
-        let cmp = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-        if scored.len() > k {
-            scored.select_nth_unstable_by(k - 1, cmp);
-            scored.truncate(k);
-        }
-        scored.sort_unstable_by(cmp);
-        scored
-    }
-}
-
 /// A serializable projection of one Step-1 bucket, with scores carried as
 /// exact `f64` bit patterns so a checkpoint round trip is lossless.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -468,14 +301,13 @@ impl IncrementalFormer {
     /// [`GreedyFormer::new`](super::GreedyFormer::new) under `cfg`) and the incremental state that
     /// keeps it patchable.
     ///
-    /// Step 1 runs on `cfg.n_threads` workers via
-    /// [`bucket::build_bucket_map_threaded`] — the sharded bucket build
-    /// and its merge — which is what a serving layer pays on boot and on
-    /// every cold pass. The default `n_threads = 1` keeps the sequential
-    /// path.
+    /// Step 1 runs on `cfg.n_threads` workers, the sharded bucket build
+    /// and merge of [`bucket::build_buckets_threaded`], which is what a
+    /// serving layer pays on boot and on every cold pass. The default
+    /// `n_threads = 1` keeps the sequential path.
     pub fn new(matrix: &RatingMatrix, prefs: &PrefIndex, cfg: FormationConfig) -> Result<Self> {
         cfg.validate(matrix)?;
-        let buckets = bucket::build_bucket_map_threaded(
+        let table = BucketTable::build(
             matrix,
             prefs,
             cfg.semantics,
@@ -484,20 +316,18 @@ impl IncrementalFormer {
             cfg.k,
             cfg.n_threads,
         );
-        let buckets: FxHashMap<Key, Bucket> = buckets
-            .into_iter()
-            .map(|(key, b)| (Arc::new(key), b))
+        let keys: Vec<Key> = (0..table.len() as u32)
+            .map(|b| Arc::new(table.key(b).to_key()))
             .collect();
-        let mut user_keys: Vec<Option<Key>> = vec![None; matrix.n_users() as usize];
-        for (key, b) in &buckets {
-            for &u in &b.users {
-                user_keys[u as usize] = Some(Arc::clone(key));
-            }
-        }
-        let user_keys = user_keys
-            .into_iter()
-            .map(|key| key.expect("Step 1 places every user"))
+        let user_keys = table
+            .bucket_of()
+            .iter()
+            .map(|&b| Arc::clone(&keys[b as usize]))
             .collect();
+        let buckets: FxHashMap<Key, Bucket> = keys.into_iter().zip(table.buckets()).collect();
+        // The rank index built next is the peak of a build; the table is
+        // done with by then.
+        drop(table);
         Ok(Self::from_parts(matrix, cfg, buckets, user_keys, None))
     }
 
@@ -526,15 +356,8 @@ impl IncrementalFormer {
                 in_tail[u as usize] = false;
             }
         }
-        let tail: Arc<[u32]> = tail_of(&in_tail).into();
-        let mut agg_tail = TailAgg::for_config(&cfg, matrix);
-        if let Some(agg) = &mut agg_tail {
-            for &u in tail.iter() {
-                for (i, s) in matrix.user_ratings(u) {
-                    agg.add(i, s);
-                }
-            }
-        }
+        let tail: Arc<[u32]> = tail::members_of(&in_tail).into();
+        let agg_tail = TailAgg::for_config(&cfg, matrix, &tail);
         let mut former = IncrementalFormer {
             cfg,
             n_items: matrix.n_items(),
@@ -595,7 +418,7 @@ impl IncrementalFormer {
                 fresh.len()
             ));
         }
-        if *self.tail != *tail_of(&self.in_tail) {
+        if *self.tail != *tail::members_of(&self.in_tail) {
             return Err(format!(
                 "the tail list ({} users) is not the flagged tail members",
                 self.tail.len()
@@ -614,13 +437,7 @@ impl IncrementalFormer {
     /// [`MissingPolicy`] other than `Min`, which keeps no counts.
     pub fn tail_candidates(&self) -> Option<Vec<u32>> {
         let agg = self.agg_tail.as_ref().filter(|_| !self.tail.is_empty())?;
-        Some(
-            agg.count
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| (c == 0).then_some(i as u32))
-                .collect(),
-        )
+        Some(agg.unrated())
     }
 
     /// The tail's members, ascending: the member list of the tail group
@@ -841,8 +658,9 @@ impl IncrementalFormer {
         //    `touched` maps every bucket this refresh changes to its rank
         //    before the change (`None` for a bucket it creates).
         let mut touched: Touched = FxHashMap::default();
+        let mut reader = TopKReader::for_config(matrix, prefs, &self.cfg);
         for u in old_n..matrix.n_users() {
-            let key = self.place_user(matrix, prefs, u, &mut touched);
+            let key = self.place_user(&mut reader, u, &mut touched);
             self.user_keys.push(key);
             self.in_tail.push(false);
         }
@@ -893,7 +711,7 @@ impl IncrementalFormer {
             if emptied {
                 self.buckets.remove(&old_key);
             }
-            let new_key = self.place_user(matrix, prefs, u, &mut touched);
+            let new_key = self.place_user(&mut reader, u, &mut touched);
             self.user_keys[u as usize] = new_key;
         }
 
@@ -906,7 +724,7 @@ impl IncrementalFormer {
         let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
         for (key, old) in &touched {
             let new = self.buckets.get_mut(key).map(|b| {
-                recompute_bucket_scores(matrix, prefs, &self.cfg, b);
+                recompute_bucket_scores(&mut reader, b);
                 BucketRank::of(key, b, sem, agg)
             });
             if new.as_ref() != old.as_ref() {
@@ -950,28 +768,19 @@ impl IncrementalFormer {
     /// The bucket is touched (see [`IncrementalFormer::touch`]); its
     /// score vectors are left stale until step 3 of
     /// [`IncrementalFormer::refresh`] recomputes them.
-    fn place_user(
-        &mut self,
-        matrix: &RatingMatrix,
-        prefs: &PrefIndex,
-        u: u32,
-        touched: &mut Touched,
-    ) -> Key {
-        let (items, scores) = bucket::personal_top_k(matrix, prefs, self.cfg.policy, u, self.cfg.k);
-        let key = bucket::key_for(self.cfg.semantics, self.cfg.aggregation, &items, &scores);
-        let key = match self.buckets.get_key_value(&key) {
+    fn place_user(&mut self, reader: &mut TopKReader<'_>, u: u32, touched: &mut Touched) -> Key {
+        let (view, _) = reader.key(u);
+        let key = match self.buckets.get_key_value(&view as &dyn KeyView) {
             Some((shared, _)) => Arc::clone(shared),
-            None => Arc::new(key),
+            None => Arc::new(view.to_key()),
         };
         self.touch(&key, touched);
         let b = self
             .buckets
             .entry(Arc::clone(&key))
             .or_insert_with(|| Bucket {
-                items: items.into(),
-                users: Vec::new(),
-                pos_min: Vec::new(),
-                pos_sum: Vec::new(),
+                items: view.items.into(),
+                ..Bucket::default()
             });
         let pos = b
             .users
@@ -1089,21 +898,12 @@ impl IncrementalFormer {
             groups.push(group);
         }
         if !self.tail.is_empty() {
-            let mut tail = Group {
-                members: Arc::clone(&self.tail),
-                top_k: Vec::new(),
-                satisfaction: 0.0,
-            };
-            match &mut self.agg_tail {
-                Some(agg) => {
-                    let top_k = agg.top_k(matrix, &self.tail, self.cfg.semantics, self.cfg.k);
-                    let scores: Vec<f64> = top_k.iter().map(|&(_, s)| s).collect();
-                    tail.satisfaction = self.cfg.aggregation.apply(&scores);
-                    tail.top_k = top_k;
-                }
-                None => rescore_group(matrix, &self.cfg, &mut tail),
-            }
-            groups.push(tail);
+            groups.push(tail::tail_group(
+                matrix,
+                &self.cfg,
+                Arc::clone(&self.tail),
+                self.agg_tail.as_mut(),
+            ));
         }
         let grouping = Grouping::new(groups);
         debug_assert!(grouping
@@ -1116,15 +916,6 @@ impl IncrementalFormer {
             n_buckets: self.buckets.len(),
         };
     }
-}
-
-/// The users flagged in `in_tail`, ascending.
-fn tail_of(in_tail: &[bool]) -> Vec<u32> {
-    in_tail
-        .iter()
-        .enumerate()
-        .filter_map(|(u, &t)| t.then_some(u as u32))
-        .collect()
 }
 
 /// The Step-2 selection read off the rank index: the keys of its first
@@ -1167,27 +958,22 @@ fn ideal_selection(buckets: &FxHashMap<Key, Bucket>, cfg: &FormationConfig) -> V
 /// Recomputes a touched bucket's per-position score vectors from its
 /// members in ascending id order — the same accumulation order as the cold
 /// build, so the result is bit-for-bit identical to `build_buckets`.
-fn recompute_bucket_scores(
-    matrix: &RatingMatrix,
-    prefs: &PrefIndex,
-    cfg: &FormationConfig,
-    b: &mut Bucket,
-) {
+fn recompute_bucket_scores(reader: &mut TopKReader<'_>, b: &mut Bucket) {
     for idx in 0..b.users.len() {
         let u = b.users[idx];
-        let (items, scores) = bucket::personal_top_k(matrix, prefs, cfg.policy, u, cfg.k);
+        let (items, scores) = reader.top_k(u);
         debug_assert_eq!(
-            items.as_slice(),
+            items,
             b.items.as_ref(),
             "member {u} no longer matches its bucket's item sequence"
         );
         if idx == 0 {
             b.pos_min.clear();
-            b.pos_min.extend_from_slice(&scores);
+            b.pos_min.extend_from_slice(scores);
             b.pos_sum.clear();
-            b.pos_sum.extend_from_slice(&scores);
+            b.pos_sum.extend_from_slice(scores);
         } else {
-            b.accumulate_scores(&scores);
+            b.accumulate_scores(scores);
         }
     }
 }

@@ -7,10 +7,15 @@
 //! 1. **Intermediate groups**: hash every user by a key derived from her
 //!    personal top-`k` preference list (the key depends on semantics and
 //!    aggregation, see [`bucket`]), bundling indistinguishable users.
-//! 2. **Greedy selection**: pop the `ell - 1` intermediate groups with the
-//!    highest group satisfaction from a max-heap.
+//! 2. **Greedy selection**: emit the `ell - 1` intermediate groups with
+//!    the highest group satisfaction. Only the `ell - 1` best can be
+//!    emitted, so a linear-time selection picks them and a queue of just
+//!    those pops them in order (re-ranking split remainders under
+//!    split-aware selection).
 //! 3. **Last group**: merge all remaining users into the `ell`-th group and
-//!    score it with the full group recommendation engine.
+//!    score it: under `MissingPolicy::Min` from dense per-item aggregates
+//!    of its members' ratings, one scorer for both formers, and with the
+//!    full group recommendation engine under the other policies.
 //!
 //! All six variants are provided by a single [`GreedyFormer`] parameterised
 //! by the [`FormationConfig`]. Under least misery, `GRD-LM-MIN` and
@@ -23,7 +28,7 @@
 //! inside [`GreedyFormer`] and [`IncrementalFormer::new`] alike — following
 //! the workspace-wide convention of [`crate::resolve_threads`] (`0` = auto
 //! via `available_parallelism`, anything else literal, always clamped to
-//! the amount of work): scoped workers build per-range bucket maps over
+//! the amount of work): scoped workers build per-range bucket tables over
 //! contiguous user ranges and merge them in range order. Results are
 //! **identical to the single-threaded path** — membership, keys and
 //! per-position minima unconditionally; per-position sums bit-for-bit
@@ -35,6 +40,7 @@
 pub mod bucket;
 mod greedy;
 pub mod incremental;
+mod tail;
 
 pub use greedy::GreedyFormer;
 pub use incremental::{FormerBucket, FormerState, IncrementalFormer, RatingDelta};
