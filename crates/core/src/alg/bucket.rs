@@ -19,45 +19,22 @@
 
 use crate::aggregate::{Aggregation, Pivot};
 use crate::fxhash::FxHashMap;
+use crate::grouping::Group;
 use crate::grouprec::MissingPolicy;
 use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
 use crate::semantics::Semantics;
-use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::Hasher;
 
 /// Hash key identifying an intermediate group.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BucketKey {
     /// The top-`k` item sequence.
     pub items: Box<[u32]>,
     /// Bit patterns of the scores included in the key (empty for AV;
     /// pivot score for LM Min/Max; all `k` scores for LM Sum).
     pub score_bits: Box<[u64]>,
-}
-
-/// The two parts of a bucket key, read from an owned [`BucketKey`] or in
-/// place. A bucket map keyed by `Arc<BucketKey>` (an
-/// [`IncrementalFormer`](super::IncrementalFormer)'s) is looked up through
-/// `&dyn KeyView`, so placing a user finds its bucket without building an
-/// owned key: one is allocated only when the user opens a new bucket.
-pub trait KeyView {
-    /// The top-`k` item sequence.
-    fn items(&self) -> &[u32];
-    /// The key's score bit patterns.
-    fn score_bits(&self) -> &[u64];
-}
-
-impl KeyView for BucketKey {
-    fn items(&self) -> &[u32] {
-        &self.items
-    }
-
-    fn score_bits(&self) -> &[u64] {
-        &self.score_bits
-    }
 }
 
 /// A bucket key read in place: the item sequence borrowed from the
@@ -67,54 +44,6 @@ impl KeyView for BucketKey {
 pub(crate) struct KeyRef<'a> {
     pub(crate) items: &'a [u32],
     pub(crate) score_bits: &'a [u64],
-}
-
-impl KeyRef<'_> {
-    /// The owned key, for a bucket this key opens.
-    pub(crate) fn to_key(self) -> BucketKey {
-        BucketKey {
-            items: self.items.into(),
-            score_bits: self.score_bits.into(),
-        }
-    }
-}
-
-impl KeyView for KeyRef<'_> {
-    fn items(&self) -> &[u32] {
-        self.items
-    }
-
-    fn score_bits(&self) -> &[u64] {
-        self.score_bits
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.items().hash(state);
-        self.score_bits().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.items() == other.items() && self.score_bits() == other.score_bits()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-/// Hashes as its [`KeyView`], which [`Borrow`] requires.
-impl Hash for BucketKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn KeyView).hash(state);
-    }
-}
-
-impl<'a> Borrow<dyn KeyView + 'a> for Arc<BucketKey> {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        &**self
-    }
 }
 
 /// An intermediate group: users indistinguishable under the current key.
@@ -145,7 +74,9 @@ impl Bucket {
     }
 
     /// Folds one member's personal score vector into the per-position
-    /// aggregates (see [`fold_scores`]).
+    /// aggregates (see [`fold_scores`]): how the tests' reference
+    /// formations rebuild a split bucket.
+    #[cfg(test)]
     pub(crate) fn accumulate_scores(&mut self, scores: &[f64]) {
         fold_scores(&mut self.pos_min, &mut self.pos_sum, scores, scores);
     }
@@ -170,6 +101,25 @@ impl Bucket {
     /// The bucket's group satisfaction under `semantics` + `agg`.
     pub fn satisfaction(&self, semantics: Semantics, agg: Aggregation) -> f64 {
         agg.apply(self.score_vector(semantics))
+    }
+
+    /// The output group this bucket forms. Its shared item sequence *is*
+    /// the group's recommended top-`k` list, scored by its score vector.
+    pub(crate) fn into_group(mut self, cfg: &super::FormationConfig) -> Group {
+        let satisfaction = self.satisfaction(cfg.semantics, cfg.aggregation);
+        let vector = self.score_vector(cfg.semantics);
+        let top_k = self
+            .items
+            .iter()
+            .copied()
+            .zip(vector.iter().copied())
+            .collect();
+        self.users.sort_unstable();
+        Group {
+            members: self.users.into(),
+            top_k,
+            satisfaction,
+        }
     }
 
     /// What [`bucket_order`] compares of this bucket.
@@ -405,11 +355,10 @@ pub fn key_for(
 ) -> BucketKey {
     let mut bits = Vec::new();
     key_bits(semantics, aggregation, items, scores, &mut bits);
-    KeyRef {
-        items,
-        score_bits: &bits,
+    BucketKey {
+        items: items.into(),
+        score_bits: bits.into(),
     }
-    .to_key()
 }
 
 /// Runs Step 1: hashes every user into buckets. Returns the buckets in
@@ -454,21 +403,22 @@ pub fn build_buckets_threaded(
         .collect()
 }
 
-/// No bucket (the end of a fingerprint chain).
-const NONE: u32 = u32::MAX;
+/// No bucket or user: the end of a fingerprint chain or a member list.
+pub(crate) const NONE: u32 = u32::MAX;
 
-/// Step 1's one bucket build and its result: every bucket's key, size, first
-/// member and per-position score aggregates in flat arrays (a stride of
-/// `len` values per bucket; every key of one build has the same top-`k`
-/// length `min(k, m)` and score-bit count), plus each user's bucket.
-/// Building it allocates `O(log B)` times, whatever `n` and `B` are: a
-/// user is looked up by its key read in place ([`TopKReader::key`]),
-/// hashed to a fingerprint, through a fingerprint-to-bucket map and an
-/// equality check on the flat key. [`Bucket`]s are materialized from it
-/// only where a caller needs them: all of them
-/// ([`BucketTable::buckets`]), or Step 2's `ell - 1` candidates
-/// ([`BucketTable::materialize`]).
-#[derive(Debug)]
+/// Step 1's bucket state: every bucket's key, size, members and
+/// per-position score aggregates in flat arrays indexed by `u32` bucket
+/// ids (a stride of `len` values per bucket; every key has the top-`k`
+/// length `min(k, m)` and one score-bit count), plus each user's bucket.
+/// A bucket's members form an ascending list threaded through per-user
+/// `next`/`prev` links, so no bucket owns an allocation. Building it
+/// allocates `O(log B)` times, whatever `n` and `B` are: a user's key,
+/// read in place ([`TopKReader::key`]), is looked up through a
+/// fingerprint-to-bucket map and an equality check on the flat key. An
+/// [`IncrementalFormer`](super::IncrementalFormer) keeps the table and
+/// moves users through the same lookup; the id of a bucket it
+/// [releases](BucketTable::release) is reused by a later one.
+#[derive(Debug, Clone)]
 pub(crate) struct BucketTable {
     /// Items (and scores) per bucket.
     len: usize,
@@ -478,15 +428,24 @@ pub(crate) struct BucketTable {
     bits: Vec<u64>,
     pos_min: Vec<f64>,
     pos_sum: Vec<f64>,
+    /// Members per bucket; `0` marks an empty bucket.
     size: Vec<u32>,
-    /// Each bucket's lowest member.
+    /// Each bucket's lowest member, `NONE` when empty.
     first: Vec<u32>,
+    /// Each bucket's highest member, `NONE` when empty.
+    last: Vec<u32>,
     /// Each user's bucket, from the first user of the build on.
     bucket_of: Vec<u32>,
+    /// Per user: the next higher member of its bucket, or `NONE`.
+    next: Vec<u32>,
+    /// Per user: the next lower member of its bucket, or `NONE`.
+    prev: Vec<u32>,
     /// Key fingerprint -> newest bucket with that fingerprint.
     index: FxHashMap<u64, u32>,
     /// Per bucket: the next older bucket with its fingerprint, or `NONE`.
     same_fingerprint: Vec<u32>,
+    /// Released bucket ids, reused by the next buckets opened.
+    free: Vec<u32>,
 }
 
 impl BucketTable {
@@ -504,24 +463,17 @@ impl BucketTable {
     ) -> Self {
         let n = matrix.n_users() as usize;
         let threads = crate::resolve_threads(n_threads, n);
-        let len = k.min(matrix.n_items() as usize);
-        // Every key's score-bit count: that of any list of length `len`.
-        let mut probe = Vec::new();
-        key_bits(
-            semantics,
-            aggregation,
-            &vec![0; len],
-            &vec![0.0; len],
-            &mut probe,
-        );
-        let n_bits = probe.len();
         let build_range = |range: std::ops::Range<usize>| {
-            let mut table = BucketTable::empty(len, n_bits, range.len());
+            let mut table = BucketTable::empty(matrix, semantics, aggregation, k, range.len());
             let mut reader = TopKReader::new(matrix, prefs, semantics, aggregation, policy, k);
             for u in range {
                 let u = u as u32;
                 let (key, scores) = reader.key(u);
-                let b = table.find_or_open(key, scores, u);
+                assert!(
+                    key.items.len() == table.len && key.score_bits.len() == table.n_bits,
+                    "every Step-1 key has the build's top-k length"
+                );
+                let b = table.add(key, scores, scores, 1, u);
                 table.bucket_of.push(b);
             }
             table
@@ -547,31 +499,73 @@ impl BucketTable {
             }
             merged
         };
-        // No key is looked up any more: release the fingerprint index.
-        table.index = FxHashMap::default();
-        table.same_fingerprint = Vec::new();
+        let bucket_of = std::mem::take(&mut table.bucket_of);
+        table.link_members(bucket_of);
         table
     }
 
-    fn empty(len: usize, n_bits: usize, n_users: usize) -> Self {
+    /// A table with no bucket, for keys of a build of top-`k` lists over
+    /// `matrix` under `semantics` and `aggregation`.
+    pub(crate) fn empty(
+        matrix: &RatingMatrix,
+        semantics: Semantics,
+        aggregation: Aggregation,
+        k: usize,
+        n_users: usize,
+    ) -> Self {
+        let len = k.min(matrix.n_items() as usize);
+        // Every key's score-bit count: that of any list of length `len`.
+        let mut probe = Vec::new();
+        key_bits(
+            semantics,
+            aggregation,
+            &vec![0; len],
+            &vec![0.0; len],
+            &mut probe,
+        );
         BucketTable {
             len,
-            n_bits,
+            n_bits: probe.len(),
             items: Vec::new(),
             bits: Vec::new(),
             pos_min: Vec::new(),
             pos_sum: Vec::new(),
             size: Vec::new(),
             first: Vec::new(),
+            last: Vec::new(),
             bucket_of: Vec::with_capacity(n_users),
+            next: Vec::new(),
+            prev: Vec::new(),
             index: FxHashMap::default(),
             same_fingerprint: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    /// How many buckets the table holds.
+    /// How many bucket ids the table has handed out, released ones
+    /// included.
     pub(crate) fn len(&self) -> usize {
         self.size.len()
+    }
+
+    /// How many buckets hold members or wait to be released.
+    pub(crate) fn live(&self) -> usize {
+        self.len() - self.free.len()
+    }
+
+    /// The ids of the buckets that hold members, ascending.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len() as u32).filter(|&b| self.size[b as usize] > 0)
+    }
+
+    /// The top-`k` length and score-bit count of every key.
+    pub(crate) fn widths(&self) -> (usize, usize) {
+        (self.len, self.n_bits)
+    }
+
+    /// Bucket `b`'s member count.
+    pub(crate) fn size(&self, b: u32) -> u32 {
+        self.size[b as usize]
     }
 
     /// Where bucket `b`'s items and scores sit in the flat arrays.
@@ -588,13 +582,19 @@ impl BucketTable {
         }
     }
 
+    /// Bucket `b`'s per-position minima and sums.
+    pub(crate) fn scores(&self, b: u32) -> (&[f64], &[f64]) {
+        let span = self.span(b);
+        (&self.pos_min[span.clone()], &self.pos_sum[span])
+    }
+
     /// Bucket `b`'s group score vector under `semantics` (see
     /// [`Bucket::score_vector`]).
     pub(crate) fn score_vector(&self, b: u32, semantics: Semantics) -> &[f64] {
-        let span = self.span(b);
+        let (pos_min, pos_sum) = self.scores(b);
         match semantics {
-            Semantics::AggregateVoting => &self.pos_sum[span],
-            _ => &self.pos_min[span],
+            Semantics::AggregateVoting => pos_sum,
+            _ => pos_min,
         }
     }
 
@@ -608,62 +608,77 @@ impl BucketTable {
         }
     }
 
-    /// The bucket with `key`, whose fingerprint is `fingerprint`, or
-    /// `NONE`; and the newest bucket with that fingerprint (`NONE` if
-    /// there is none).
-    fn find(&self, key: KeyRef<'_>, fingerprint: u64) -> (u32, u32) {
-        let newest = self.index.get(&fingerprint).copied().unwrap_or(NONE);
-        let mut b = newest;
+    /// Every user's bucket, by user id.
+    pub(crate) fn bucket_of(&self) -> &[u32] {
+        &self.bucket_of
+    }
+
+    /// Bucket `b`'s members, ascending.
+    pub(crate) fn members(&self, b: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = self.first[b as usize];
+        std::iter::successors((first != NONE).then_some(first), |&u| {
+            let next = self.next[u as usize];
+            (next != NONE).then_some(next)
+        })
+    }
+
+    /// The bucket with `key`, if one is indexed.
+    pub(crate) fn find(&self, key: KeyRef<'_>) -> Option<u32> {
+        let mut b = self.index.get(&fingerprint(key)).copied().unwrap_or(NONE);
         while b != NONE && self.key(b) != key {
             b = self.same_fingerprint[b as usize];
         }
-        (b, newest)
+        (b != NONE).then_some(b)
     }
 
-    /// Adds user `u` with key `key` and personal scores `scores` to its
-    /// bucket, opening the bucket if the key is new, and returns it.
-    fn find_or_open(&mut self, key: KeyRef<'_>, scores: &[f64], u: u32) -> u32 {
-        assert!(
-            key.items.len() == self.len && key.score_bits.len() == self.n_bits,
-            "every Step-1 key has the build's top-k length"
-        );
-        let fingerprint = fingerprint(key);
-        let (b, newest) = self.find(key, fingerprint);
-        if b != NONE {
-            let span = self.span(b);
-            fold_scores(
-                &mut self.pos_min[span.clone()],
-                &mut self.pos_sum[span],
-                scores,
-                scores,
-            );
-            self.size[b as usize] += 1;
-            return b;
-        }
-        self.open(key, scores, scores, 1, u, fingerprint, newest)
-    }
-
-    /// Appends a bucket and indexes it as the newest with `fingerprint`.
-    #[allow(clippy::too_many_arguments)] // one bucket's fields, flattened
-    fn open(
+    /// Folds `size` members with key `key` — their per-position minima
+    /// `pos_min` and sums `pos_sum`, their lowest `first` — into the
+    /// bucket with that key, opening it if the key is new, and returns
+    /// it. A build links the member lists once it is done.
+    fn add(
         &mut self,
         key: KeyRef<'_>,
         pos_min: &[f64],
         pos_sum: &[f64],
         size: u32,
         first: u32,
-        fingerprint: u64,
-        older: u32,
     ) -> u32 {
-        let b = self.len() as u32;
-        self.items.extend_from_slice(key.items);
-        self.bits.extend_from_slice(key.score_bits);
-        self.pos_min.extend_from_slice(pos_min);
-        self.pos_sum.extend_from_slice(pos_sum);
-        self.size.push(size);
-        self.first.push(first);
-        self.same_fingerprint.push(older);
-        self.index.insert(fingerprint, b);
+        let Some(b) = self.find(key) else {
+            return self.open(key, pos_min, pos_sum, size, first);
+        };
+        let span = self.span(b);
+        fold_scores(
+            &mut self.pos_min[span.clone()],
+            &mut self.pos_sum[span],
+            pos_min,
+            pos_sum,
+        );
+        self.size[b as usize] += size;
+        b
+    }
+
+    /// Opens a bucket for the new key `key` with score vectors `pos_min`
+    /// and `pos_sum`, `size` members and lowest member `first` (`0` and
+    /// `NONE` for members seated later by [`BucketTable::join`]), on a
+    /// released id if there is one, and indexes it.
+    pub(crate) fn open(
+        &mut self,
+        key: KeyRef<'_>,
+        pos_min: &[f64],
+        pos_sum: &[f64],
+        size: u32,
+        first: u32,
+    ) -> u32 {
+        let b = self.free.pop().unwrap_or(self.len() as u32);
+        write_row(&mut self.items, b, key.items);
+        write_row(&mut self.bits, b, key.score_bits);
+        write_row(&mut self.pos_min, b, pos_min);
+        write_row(&mut self.pos_sum, b, pos_sum);
+        write_row(&mut self.size, b, &[size]);
+        write_row(&mut self.first, b, &[first]);
+        write_row(&mut self.last, b, &[first]);
+        let older = self.index.insert(fingerprint(key), b).unwrap_or(NONE);
+        write_row(&mut self.same_fingerprint, b, &[older]);
         b
     }
 
@@ -671,84 +686,155 @@ impl BucketTable {
     /// this table: shared keys fold the shard's partial aggregates into
     /// this table's, new keys open buckets in the shard's order.
     fn absorb(&mut self, shard: BucketTable) {
-        let mut to_merged = Vec::with_capacity(shard.len());
-        for b in 0..shard.len() as u32 {
-            let key = shard.key(b);
-            let span = shard.span(b);
-            let (pos_min, pos_sum) = (&shard.pos_min[span.clone()], &shard.pos_sum[span]);
-            let fingerprint = fingerprint(key);
-            let (mut m, newest) = self.find(key, fingerprint);
-            if m == NONE {
+        let to_merged: Vec<u32> = (0..shard.len() as u32)
+            .map(|b| {
+                let (pos_min, pos_sum) = shard.scores(b);
                 let (size, first) = (shard.size[b as usize], shard.first[b as usize]);
-                m = self.open(key, pos_min, pos_sum, size, first, fingerprint, newest);
-            } else {
-                let span = self.span(m);
-                fold_scores(
-                    &mut self.pos_min[span.clone()],
-                    &mut self.pos_sum[span],
-                    pos_min,
-                    pos_sum,
-                );
-                self.size[m as usize] += shard.size[b as usize];
-            }
-            to_merged.push(m);
-        }
+                self.add(shard.key(b), pos_min, pos_sum, size, first)
+            })
+            .collect();
         self.bucket_of
             .extend(shard.bucket_of.iter().map(|&b| to_merged[b as usize]));
     }
 
-    /// Bucket `b` with the member list `users`.
-    fn bucket(&self, b: u32, users: Vec<u32>) -> Bucket {
+    /// Installs `bucket_of` (every user's bucket, each bucket's `size`
+    /// already counting its users) and threads the member lists through
+    /// it in one ascending pass.
+    pub(crate) fn link_members(&mut self, bucket_of: Vec<u32>) {
+        let n = bucket_of.len();
+        self.bucket_of = bucket_of;
+        (self.next, self.prev) = (vec![NONE; n], vec![NONE; n]);
+        self.first.fill(NONE);
+        self.last.fill(NONE);
+        for (u, &b) in self.bucket_of.iter().enumerate() {
+            let (u, b) = (u as u32, b as usize);
+            match self.last[b] {
+                NONE => self.first[b] = u,
+                last => (self.next[last as usize], self.prev[u as usize]) = (u, last),
+            }
+            self.last[b] = u;
+        }
+    }
+
+    /// Seats user `u`, who belongs to no bucket (a new user is the next
+    /// id), in bucket `b`, keeping the member list ascending.
+    pub(crate) fn join(&mut self, b: u32, u: u32) {
+        // Walk down from the highest member: an admitted user appends.
+        let (mut below, mut above) = (self.last[b as usize], NONE);
+        while below != NONE && below > u {
+            (below, above) = (self.prev[below as usize], below);
+        }
+        match below {
+            NONE => self.first[b as usize] = u,
+            below => self.next[below as usize] = u,
+        }
+        match above {
+            NONE => self.last[b as usize] = u,
+            above => self.prev[above as usize] = u,
+        }
+        self.size[b as usize] += 1;
+        if u as usize == self.bucket_of.len() {
+            self.bucket_of.push(b);
+            self.next.push(above);
+            self.prev.push(below);
+        } else {
+            self.bucket_of[u as usize] = b;
+            (self.next[u as usize], self.prev[u as usize]) = (above, below);
+        }
+    }
+
+    /// Takes user `u` out of its bucket's member list; the bucket stays
+    /// indexed, empty or not, until it is [released](BucketTable::release).
+    pub(crate) fn leave(&mut self, u: u32) {
+        let b = self.bucket_of[u as usize] as usize;
+        let (below, above) = (self.prev[u as usize], self.next[u as usize]);
+        match below {
+            NONE => self.first[b] = above,
+            below => self.next[below as usize] = above,
+        }
+        match above {
+            NONE => self.last[b] = below,
+            above => self.prev[above as usize] = below,
+        }
+        self.size[b] -= 1;
+    }
+
+    /// Unindexes the empty bucket `b` and frees its id for reuse.
+    pub(crate) fn release(&mut self, b: u32) {
+        debug_assert_eq!(self.size[b as usize], 0, "only an empty bucket is released");
+        let fingerprint = fingerprint(self.key(b));
+        let older = self.same_fingerprint[b as usize];
+        let newest = self.index[&fingerprint];
+        if newest == b {
+            match older {
+                NONE => self.index.remove(&fingerprint),
+                older => self.index.insert(fingerprint, older),
+            };
+        } else {
+            let mut c = newest;
+            while self.same_fingerprint[c as usize] != b {
+                c = self.same_fingerprint[c as usize];
+            }
+            self.same_fingerprint[c as usize] = older;
+        }
+        self.free.push(b);
+    }
+
+    /// Recomputes bucket `b`'s score vectors from its members' personal
+    /// scores in ascending id order, the order of a sequential build, so
+    /// they are bit for bit what [`build_buckets`] produces.
+    pub(crate) fn rescore(&mut self, b: u32, reader: &mut TopKReader<'_>) {
         let span = self.span(b);
+        let mut u = self.first[b as usize];
+        let mut fresh = true;
+        while u != NONE {
+            let (items, scores) = reader.top_k(u);
+            debug_assert_eq!(
+                items,
+                &self.items[span.clone()],
+                "member {u} no longer matches its bucket's item sequence"
+            );
+            let (pos_min, pos_sum) = (
+                &mut self.pos_min[span.clone()],
+                &mut self.pos_sum[span.clone()],
+            );
+            if fresh {
+                pos_min.copy_from_slice(scores);
+                pos_sum.copy_from_slice(scores);
+                fresh = false;
+            } else {
+                fold_scores(pos_min, pos_sum, scores, scores);
+            }
+            u = self.next[u as usize];
+        }
+    }
+
+    /// Bucket `b`, members ascending.
+    pub(crate) fn bucket(&self, b: u32) -> Bucket {
+        let (pos_min, pos_sum) = self.scores(b);
         Bucket {
             items: self.key(b).items.into(),
-            users,
-            pos_min: self.pos_min[span.clone()].to_vec(),
-            pos_sum: self.pos_sum[span].to_vec(),
+            users: self.members(b).collect(),
+            pos_min: pos_min.to_vec(),
+            pos_sum: pos_sum.to_vec(),
         }
     }
 
-    /// Every user's bucket, by user id.
-    pub(crate) fn bucket_of(&self) -> &[u32] {
-        &self.bucket_of
+    /// Every bucket with members, in id order, each made as the iterator
+    /// reaches it.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = Bucket> + '_ {
+        self.ids().map(|b| self.bucket(b))
     }
+}
 
-    /// Every bucket, in table order, members ascending, each made as the
-    /// iterator reaches it.
-    pub(crate) fn buckets(&self) -> impl ExactSizeIterator<Item = Bucket> + '_ {
-        let mut users: Vec<Vec<u32>> = self
-            .size
-            .iter()
-            .map(|&size| Vec::with_capacity(size as usize))
-            .collect();
-        for (u, &b) in self.bucket_of.iter().enumerate() {
-            users[b as usize].push(u as u32);
-        }
-        users
-            .into_iter()
-            .enumerate()
-            .map(|(b, users)| self.bucket(b as u32, users))
-    }
-
-    /// The buckets `picked`, in that order, members ascending: one pass
-    /// over the users.
-    pub(crate) fn materialize(&self, picked: &[u32]) -> Vec<Bucket> {
-        let mut slot = vec![NONE; self.len()];
-        let mut users: Vec<Vec<u32>> = Vec::with_capacity(picked.len());
-        for (i, &b) in picked.iter().enumerate() {
-            slot[b as usize] = i as u32;
-            users.push(Vec::with_capacity(self.size[b as usize] as usize));
-        }
-        for (u, &b) in self.bucket_of.iter().enumerate() {
-            if slot[b as usize] != NONE {
-                users[slot[b as usize] as usize].push(u as u32);
-            }
-        }
-        picked
-            .iter()
-            .zip(users)
-            .map(|(&b, users)| self.bucket(b, users))
-            .collect()
+/// Writes `row` as row `b` of the flat array `v` of rows as wide as `row`:
+/// over the row if `b` has one, else appended as the next.
+fn write_row<T: Copy>(v: &mut Vec<T>, b: u32, row: &[T]) {
+    let at = b as usize * row.len();
+    if at == v.len() {
+        v.extend_from_slice(row);
+    } else {
+        v[at..at + row.len()].copy_from_slice(row);
     }
 }
 
@@ -809,6 +895,16 @@ pub(crate) struct Ranked<'a> {
     pub(crate) items: &'a [u32],
     /// The first member listed.
     pub(crate) first: Option<u32>,
+}
+
+/// The Step-2 order: `Less` when the bucket `x` pops before `y`. Each
+/// side carries its satisfaction, cached by the caller so that it decides
+/// most comparisons without an `O(k)` aggregate, ahead of the fields
+/// [`bucket_order`] compares. A total order, since memberships are
+/// disjoint.
+pub(crate) fn pop_order(x: (f64, Ranked<'_>), y: (f64, Ranked<'_>), agg: Aggregation) -> Ordering {
+    y.0.total_cmp(&x.0)
+        .then_with(|| ranked_order(x.1, y.1, agg))
 }
 
 /// [`bucket_order`] over the compared fields.

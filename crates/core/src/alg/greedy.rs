@@ -1,29 +1,36 @@
-//! Steps 2–3 of the greedy algorithms (Algorithm 1 of the paper) and the
-//! [`GreedyFormer`] front-end covering all six `GRD-*` variants.
+//! The [`GreedyFormer`] front-end covering all six `GRD-*` variants
+//! (Algorithm 1 of the paper), and its split-aware and surplus-splitting
+//! extensions.
 
-use super::bucket::{self, Bucket, BucketTable, TopKReader};
-use super::tail::{self, TailAgg};
-use super::{FormationConfig, FormationResult, GroupFormer};
-use crate::aggregate::Aggregation;
+use super::{FormationConfig, FormationResult, GroupFormer, IncrementalFormer};
 use crate::error::Result;
-use crate::grouping::{Group, Grouping};
+use crate::grouping::Group;
 use crate::grouprec::GroupRecommender;
 use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
 use crate::semantics::Semantics;
-use std::cmp::Ordering;
 use std::sync::Arc;
+// The tests' reference formation builds and ranks buckets itself.
+#[cfg(test)]
+use {
+    super::bucket::{self, Bucket},
+    crate::aggregate::Aggregation,
+    crate::grouping::Grouping,
+    std::cmp::Ordering,
+};
 
 /// The paper's greedy group formation algorithm, parameterised by a
 /// [`FormationConfig`] into `GRD-LM-MIN`, `GRD-LM-MAX`, `GRD-LM-SUM`,
 /// `GRD-AV-MIN`, `GRD-AV-MAX` or `GRD-AV-SUM`.
 ///
-/// After the `O(Σ d_u log d_u)` preference index build, Steps 1–2 run in
-/// `O(n k + B k + ℓ log ℓ)` expected time for `B` intermediate groups
-/// (Sections 4.3 and 5.1 of the paper): Step 1 hashes each user's top-`k`
-/// key, and Step 2 selects the `ℓ - 1` best buckets in `O(B)` expected
-/// comparisons and lists their members in one `O(n)` pass. Split-aware
-/// selection adds `O(|bucket| k)` per split. The paper's bound leaves out
+/// A formation is the first pass of an [`IncrementalFormer`], whose
+/// grouping it returns. After the `O(Σ d_u log d_u)` preference index
+/// build, Steps 1–2 run in `O(n k + B k + ℓ log ℓ)` expected time for `B`
+/// intermediate groups (Sections 4.3 and 5.1 of the paper): Step 1
+/// hashes each user's top-`k` key and links the members of each bucket
+/// in one `O(n)` pass, and Step 2 heapifies the `B` buckets in `O(B)`
+/// comparisons and walks the heap for the `ℓ - 1` best. Split-aware
+/// selection adds `O(|bucket| k + log B)` per split. The paper's bound leaves out
 /// Step 3, which scores the merged last group from its members' ratings:
 /// `O(nnz_tail + m)` under
 /// [`MissingPolicy::Min`](crate::MissingPolicy::Min), from dense per-item
@@ -88,199 +95,26 @@ impl GroupFormer for GreedyFormer {
         prefs: &PrefIndex,
         cfg: &FormationConfig,
     ) -> Result<FormationResult> {
-        cfg.validate(matrix)?;
-        // Step 1: intermediate groups (threaded when cfg.n_threads asks
-        // for it; resolves to the sequential path at one worker).
-        let table = BucketTable::build(
-            matrix,
-            prefs,
-            cfg.semantics,
-            cfg.aggregation,
-            cfg.policy,
-            cfg.k,
-            cfg.n_threads,
-        );
-        let n_buckets = table.len();
-
-        // Step 2: greedily emit the ell - 1 best intermediate groups. Only
-        // the ell - 1 best buckets can be popped (see `Queue`), so they
-        // alone enter the queue.
-        let slots = cfg.ell - 1;
-        let mut queue = Queue::best_of(&table, slots, cfg.semantics, cfg.aggregation);
-        drop(table);
-        let mut split = (self.split_aware && cfg.semantics == Semantics::LeastMisery)
-            .then(|| TopKReader::for_config(matrix, prefs, cfg));
-        let mut in_tail = vec![true; matrix.n_users() as usize];
-        let mut groups: Vec<Group> = Vec::with_capacity(cfg.ell.min(n_buckets));
-        while groups.len() < slots {
-            let Some(best) = queue.pop() else { break };
-            let group = match &mut split {
-                Some(reader) if best.users.len() > 1 => {
-                    // Emit one user; the remainder keeps the same LM score
-                    // and competes again (it may be split further).
-                    let (single, remainder) = split_bucket(reader, best);
-                    queue.push(remainder);
-                    bucket_to_group(&single, cfg)
-                }
-                _ => bucket_to_group(&best, cfg),
-            };
-            for &u in group.members.iter() {
-                in_tail[u as usize] = false;
-            }
-            groups.push(group);
-        }
-        drop(queue);
-
-        // Step 3: merge everything left into the final group and score it
-        // (the scorer IncrementalFormer shares).
-        let remaining = tail::members_of(&in_tail);
-        if !remaining.is_empty() {
-            let mut agg = TailAgg::for_config(cfg, matrix, &remaining);
-            groups.push(tail::tail_group(
-                matrix,
-                cfg,
-                remaining.into(),
-                agg.as_mut(),
-            ));
-        }
-
-        if self.split_surplus && groups.len() < cfg.ell {
-            split_surplus(matrix, cfg, &mut groups);
-        }
-
-        let grouping = Grouping::new(groups);
-        debug_assert!(grouping.validate(matrix.n_users(), cfg.ell).is_ok());
-        let objective = grouping.objective();
-        Ok(FormationResult {
-            grouping,
-            objective,
-            n_buckets,
-        })
-    }
-}
-
-/// Step 2's candidates, each with its cached satisfaction, in reverse pop
-/// order: the next bucket to emit is the last. Pop order is
-/// [`bucket::bucket_order`] (satisfaction first; the cached value saves
-/// the `O(k)` recomputation for Sum aggregation on every comparison), a
-/// total order since memberships are disjoint.
-///
-/// Seeding it with only the `ℓ - 1` best buckets is exact: each of the at
-/// most `ℓ - 1` pops removes at most one of them, so before every pop one
-/// still waits, and it outranks every bucket left out. A split remainder
-/// re-enters at its own rank, which is all a queue over every bucket would
-/// do with it.
-struct Queue {
-    entries: Vec<(f64, Bucket)>,
-    semantics: Semantics,
-    aggregation: Aggregation,
-}
-
-impl Queue {
-    /// The queue of the `slots` best buckets of `table`.
-    fn best_of(
-        table: &BucketTable,
-        slots: usize,
-        semantics: Semantics,
-        aggregation: Aggregation,
-    ) -> Self {
-        let slots = slots.min(table.len());
-        let mut ranked: Vec<(f64, u32)> = if slots == 0 {
-            Vec::new()
+        let former = IncrementalFormer::new(matrix, prefs, *cfg)?;
+        let mut result = if self.split_aware && cfg.semantics == Semantics::LeastMisery {
+            former.into_split_aware(matrix, prefs)
         } else {
-            (0..table.len() as u32)
-                .map(|b| (aggregation.apply(table.score_vector(b, semantics)), b))
-                .collect()
+            former.into_result()
         };
-        let pops_first = |x: &(f64, u32), y: &(f64, u32)| {
-            y.0.total_cmp(&x.0).then_with(|| {
-                bucket::ranked_order(
-                    table.ranked(x.1, semantics),
-                    table.ranked(y.1, semantics),
-                    aggregation,
-                )
-            })
-        };
-        if slots < ranked.len() {
-            ranked.select_nth_unstable_by(slots - 1, pops_first);
-            ranked.truncate(slots);
+        if self.split_surplus && result.grouping.len() < cfg.ell {
+            split_surplus(matrix, cfg, &mut result.grouping.groups);
+            result.objective = result.grouping.objective();
         }
-        ranked.sort_unstable_by(|x, y| pops_first(y, x));
-        let picked: Vec<u32> = ranked.iter().map(|&(_, b)| b).collect();
-        let entries = ranked
-            .iter()
-            .zip(table.materialize(&picked))
-            .map(|(&(sat, _), bucket)| (sat, bucket))
-            .collect();
-        Queue {
-            entries,
-            semantics,
-            aggregation,
-        }
-    }
-
-    fn pop(&mut self) -> Option<Bucket> {
-        self.entries.pop().map(|(_, b)| b)
-    }
-
-    fn push(&mut self, bucket: Bucket) {
-        let sat = bucket.satisfaction(self.semantics, self.aggregation);
-        let (sem, agg) = (self.semantics, self.aggregation);
-        let at = self
-            .entries
-            .partition_point(|(s, b)| pop_order((*s, b), (sat, &bucket), sem, agg).is_gt());
-        self.entries.insert(at, (sat, bucket));
+        debug_assert!(result.grouping.validate(matrix.n_users(), cfg.ell).is_ok());
+        Ok(result)
     }
 }
 
-/// `Less` when the bucket `x` (with satisfaction `x.0`) pops before `y`.
-fn pop_order(
-    x: (f64, &Bucket),
-    y: (f64, &Bucket),
-    semantics: Semantics,
-    aggregation: Aggregation,
-) -> Ordering {
-    y.0.total_cmp(&x.0)
-        .then_with(|| bucket::bucket_order(x.1, y.1, semantics, aggregation))
-}
-
-/// Splits the lowest-id user out of a multi-user bucket, rebuilding the
-/// remainder's per-position score vectors from the members' personal lists.
-fn split_bucket(reader: &mut TopKReader<'_>, mut b: Bucket) -> (Bucket, Bucket) {
-    debug_assert!(b.users.len() > 1);
-    let lowest_pos = b
-        .users
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, &u)| u)
-        .map(|(pos, _)| pos)
-        .expect("non-empty bucket");
-    let user = b.users.swap_remove(lowest_pos);
-    let single = Bucket::of_user(user, &b.items, reader.top_k(user).1);
-    // Rebuild the remainder's vectors exactly.
-    b.pos_min.fill(f64::INFINITY);
-    b.pos_sum.fill(0.0);
-    for idx in 0..b.users.len() {
-        let (_, scores) = reader.top_k(b.users[idx]);
-        b.accumulate_scores(scores);
-    }
-    (single, b)
-}
-
-/// Converts a popped bucket into an output group. The bucket's shared item
-/// sequence *is* the group's recommended top-`k` list, with per-item group
-/// scores given by the bucket's score vector (see [`bucket`] docs). Shared
-/// with [`super::incremental`], which emits spliced buckets the same way.
-pub(crate) fn bucket_to_group(bucket: &Bucket, cfg: &FormationConfig) -> Group {
-    let satisfaction = bucket.satisfaction(cfg.semantics, cfg.aggregation);
-    let vector = bucket.score_vector(cfg.semantics).to_vec();
-    let mut members = bucket.users.clone();
-    members.sort_unstable();
-    Group {
-        members: members.into(),
-        top_k: bucket.items.iter().copied().zip(vector).collect(),
-        satisfaction,
-    }
+/// The output group of `bucket`, left in place: the conversion the tests'
+/// reference formation uses.
+#[cfg(test)]
+fn bucket_to_group(bucket: &Bucket, cfg: &FormationConfig) -> Group {
+    bucket.clone().into_group(cfg)
 }
 
 /// Spends leftover group budget splitting singletons out of existing groups

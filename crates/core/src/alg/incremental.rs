@@ -5,14 +5,14 @@
 //! Step 3 (merge the rest into a tail group). A small batch of rating
 //! updates only perturbs the buckets of the touched users, so a standing
 //! formation can be *patched* instead of recomputed: [`IncrementalFormer`]
-//! keeps the exact Step-1 bucket state alive between refreshes, moves only
-//! the dirty users between buckets, reads the Step-2 selection off an
-//! ordered index of bucket ranks that only the touched buckets update,
-//! and maintains the tail group's member list and per-item score
-//! aggregates under member churn. Refresh cost is proportional to the
-//! update batch (plus an `O(m)` tail scoring pass), not to a full
-//! `O(nnz log nnz)` rebuild, and the emitted grouping shares every member
-//! list the refresh left alone with the previous one.
+//! keeps the Step-1 bucket table alive between refreshes, moves only the
+//! dirty users between buckets, keeps every bucket in one indexed heap
+//! under the Step-2 order that only the touched buckets update, and
+//! maintains the tail group's member list and per-item score aggregates
+//! under member churn. Refresh cost is proportional to the update batch
+//! (plus an `O(m)` tail scoring pass), not to a full `O(nnz log nnz)`
+//! rebuild, and the emitted grouping shares every member list the refresh
+//! left alone with the previous one.
 //!
 //! ## Equivalence to a cold rebuild
 //!
@@ -20,35 +20,37 @@
 //! refreshes, the bucket multiset equals what [`bucket::build_buckets`]
 //! produces on the current matrix, bit for bit (touched buckets recompute
 //! their score vectors over members in ascending id order — the same
-//! accumulation order as a cold build). The rank index holds exactly one
-//! rank per standing bucket, each a pure function of the bucket's state,
-//! so its first `ell - 1` entries are always the full Step-2 selection,
-//! and the emitted grouping is the cold
-//! [`GreedyFormer`](super::GreedyFormer) grouping, exactly, whenever
-//! ratings sit on a dyadic grid (whole or half stars — every built-in
-//! [`crate::RatingScale`]) under [`MissingPolicy::Min`] or
-//! [`MissingPolicy::Skip`]/[`MissingPolicy::UserMean`] (the latter two
-//! rescore the tail with the full engine and are exact on any input; the
-//! `Min` fast path maintains the tail's per-item count, sum, sum of
-//! squares and minimum incrementally, which off-grid can drift by one ulp
-//! per update). That holds for all four semantics: Consensus scores the
-//! maintained moments through the same `consensus_score` closed form the
-//! cold engine uses, and LeaderWeighted adds the lowest-id tail member's
-//! row to the maintained sum. `tests/prop_incremental.rs` enforces these
-//! properties across random rating streams and dirty-set partitions, and
-//! checks the index and the tail list against a from-scratch scan after
-//! every refresh.
+//! accumulation order as a cold build). The heap holds exactly the
+//! buckets with members, each ordered by its current state, so the first
+//! `ell - 1` buckets it yields are always the full Step-2 selection. A
+//! fresh former *is* the cold formation: [`GreedyFormer`](super::GreedyFormer)
+//! returns the grouping [`IncrementalFormer::new`] emits. A patched one
+//! emits that grouping, exactly, whenever ratings sit on a dyadic grid
+//! (whole or half stars — every built-in [`crate::RatingScale`]) under
+//! [`MissingPolicy::Min`] or [`MissingPolicy::Skip`]/[`MissingPolicy::UserMean`]
+//! (the latter two rescore the tail with the full engine and are exact on
+//! any input; the `Min` fast path maintains the tail's per-item count,
+//! sum, sum of squares and minimum incrementally, which off-grid can
+//! drift by one ulp per update). That holds for all four semantics:
+//! Consensus scores the maintained moments through the same
+//! `consensus_score` closed form the cold engine uses, and LeaderWeighted
+//! adds the lowest-id tail member's row to the maintained sum.
+//! `tests/prop_incremental.rs` enforces these properties across random
+//! rating streams and dirty-set partitions, and checks the heap and the
+//! tail list against a from-scratch scan after every refresh.
 //!
 //! ## Costs per refresh
 //!
 //! With `B` standing buckets, `n` users and `m` items:
 //!
 //! * bucket maintenance: `O(Σ |touched bucket| · k)` — proportional to the
-//!   dirty batch for typical (small) buckets;
-//! * selection: `O(ell + |touched| · log B)` — each touched bucket's rank
-//!   is noted before the bucket's first change and, once its scores are
-//!   recomputed, swapped in the index for the fresh rank if the two
-//!   differ; the selection is the index's first `ell - 1` entries;
+//!   dirty batch for typical (small) buckets; a user moves between the
+//!   ascending member lists threaded through the table, found through the
+//!   table's key fingerprint index;
+//! * selection: `O(ell log ell + |touched| · log B)` — each touched bucket
+//!   leaves the heap before its first change and re-enters once its
+//!   scores are recomputed; the selection is a best-first walk of the
+//!   heap's top `ell - 1`;
 //! * tail scoring: `O(m)` under `MissingPolicy::Min` for every semantics
 //!   (maintained per-item moments; LeaderWeighted's leader is the tail
 //!   list's first entry, plus an `O(log d)` lookup in its row per item),
@@ -65,140 +67,24 @@
 //!   member emits the same tail allocation as the one before.
 //!
 //! Building a former ([`IncrementalFormer::new`],
-//! [`IncrementalFormer::import_state`]) sorts the `B` ranks once and
-//! bulk-loads the index from them, and fills the tail aggregates with one
-//! pass over the tail members' rows. [`IncrementalFormer::new`] takes its
-//! Step-1 state from the same bucket table as the cold
-//! [`GreedyFormer`](super::GreedyFormer), which allocates per bucket, not
-//! per user, and then gives each bucket its own key and member list.
+//! [`IncrementalFormer::import_state`]) is the cold formation: one flat
+//! Step-1 table, which allocates per bucket, not per user, an `O(n)` pass
+//! that links the member lists, an `O(B)` heapify, and one pass over the
+//! tail members' rows for the tail aggregates. Its state is a few flat
+//! arrays, so cloning or dropping a former costs a few `memcpy`s or
+//! frees, whatever `B` is.
 
-use super::bucket::{self, Bucket, BucketKey, BucketTable, KeyView, TopKReader};
-use super::greedy::bucket_to_group;
+use super::bucket::{self, Bucket, BucketTable, KeyRef, TopKReader, NONE};
+use super::order::Order;
 use super::tail::{self, TailAgg};
 use super::{FormationConfig, FormationResult};
-use crate::aggregate::Aggregation;
 use crate::error::{GfError, Result};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::grouping::{Group, Grouping};
 use crate::grouprec::MissingPolicy;
 use crate::matrix::RatingMatrix;
 use crate::prefs::PrefIndex;
-use crate::semantics::Semantics;
-use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// A bucket key shared by the bucket map and every member's slot in
-/// `user_keys`, so a user costs one pointer rather than a key copy.
-type Key = Arc<BucketKey>;
-
-/// The buckets one refresh changes, each with its rank before the change
-/// (`None` for a bucket the refresh creates).
-type Touched = FxHashMap<Key, Option<BucketRank>>;
-
-/// A bucket's place in the Step-2 order, captured from its state.
-///
-/// `words` encodes the fields [`bucket::bucket_order`] compares —
-/// satisfaction and score vector (both descending), size (descending),
-/// item sequence and first member (both ascending) — so that ascending
-/// word order is that order. A [`BTreeSet`] of ranks therefore iterates
-/// buckets in selection order, and a comparison reads one contiguous
-/// slice. The encoding needs every bucket of a former to share one top-`k`
-/// length, which holds between the rebuilds a `k`-crossing item
-/// admission forces. Memberships are disjoint, so the first member makes
-/// the order total.
-#[derive(Debug, Clone)]
-struct BucketRank {
-    words: Words,
-    /// The ranked bucket's key.
-    key: Key,
-}
-
-impl BucketRank {
-    /// The rank of the non-empty bucket `b` stored under `key`.
-    fn of(key: &Key, b: &Bucket, semantics: Semantics, agg: Aggregation) -> Self {
-        let scores = b.score_vector(semantics);
-        let len = 3 + scores.len() + b.items.len().div_ceil(2);
-        let words = std::iter::once(descending(b.satisfaction(semantics, agg)))
-            .chain(scores.iter().map(|&s| descending(s)))
-            .chain(std::iter::once(!(b.users.len() as u64)))
-            .chain(b.items.chunks(2).map(|pair| {
-                u64::from(pair[0]) << 32 | pair.get(1).map_or(0, |&item| u64::from(item))
-            }))
-            .chain(std::iter::once(u64::from(b.users[0])));
-        BucketRank {
-            words: Words::collect(len, words),
-            key: Arc::clone(key),
-        }
-    }
-
-    fn words(&self) -> &[u64] {
-        match &self.words {
-            Words::Inline(len, buf) => &buf[..usize::from(*len)],
-            Words::Heap(words) => words,
-        }
-    }
-}
-
-/// How many words a rank keeps inline: all of them for `k <= 5`. Ranks
-/// live in the index's nodes, so a refresh that swaps a few of them
-/// allocates nothing; a heap box per rank, churned by every refresh,
-/// fragments the allocator (the process's resident set kept growing).
-const INLINE_WORDS: usize = 11;
-
-/// A rank's words, inline when they fit.
-#[derive(Debug, Clone)]
-enum Words {
-    Inline(u8, [u64; INLINE_WORDS]),
-    Heap(Box<[u64]>),
-}
-
-impl Words {
-    /// The `len` words `words` yields.
-    fn collect(len: usize, words: impl Iterator<Item = u64>) -> Self {
-        if len > INLINE_WORDS {
-            return Words::Heap(words.collect());
-        }
-        let mut buf = [0; INLINE_WORDS];
-        for (slot, word) in buf.iter_mut().zip(words) {
-            *slot = word;
-        }
-        Words::Inline(len as u8, buf)
-    }
-}
-
-impl PartialEq for BucketRank {
-    fn eq(&self, other: &Self) -> bool {
-        self.words() == other.words()
-    }
-}
-
-impl Eq for BucketRank {}
-
-impl PartialOrd for BucketRank {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for BucketRank {
-    fn cmp(&self, other: &Self) -> Ordering {
-        debug_assert_eq!(self.words().len(), other.words().len(), "one top-k length");
-        self.words().cmp(other.words())
-    }
-}
-
-/// A word whose ascending order is the descending [`f64::total_cmp`]
-/// order of `x`.
-fn descending(x: f64) -> u64 {
-    let bits = x.to_bits();
-    let ascending = if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    };
-    !ascending
-}
 
 /// One rating update that was already applied to the matrix, with the
 /// score it replaced — what [`IncrementalFormer::refresh`] needs to patch
@@ -273,17 +159,14 @@ pub struct IncrementalFormer {
     cfg: FormationConfig,
     n_items: u32,
     /// Exact Step-1 state: equals `build_buckets` on the current matrix.
-    buckets: FxHashMap<Key, Bucket>,
-    /// One [`BucketRank`] per standing bucket, in Step-2 order: the ideal
-    /// selection is its first `ell - 1` entries. A refresh notes a
-    /// bucket's rank before its first change and, once the bucket's
-    /// scores are recomputed, swaps it for the fresh rank if they differ.
-    index: BTreeSet<BucketRank>,
-    /// Each user's current bucket key.
-    user_keys: Vec<Key>,
-    /// Keys of the buckets currently holding their own group, in emission
-    /// (pop) order.
-    selected: Vec<Key>,
+    /// Its `bucket_of` is each user's current bucket.
+    table: BucketTable,
+    /// Every bucket with members, in Step-2 order: the ideal selection is
+    /// its `ell - 1` best.
+    order: Order,
+    /// The buckets currently holding their own group, in emission (pop)
+    /// order.
+    selected: Vec<u32>,
     in_tail: Vec<bool>,
     /// The tail's members, ascending: exactly the users with `in_tail` set.
     /// This is the member list the tail group emits, so a refresh that
@@ -297,9 +180,9 @@ pub struct IncrementalFormer {
 }
 
 impl IncrementalFormer {
-    /// Builds the standing formation with one cold pass (equivalent to
-    /// [`GreedyFormer::new`](super::GreedyFormer::new) under `cfg`) and the incremental state that
-    /// keeps it patchable.
+    /// Runs the cold formation under `cfg` — the grouping
+    /// [`GreedyFormer`](super::GreedyFormer) returns — and keeps the state
+    /// that makes it patchable.
     ///
     /// Step 1 runs on `cfg.n_threads` workers, the sharded bucket build
     /// and merge of [`bucket::build_buckets_threaded`], which is what a
@@ -316,43 +199,25 @@ impl IncrementalFormer {
             cfg.k,
             cfg.n_threads,
         );
-        let keys: Vec<Key> = (0..table.len() as u32)
-            .map(|b| Arc::new(table.key(b).to_key()))
-            .collect();
-        let user_keys = table
-            .bucket_of()
-            .iter()
-            .map(|&b| Arc::clone(&keys[b as usize]))
-            .collect();
-        let buckets: FxHashMap<Key, Bucket> = keys.into_iter().zip(table.buckets()).collect();
-        // The rank index built next is the peak of a build; the table is
-        // done with by then.
-        drop(table);
-        Ok(Self::from_parts(matrix, cfg, buckets, user_keys, None))
+        Ok(Self::from_parts(matrix, cfg, table, None))
     }
 
-    /// Assembles a former from a Step-1 bucket state and a Step-2
-    /// selection (`None`: the ideal one), deriving the rest from the
-    /// matrix: the rank index (one bulk sort), tail membership, the tail
-    /// aggregates (accumulated in ascending user order, so two formers
-    /// over the same state agree bit for bit) and the emitted grouping.
+    /// Assembles a former from a Step-1 table and a Step-2 selection
+    /// (`None`: the ideal one), deriving the rest from the matrix: the
+    /// heap (one heapify), tail membership, the tail aggregates
+    /// (accumulated in ascending user order, so two formers over the same
+    /// state agree bit for bit) and the emitted grouping.
     fn from_parts(
         matrix: &RatingMatrix,
         cfg: FormationConfig,
-        buckets: FxHashMap<Key, Bucket>,
-        user_keys: Vec<Key>,
-        selected: Option<Vec<Key>>,
+        table: BucketTable,
+        selected: Option<Vec<u32>>,
     ) -> Self {
-        let mut ranks: Vec<BucketRank> = buckets
-            .iter()
-            .map(|(key, b)| BucketRank::of(key, b, cfg.semantics, cfg.aggregation))
-            .collect();
-        ranks.sort_unstable();
-        let index: BTreeSet<BucketRank> = ranks.into_iter().collect();
-        let selected = selected.unwrap_or_else(|| indexed_selection(&index, cfg.ell));
-        let mut in_tail = vec![true; user_keys.len()];
-        for key in &selected {
-            for &u in &buckets[key].users {
+        let order = Order::of(&table, cfg.semantics, cfg.aggregation);
+        let selected = selected.unwrap_or_else(|| order.best(&table, cfg.ell - 1));
+        let mut in_tail = vec![true; table.bucket_of().len()];
+        for &b in &selected {
+            for u in table.members(b) {
                 in_tail[u as usize] = false;
             }
         }
@@ -361,9 +226,8 @@ impl IncrementalFormer {
         let mut former = IncrementalFormer {
             cfg,
             n_items: matrix.n_items(),
-            buckets,
-            index,
-            user_keys,
+            table,
+            order,
             selected,
             in_tail,
             tail,
@@ -374,7 +238,7 @@ impl IncrementalFormer {
                 n_buckets: 0,
             },
         };
-        former.emit(matrix, &[], &Touched::default());
+        former.emit(matrix, &[], &[]);
         former
     }
 
@@ -388,45 +252,91 @@ impl IncrementalFormer {
         &self.result
     }
 
+    /// The standing formation, the former consumed.
+    pub(crate) fn into_result(self) -> FormationResult {
+        self.result
+    }
+
+    /// The formation of split-aware selection (see
+    /// [`GreedyFormer::with_split_aware_selection`](super::GreedyFormer::with_split_aware_selection))
+    /// from this former's cold state, the former consumed: `ell - 1` times
+    /// the best bucket leaves the heap and emits its lowest member alone
+    /// if it has more than one, and then re-enters with the rest; everyone
+    /// left merges into the tail. Taking the remainder back into the heap
+    /// is all a split needs, since the heap orders every bucket.
+    pub(crate) fn into_split_aware(
+        mut self,
+        matrix: &RatingMatrix,
+        prefs: &PrefIndex,
+    ) -> FormationResult {
+        let cfg = self.cfg;
+        let mut reader = TopKReader::for_config(matrix, prefs, &cfg);
+        let mut in_tail = vec![true; self.in_tail.len()];
+        let mut groups: Vec<Group> = Vec::with_capacity(cfg.ell);
+        while groups.len() + 1 < cfg.ell {
+            let Some(&b) = self.order.best(&self.table, 1).first() else {
+                break;
+            };
+            self.order.remove(&self.table, b);
+            let lowest = self.table.members(b).next();
+            let group = match lowest {
+                Some(u) if self.table.size(b) > 1 => {
+                    self.table.leave(u);
+                    self.table.rescore(b, &mut reader);
+                    self.order.insert(&self.table, b);
+                    let (items, scores) = reader.top_k(u);
+                    Bucket::of_user(u, items, scores).into_group(&cfg)
+                }
+                _ => self.table.bucket(b).into_group(&cfg),
+            };
+            for &u in group.members.iter() {
+                in_tail[u as usize] = false;
+            }
+            groups.push(group);
+        }
+        let tail = tail::members_of(&in_tail);
+        if !tail.is_empty() {
+            let mut agg = TailAgg::for_config(&cfg, matrix, &tail);
+            groups.push(tail::tail_group(matrix, &cfg, tail.into(), agg.as_mut()));
+        }
+        let grouping = Grouping::new(groups);
+        let objective = grouping.objective();
+        FormationResult {
+            grouping,
+            objective,
+            n_buckets: self.result.n_buckets,
+        }
+    }
+
     /// Test support: a canonical view of the maintained Step-1 state, for
     /// comparison against [`bucket::canonical_buckets`] of a cold build.
     #[doc(hidden)]
     pub fn canonical_buckets(&self) -> Vec<bucket::CanonicalBucket> {
-        bucket::canonical_buckets(self.buckets.values().cloned().collect())
+        bucket::canonical_buckets(self.table.buckets().collect())
     }
 
     /// Test support: checks the maintained Step-2 state against a
-    /// from-scratch recomputation — the index holds exactly one rank per
-    /// standing bucket, each equal to a freshly computed one, and the tail
-    /// list is exactly the users flagged as tail members — then returns
-    /// the member lists of the buckets the index ranks first: the
-    /// selection the next refresh installs, for comparison against a
+    /// from-scratch recomputation — the heap holds every bucket with
+    /// members exactly once and no other, each cached satisfaction is
+    /// fresh and no bucket pops before its parent under the Step-2 order,
+    /// and the tail list is exactly the users flagged as tail members —
+    /// then returns the member lists of the buckets the heap yields first:
+    /// the selection the next refresh installs, for comparison against a
     /// [`bucket::bucket_order`] scan of a cold build.
     #[doc(hidden)]
     pub fn checked_index(&self) -> std::result::Result<Vec<Vec<u32>>, String> {
-        let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
-        let mut fresh: Vec<BucketRank> = self
-            .buckets
-            .iter()
-            .map(|(key, b)| BucketRank::of(key, b, sem, agg))
-            .collect();
-        fresh.sort_unstable();
-        if !self.index.iter().eq(&fresh) {
-            return Err(format!(
-                "the index's {} ranks are not the {} standing buckets' fresh ranks",
-                self.index.len(),
-                fresh.len()
-            ));
-        }
+        self.order.check(&self.table)?;
         if *self.tail != *tail::members_of(&self.in_tail) {
             return Err(format!(
                 "the tail list ({} users) is not the flagged tail members",
                 self.tail.len()
             ));
         }
-        Ok(indexed_selection(&self.index, self.cfg.ell)
+        Ok(self
+            .order
+            .best(&self.table, self.cfg.ell - 1)
             .iter()
-            .map(|key| self.buckets[key].users.clone())
+            .map(|&b| self.table.members(b).collect())
             .collect())
     }
 
@@ -454,45 +364,52 @@ impl IncrementalFormer {
     /// inverse; the round trip preserves the emitted grouping bit for
     /// bit.
     pub fn export_state(&self) -> FormerState {
-        let mut order: Vec<&Key> = self.buckets.keys().collect();
-        order.sort_unstable_by(|a, b| {
+        let t = &self.table;
+        let mut order: Vec<u32> = t.ids().collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (t.key(a), t.key(b));
             a.items
-                .cmp(&b.items)
-                .then_with(|| a.score_bits.cmp(&b.score_bits))
+                .cmp(b.items)
+                .then_with(|| a.score_bits.cmp(b.score_bits))
         });
-        let index_of: FxHashMap<&Key, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(idx, key)| (*key, idx as u32))
-            .collect();
+        let mut index_of = vec![NONE; t.len()];
+        for (idx, &b) in order.iter().enumerate() {
+            index_of[b as usize] = idx as u32;
+        }
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect();
         let buckets = order
             .iter()
-            .map(|key| {
-                let b = &self.buckets[*key];
+            .map(|&b| {
+                let (key, (pos_min, pos_sum)) = (t.key(b), t.scores(b));
                 FormerBucket {
                     items: key.items.to_vec(),
                     key_score_bits: key.score_bits.to_vec(),
-                    users: b.users.clone(),
-                    pos_min_bits: b.pos_min.iter().map(|s| s.to_bits()).collect(),
-                    pos_sum_bits: b.pos_sum.iter().map(|s| s.to_bits()).collect(),
+                    users: t.members(b).collect(),
+                    pos_min_bits: bits(pos_min),
+                    pos_sum_bits: bits(pos_sum),
                 }
             })
             .collect();
-        let selected = self.selected.iter().map(|key| index_of[key]).collect();
+        let selected = self
+            .selected
+            .iter()
+            .map(|&b| index_of[b as usize])
+            .collect();
         FormerState { buckets, selected }
     }
 
     /// Reconstructs a standing former from an exported [`FormerState`]
     /// against the matrix/prefs pair it was exported under.
     ///
-    /// Derived state (per-user bucket keys, tail membership, tail
-    /// aggregates, the emitted grouping) is rebuilt from the matrix
-    /// rather than trusted — the tail aggregates re-accumulate in
-    /// ascending user order, the exact order [`IncrementalFormer::new`]
-    /// uses, so on a dyadic rating grid the restored former continues
-    /// bit-for-bit from where the exported one stopped. The selection is
-    /// installed as given, ideal or not; the next refresh re-runs the full
-    /// Step-2 selection. Structural invariants (sorted unique membership,
+    /// Derived state (per-user buckets, tail membership, tail aggregates,
+    /// the emitted grouping) is rebuilt from the matrix rather than
+    /// trusted — the tail aggregates re-accumulate in ascending user
+    /// order, the exact order [`IncrementalFormer::new`] uses, so on a
+    /// dyadic rating grid the restored former continues bit-for-bit from
+    /// where the exported one stopped. The selection is installed as
+    /// given, ideal or not; the next refresh re-runs the full Step-2
+    /// selection. Structural invariants (keys of the configuration's
+    /// top-`k` length over the matrix's items, sorted unique membership,
     /// full user coverage, a well-formed selection of at most `ell - 1`
     /// buckets) are validated; a state that fails them yields
     /// [`GfError::Persist`].
@@ -504,22 +421,27 @@ impl IncrementalFormer {
         cfg.validate(matrix)?;
         let corrupt = |msg: String| GfError::Persist(format!("invalid former state: {msg}"));
         let n = matrix.n_users() as usize;
-        let mut buckets: FxHashMap<Key, Bucket> = FxHashMap::default();
-        let mut keys: Vec<Key> = Vec::with_capacity(state.buckets.len());
-        let mut user_keys: Vec<Option<Key>> = vec![None; n];
+        let mut table = BucketTable::empty(matrix, cfg.semantics, cfg.aggregation, cfg.k, n);
+        let (len, n_bits) = table.widths();
+        let mut bucket_of = vec![NONE; n];
+        let floats =
+            |bits: &[u64]| -> Vec<f64> { bits.iter().map(|&b| f64::from_bits(b)).collect() };
         for (idx, fb) in state.buckets.iter().enumerate() {
-            if fb.pos_min_bits.len() != fb.items.len() || fb.pos_sum_bits.len() != fb.items.len() {
+            if fb.items.len() != len
+                || fb.key_score_bits.len() != n_bits
+                || fb.pos_min_bits.len() != len
+                || fb.pos_sum_bits.len() != len
+            {
                 return Err(corrupt(format!(
-                    "bucket {idx} score vectors mismatch items"
+                    "bucket {idx} is not {len} items and {n_bits} key scores wide"
                 )));
+            }
+            if let Some(&i) = fb.items.iter().find(|&&i| i >= matrix.n_items()) {
+                return Err(corrupt(format!("bucket {idx} item {i} out of range")));
             }
             if fb.users.is_empty() {
                 return Err(corrupt(format!("bucket {idx} has no members")));
             }
-            let key = Arc::new(BucketKey {
-                items: fb.items.clone().into_boxed_slice(),
-                score_bits: fb.key_score_bits.clone().into_boxed_slice(),
-            });
             for (pos, &u) in fb.users.iter().enumerate() {
                 if u as usize >= n {
                     return Err(corrupt(format!("bucket {idx} member {u} out of range")));
@@ -527,49 +449,44 @@ impl IncrementalFormer {
                 if pos > 0 && fb.users[pos - 1] >= u {
                     return Err(corrupt(format!("bucket {idx} members not sorted unique")));
                 }
-                let slot = &mut user_keys[u as usize];
-                if slot.is_some() {
+                if bucket_of[u as usize] != NONE {
                     return Err(corrupt(format!("user {u} appears in two buckets")));
                 }
-                *slot = Some(Arc::clone(&key));
+                bucket_of[u as usize] = idx as u32;
             }
-            let bucket = Bucket {
-                items: fb.items.clone().into_boxed_slice(),
-                users: fb.users.clone(),
-                pos_min: fb.pos_min_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-                pos_sum: fb.pos_sum_bits.iter().map(|&b| f64::from_bits(b)).collect(),
+            let key = KeyRef {
+                items: &fb.items,
+                score_bits: &fb.key_score_bits,
             };
-            if buckets.insert(Arc::clone(&key), bucket).is_some() {
+            if table.find(key).is_some() {
                 return Err(corrupt(format!("bucket {idx} repeats an earlier key")));
             }
-            keys.push(key);
+            let (pos_min, pos_sum) = (floats(&fb.pos_min_bits), floats(&fb.pos_sum_bits));
+            let b = table.open(key, &pos_min, &pos_sum, fb.users.len() as u32, NONE);
+            debug_assert_eq!(b, idx as u32, "bucket ids are state indices");
         }
-        let user_keys: Vec<Key> = user_keys
-            .into_iter()
-            .enumerate()
-            .map(|(u, key)| key.ok_or_else(|| corrupt(format!("user {u} not in any bucket"))))
-            .collect::<Result<_>>()?;
-        let slots = cfg.ell.saturating_sub(1);
+        if let Some(u) = bucket_of.iter().position(|&b| b == NONE) {
+            return Err(corrupt(format!("user {u} not in any bucket")));
+        }
+        table.link_members(bucket_of);
+        let slots = cfg.ell - 1;
         if state.selected.len() > slots {
             return Err(corrupt(format!(
                 "selection of {} buckets exceeds ell - 1 = {slots}",
                 state.selected.len()
             )));
         }
-        let mut selected: Vec<Key> = Vec::with_capacity(state.selected.len());
         let mut seen: FxHashSet<u32> = FxHashSet::default();
         for &idx in &state.selected {
-            if idx as usize >= keys.len() || !seen.insert(idx) {
+            if idx as usize >= state.buckets.len() || !seen.insert(idx) {
                 return Err(corrupt(format!("bad selection index {idx}")));
             }
-            selected.push(Arc::clone(&keys[idx as usize]));
         }
         Ok(Self::from_parts(
             matrix,
             cfg,
-            buckets,
-            user_keys,
-            Some(selected),
+            table,
+            Some(state.selected.clone()),
         ))
     }
 
@@ -600,10 +517,10 @@ impl IncrementalFormer {
         prefs: &PrefIndex,
         updates: &[RatingDelta],
     ) -> Result<&FormationResult> {
-        if (matrix.n_users() as usize) < self.user_keys.len() || matrix.n_items() < self.n_items {
+        let old_n = self.in_tail.len() as u32;
+        if matrix.n_users() < old_n || matrix.n_items() < self.n_items {
             return Err(GfError::StaleIncrementalState(format!(
-                "former built for {}x{} but matrix shrank to {}x{}",
-                self.user_keys.len(),
+                "former built for {old_n}x{} but matrix shrank to {}x{}",
                 self.n_items,
                 matrix.n_users(),
                 matrix.n_items()
@@ -635,7 +552,6 @@ impl IncrementalFormer {
         //    rated fewer than `k.min(m)` items is re-bucketed with the
         //    dirty users (`Min`/`Skip` pad at `r_min`, which never outranks
         //    a rated item of lower id).
-        let old_n = self.user_keys.len() as u32;
         let mut padded: Vec<u32> = Vec::new();
         if matrix.n_items() != self.n_items {
             let want = self.cfg.k.min(matrix.n_items() as usize);
@@ -655,13 +571,12 @@ impl IncrementalFormer {
         //    bucket. Hash it into its bucket now (scores recomputed with
         //    the other touched buckets below) and start it outside the
         //    tail; the selection step splices it wherever it belongs.
-        //    `touched` maps every bucket this refresh changes to its rank
-        //    before the change (`None` for a bucket it creates).
-        let mut touched: Touched = FxHashMap::default();
+        //    `touched` lists every bucket this refresh changes, each taken
+        //    out of the heap before its first change.
+        let mut touched: Vec<u32> = Vec::new();
         let mut reader = TopKReader::for_config(matrix, prefs, &self.cfg);
         for u in old_n..matrix.n_users() {
-            let key = self.place_user(&mut reader, u, &mut touched);
-            self.user_keys.push(key);
+            self.place_user(&mut reader, u, &mut touched);
             self.in_tail.push(false);
         }
 
@@ -684,64 +599,39 @@ impl IncrementalFormer {
         //    matrix rows are final), so the move loop skips them — a
         //    sparse admission can create thousands of gap rows, and
         //    re-removing/re-inserting each from the shared empty-signature
-        //    bucket would be quadratic busywork.
+        //    bucket would be busywork. A bucket a user empties stays
+        //    indexed, so a user with its key can rejoin it in this pass.
         let mut dirty: Vec<u32> = updates.iter().map(|d| d.user).collect();
         dirty.extend(padded);
         dirty.extend(old_n..matrix.n_users());
         dirty.sort_unstable();
         dirty.dedup();
-        for &u in &dirty {
-            if u >= old_n {
-                continue; // admitted in step 0, already in its bucket
-            }
-            let old_key = Arc::clone(&self.user_keys[u as usize]);
-            self.touch(&old_key, &mut touched);
-            let emptied = {
-                let b = self
-                    .buckets
-                    .get_mut(&old_key)
-                    .expect("dirty user's standing bucket exists");
-                let pos = b
-                    .users
-                    .binary_search(&u)
-                    .expect("dirty user sits in its own bucket");
-                b.users.remove(pos);
-                b.users.is_empty()
-            };
-            if emptied {
-                self.buckets.remove(&old_key);
-            }
-            let new_key = self.place_user(&mut reader, u, &mut touched);
-            self.user_keys[u as usize] = new_key;
+        for &u in dirty.iter().filter(|&&u| u < old_n) {
+            self.touch(self.table.bucket_of()[u as usize], &mut touched);
+            self.table.leave(u);
+            self.place_user(&mut reader, u, &mut touched);
         }
 
         // 3. Recompute touched buckets' score vectors over members in
         //    ascending id order — the cold build's accumulation order, so
         //    the vectors are bit-for-bit what build_buckets produces — and
-        //    swap each changed rank in the index. A bucket a user left and
-        //    rejoined often ranks as before, and then the index is left
-        //    alone.
-        let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
-        for (key, old) in &touched {
-            let new = self.buckets.get_mut(key).map(|b| {
-                recompute_bucket_scores(&mut reader, b);
-                BucketRank::of(key, b, sem, agg)
-            });
-            if new.as_ref() != old.as_ref() {
-                if let Some(old) = old {
-                    let indexed = self.index.remove(old);
-                    debug_assert!(indexed, "every standing bucket is indexed");
-                }
-                if let Some(new) = new {
-                    self.index.insert(new);
-                }
+        //    put each back into the heap. No bucket opens after step 2, so
+        //    the ids of the buckets this pass emptied are freed here and
+        //    reused from the next pass on.
+        touched.sort_unstable();
+        for &b in &touched {
+            if self.table.size(b) > 0 {
+                self.table.rescore(b, &mut reader);
+                self.order.insert(&self.table, b);
+            } else {
+                self.table.release(b);
             }
         }
 
-        // 4. Read the Step-2 selection off the front of the index and
-        //    splice users whose tail membership changed (bucket admissions,
-        //    evictions, and dirty users that hopped across the boundary).
-        let selected = indexed_selection(&self.index, self.cfg.ell);
+        // 4. Read the Step-2 selection off the heap and splice users whose
+        //    tail membership changed (bucket admissions, evictions, and
+        //    dirty users that hopped across the boundary).
+        let selected = self.order.best(&self.table, self.cfg.ell - 1);
         let previous = self.apply_selection(matrix, selected, &dirty);
 
         // 5. Emit the patched grouping, re-emitting what it left alone.
@@ -749,45 +639,34 @@ impl IncrementalFormer {
         Ok(&self.result)
     }
 
-    /// Records `key`'s bucket in `touched` with its rank as indexed,
-    /// before the bucket's first change in this refresh, so step 3 of
-    /// [`IncrementalFormer::refresh`] can swap it for the fresh rank.
-    fn touch(&self, key: &Key, touched: &mut Touched) {
-        if !touched.contains_key(key) {
-            let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
-            let rank = self
-                .buckets
-                .get(key)
-                .map(|b| BucketRank::of(key, b, sem, agg));
-            touched.insert(Arc::clone(key), rank);
+    /// Takes bucket `b` out of the heap and lists it in `touched`, before
+    /// its first change in this refresh; a bucket out of the heap is
+    /// listed already. Step 3 of [`IncrementalFormer::refresh`] puts it
+    /// back.
+    fn touch(&mut self, b: u32, touched: &mut Vec<u32>) {
+        if self.order.contains(b) {
+            self.order.remove(&self.table, b);
+            touched.push(b);
         }
     }
 
     /// Hashes user `u` into the bucket of its current top-`k` signature,
-    /// keeping the member list ascending, and returns the bucket's key.
-    /// The bucket is touched (see [`IncrementalFormer::touch`]); its
-    /// score vectors are left stale until step 3 of
-    /// [`IncrementalFormer::refresh`] recomputes them.
-    fn place_user(&mut self, reader: &mut TopKReader<'_>, u: u32, touched: &mut Touched) -> Key {
-        let (view, _) = reader.key(u);
-        let key = match self.buckets.get_key_value(&view as &dyn KeyView) {
-            Some((shared, _)) => Arc::clone(shared),
-            None => Arc::new(view.to_key()),
-        };
-        self.touch(&key, touched);
-        let b = self
-            .buckets
-            .entry(Arc::clone(&key))
-            .or_insert_with(|| Bucket {
-                items: view.items.into(),
-                ..Bucket::default()
-            });
-        let pos = b
-            .users
-            .binary_search(&u)
-            .expect_err("user cannot already be in its target bucket");
-        b.users.insert(pos, u);
-        key
+    /// opening one if the signature is new; the bucket is touched (see
+    /// [`IncrementalFormer::touch`]) and its score vectors are left stale
+    /// until step 3 of [`IncrementalFormer::refresh`] recomputes them.
+    fn place_user(&mut self, reader: &mut TopKReader<'_>, u: u32, touched: &mut Vec<u32>) {
+        let (key, scores) = reader.key(u);
+        match self.table.find(key) {
+            Some(b) => {
+                self.touch(b, touched);
+                self.table.join(b, u);
+            }
+            None => {
+                let b = self.table.open(key, scores, scores, 0, NONE);
+                self.table.join(b, u);
+                touched.push(b);
+            }
+        }
     }
 
     /// Installs `new_selected` and splices every user whose tail
@@ -796,29 +675,19 @@ impl IncrementalFormer {
     fn apply_selection(
         &mut self,
         matrix: &RatingMatrix,
-        new_selected: Vec<Key>,
+        new_selected: Vec<u32>,
         dirty: &[u32],
-    ) -> Vec<Key> {
-        let new_set: FxHashSet<&Key> = new_selected.iter().collect();
+    ) -> Vec<u32> {
+        let new_set: FxHashSet<u32> = new_selected.iter().copied().collect();
         let mut affected: Vec<u32> = dirty.to_vec();
-        for key in &self.selected {
-            if !new_set.contains(key) {
-                if let Some(b) = self.buckets.get(key) {
-                    affected.extend_from_slice(&b.users);
-                }
-            }
-        }
-        {
-            let old_set: FxHashSet<&Key> = self.selected.iter().collect();
-            for key in &new_selected {
-                if !old_set.contains(key) {
-                    affected.extend_from_slice(&self.buckets[key].users);
-                }
-            }
+        let old = &self.selected;
+        let evicted = old.iter().filter(|b| !new_set.contains(b));
+        for &b in evicted.chain(new_selected.iter().filter(|b| !old.contains(b))) {
+            affected.extend(self.table.members(b));
         }
         let (mut entered, mut left) = (Vec::new(), Vec::new());
         for u in affected {
-            let want_tail = !new_set.contains(&self.user_keys[u as usize]);
+            let want_tail = !new_set.contains(&self.table.bucket_of()[u as usize]);
             let is_tail = self.in_tail[u as usize];
             if want_tail == is_tail {
                 continue;
@@ -839,7 +708,6 @@ impl IncrementalFormer {
                 }
             }
         }
-        drop(new_set);
         self.splice_tail(entered, left);
         std::mem::replace(&mut self.selected, new_selected)
     }
@@ -872,23 +740,23 @@ impl IncrementalFormer {
 
     /// Rebuilds `self.result` from the selected buckets plus the tail,
     /// copying no member list it already emitted: a selected bucket that
-    /// is not in `touched` re-emits its group from the previous result
-    /// (whose selection was `previous`), a rebuilt group keeps the member
-    /// list of the previous group at its index when the members are the
-    /// same, and the tail group shares the maintained tail list. Only the
-    /// tail's top-`k` is rescored.
-    fn emit(&mut self, matrix: &RatingMatrix, previous: &[Key], touched: &Touched) {
+    /// is not in `touched` (sorted) re-emits its group from the previous
+    /// result (whose selection was `previous`), a rebuilt group keeps the
+    /// member list of the previous group at its index when the members
+    /// are the same, and the tail group shares the maintained tail list.
+    /// Only the tail's top-`k` is rescored.
+    fn emit(&mut self, matrix: &RatingMatrix, previous: &[u32], touched: &[u32]) {
         let old = std::mem::take(&mut self.result.grouping.groups);
         let mut groups: Vec<Group> = Vec::with_capacity(self.selected.len() + 1);
-        for (gi, key) in self.selected.iter().enumerate() {
+        for (gi, &b) in self.selected.iter().enumerate() {
             let kept = previous
                 .iter()
-                .position(|p| p == key)
-                .filter(|_| !touched.contains_key(key));
+                .position(|&p| p == b)
+                .filter(|_| touched.binary_search(&b).is_err());
             let group = match kept {
                 Some(pi) => old[pi].clone(),
                 None => {
-                    let mut group = bucket_to_group(&self.buckets[key], &self.cfg);
+                    let mut group = self.table.bucket(b).into_group(&self.cfg);
                     if let Some(same) = old.get(gi).filter(|g| g.members == group.members) {
                         group.members = Arc::clone(&same.members);
                     }
@@ -907,74 +775,14 @@ impl IncrementalFormer {
         }
         let grouping = Grouping::new(groups);
         debug_assert!(grouping
-            .validate(self.user_keys.len() as u32, self.cfg.ell)
+            .validate(self.in_tail.len() as u32, self.cfg.ell)
             .is_ok());
         let objective = grouping.objective();
         self.result = FormationResult {
             grouping,
             objective,
-            n_buckets: self.buckets.len(),
+            n_buckets: self.table.live(),
         };
-    }
-}
-
-/// The Step-2 selection read off the rank index: the keys of its first
-/// `ell - 1` buckets.
-fn indexed_selection(index: &BTreeSet<BucketRank>, ell: usize) -> Vec<Key> {
-    index
-        .iter()
-        .take(ell.saturating_sub(1))
-        .map(|rank| Arc::clone(&rank.key))
-        .collect()
-}
-
-/// The Step-2 selection by a full scan of `buckets`: the `ell - 1` best
-/// buckets under [`bucket::bucket_order`], in the exact pop sequence of a
-/// cold [`GreedyFormer`](super::GreedyFormer). The oracle the rank index
-/// is tested against.
-#[cfg(test)]
-fn ideal_selection(buckets: &FxHashMap<Key, Bucket>, cfg: &FormationConfig) -> Vec<Key> {
-    let slots = cfg.ell.saturating_sub(1).min(buckets.len());
-    if slots == 0 {
-        return Vec::new();
-    }
-    let (sem, agg) = (cfg.semantics, cfg.aggregation);
-    let mut entries: Vec<(f64, &Key, &Bucket)> = buckets
-        .iter()
-        .map(|(key, b)| (b.satisfaction(sem, agg), key, b))
-        .collect();
-    let cmp = |x: &(f64, &Key, &Bucket), y: &(f64, &Key, &Bucket)| {
-        y.0.total_cmp(&x.0)
-            .then_with(|| bucket::bucket_order(x.2, y.2, sem, agg))
-    };
-    if entries.len() > slots {
-        entries.select_nth_unstable_by(slots - 1, cmp);
-        entries.truncate(slots);
-    }
-    entries.sort_unstable_by(cmp);
-    entries.into_iter().map(|e| e.1.clone()).collect()
-}
-
-/// Recomputes a touched bucket's per-position score vectors from its
-/// members in ascending id order — the same accumulation order as the cold
-/// build, so the result is bit-for-bit identical to `build_buckets`.
-fn recompute_bucket_scores(reader: &mut TopKReader<'_>, b: &mut Bucket) {
-    for idx in 0..b.users.len() {
-        let u = b.users[idx];
-        let (items, scores) = reader.top_k(u);
-        debug_assert_eq!(
-            items,
-            b.items.as_ref(),
-            "member {u} no longer matches its bucket's item sequence"
-        );
-        if idx == 0 {
-            b.pos_min.clear();
-            b.pos_min.extend_from_slice(scores);
-            b.pos_sum.clear();
-            b.pos_sum.extend_from_slice(scores);
-        } else {
-            b.accumulate_scores(scores);
-        }
     }
 }
 
@@ -984,6 +792,7 @@ mod tests {
     use crate::aggregate::Aggregation;
     use crate::alg::{GreedyFormer, GroupFormer};
     use crate::scale::RatingScale;
+    use crate::semantics::Semantics;
 
     fn dense(rows: &[&[f64]]) -> (RatingMatrix, PrefIndex) {
         let m = RatingMatrix::from_dense(rows, RatingScale::one_to_five()).unwrap();
@@ -1031,12 +840,17 @@ mod tests {
         assert_index_is_the_scan(former);
     }
 
-    /// The rank index and tail list agree with a from-scratch scan.
+    /// The heap and tail list agree with a from-scratch scan: the
+    /// standing buckets sorted by [`bucket::bucket_order`].
     fn assert_index_is_the_scan(former: &IncrementalFormer) {
         let indexed = former.checked_index().unwrap();
-        let scanned: Vec<Vec<u32>> = ideal_selection(&former.buckets, &former.cfg)
-            .iter()
-            .map(|key| former.buckets[key].users.clone())
+        let (sem, agg) = (former.cfg.semantics, former.cfg.aggregation);
+        let mut buckets: Vec<Bucket> = former.table.buckets().collect();
+        buckets.sort_by(|a, b| bucket::bucket_order(a, b, sem, agg));
+        let scanned: Vec<Vec<u32>> = buckets
+            .into_iter()
+            .take(former.cfg.ell - 1)
+            .map(|b| b.users)
             .collect();
         assert_eq!(indexed, scanned);
     }
@@ -1073,6 +887,22 @@ mod tests {
             former.refresh(&m, &p, &deltas).unwrap();
             assert_matches_cold(&former, &m, &p, &cfg);
         }
+        // u0 leaves its singleton bucket for a new key: the pass empties
+        // one bucket and opens another, and frees the emptied id only
+        // once it is done.
+        let live = former.table.live();
+        let deltas = apply(&mut m, &mut p, &[(0, 1, 1.0)]);
+        former.refresh(&m, &p, &deltas).unwrap();
+        assert_matches_cold(&former, &m, &p, &cfg);
+        assert_eq!(former.table.live(), live);
+        assert!(former.table.len() > live, "no id was freed");
+        // u5 does the same, and its new key reuses a freed id.
+        let ids = former.table.len();
+        let deltas = apply(&mut m, &mut p, &[(5, 2, 1.0)]);
+        former.refresh(&m, &p, &deltas).unwrap();
+        assert_matches_cold(&former, &m, &p, &cfg);
+        assert_eq!(former.table.live(), live);
+        assert_eq!(former.table.len(), ids, "the new key took a fresh id");
     }
 
     #[test]
@@ -1220,9 +1050,8 @@ mod tests {
     }
 
     #[test]
-    fn long_top_k_ranks_spill_to_the_heap_and_stay_exact() {
-        // k = 7 needs 3 + 7 + 4 = 14 rank words, past the 11 kept
-        // inline, for every semantics.
+    fn long_top_k_lists_stay_exact() {
+        // k = 7, for every semantics.
         let rows: Vec<Vec<f64>> = (0..14)
             .map(|u: u32| {
                 (0..9)
@@ -1237,10 +1066,6 @@ mod tests {
             let cfg = FormationConfig::new(sem, Aggregation::Sum, 7, 4);
             let (mut m, mut p) = (m0.clone(), p0.clone());
             let mut former = IncrementalFormer::new(&m, &p, cfg).unwrap();
-            assert!(former
-                .index
-                .iter()
-                .all(|rank| matches!(rank.words, Words::Heap(_))));
             assert_matches_cold(&former, &m, &p, &cfg);
             for batch in [vec![(3u32, 1u32, 5.0)], vec![(0, 8, 1.0), (12, 2, 4.0)]] {
                 let deltas = apply(&mut m, &mut p, &batch);
@@ -1344,6 +1169,31 @@ mod tests {
             IncrementalFormer::import_state(&m, cfg, &bad),
             Err(GfError::Persist(_))
         ));
+        // An item id past the matrix's 3 items.
+        let mut bad = good.clone();
+        bad.buckets[0].items[0] = 999;
+        assert!(matches!(
+            IncrementalFormer::import_state(&m, cfg, &bad),
+            Err(GfError::Persist(_))
+        ));
+        // Buckets narrower than min(k, m) = 2 items, or with more key
+        // scores than LM + Min keeps.
+        let mut bad = good.clone();
+        let b = &mut bad.buckets[0];
+        for v in [&mut b.pos_min_bits, &mut b.pos_sum_bits] {
+            v.pop();
+        }
+        b.items.pop();
+        assert!(matches!(
+            IncrementalFormer::import_state(&m, cfg, &bad),
+            Err(GfError::Persist(_))
+        ));
+        let mut bad = good.clone();
+        bad.buckets[0].key_score_bits.push(0);
+        assert!(matches!(
+            IncrementalFormer::import_state(&m, cfg, &bad),
+            Err(GfError::Persist(_))
+        ));
     }
 
     #[test]
@@ -1384,29 +1234,6 @@ mod tests {
             );
             former.refresh(&m, &p, &[]).unwrap();
             assert_eq!(former.result(), &cold, "{sem}");
-        }
-    }
-
-    #[test]
-    fn descending_words_reverse_total_cmp() {
-        let xs = [
-            f64::NEG_INFINITY,
-            -2.5,
-            -0.0,
-            0.0,
-            0.5,
-            5.0,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        for a in xs {
-            for b in xs {
-                assert_eq!(
-                    descending(a).cmp(&descending(b)),
-                    b.total_cmp(&a),
-                    "{a} vs {b}"
-                );
-            }
         }
     }
 

@@ -8,24 +8,26 @@
 //!    personal top-`k` preference list (the key depends on semantics and
 //!    aggregation, see [`bucket`]), bundling indistinguishable users.
 //! 2. **Greedy selection**: emit the `ell - 1` intermediate groups with
-//!    the highest group satisfaction. Only the `ell - 1` best can be
-//!    emitted, so a linear-time selection picks them and a queue of just
-//!    those pops them in order (re-ranking split remainders under
-//!    split-aware selection).
+//!    the highest group satisfaction. The buckets sit in one binary heap
+//!    under the Step-2 order, heapified in linear time, and a best-first
+//!    walk reads the `ell - 1` best off it (split-aware selection pops
+//!    the heap instead, and a split remainder re-enters it).
 //! 3. **Last group**: merge all remaining users into the `ell`-th group and
 //!    score it: under `MissingPolicy::Min` from dense per-item aggregates
-//!    of its members' ratings, one scorer for both formers, and with the
-//!    full group recommendation engine under the other policies.
+//!    of its members' ratings, and with the full group recommendation
+//!    engine under the other policies.
 //!
 //! All six variants are provided by a single [`GreedyFormer`] parameterised
-//! by the [`FormationConfig`]. Under least misery, `GRD-LM-MIN` and
+//! by the [`FormationConfig`]. A formation is the first pass of an
+//! [`IncrementalFormer`], the state a serving layer keeps to patch it
+//! under rating updates. Under least misery, `GRD-LM-MIN` and
 //! `GRD-LM-SUM` carry the paper's absolute-error guarantees (Theorems 2–3):
 //! at most `r_max` and `k * r_max` below the optimum respectively.
 //!
 //! ## Parallelism
 //!
 //! [`FormationConfig::with_threads`] threads Step 1 (bucket building) —
-//! inside [`GreedyFormer`] and [`IncrementalFormer::new`] alike — following
+//! inside [`IncrementalFormer::new`], so [`GreedyFormer`] too — following
 //! the workspace-wide convention of [`crate::resolve_threads`] (`0` = auto
 //! via `available_parallelism`, anything else literal, always clamped to
 //! the amount of work): scoped workers build per-range bucket tables over
@@ -40,6 +42,7 @@
 pub mod bucket;
 mod greedy;
 pub mod incremental;
+mod order;
 mod tail;
 
 pub use greedy::GreedyFormer;

@@ -1,14 +1,12 @@
 //! Step 3 of the greedy algorithms: scoring the tail group, the
 //! `ell`-th group that merges every user Step 2 left unselected.
 //!
-//! Both formers score it here. Under [`MissingPolicy::Min`] they hold a
-//! [`TailAgg`]: dense per-item aggregates of the tail members' ratings,
-//! filled by one pass over their rows in ascending user order.
-//! [`GreedyFormer`](super::GreedyFormer) builds one per formation;
-//! [`IncrementalFormer`](super::IncrementalFormer) builds one with the
-//! former and then maintains it under member churn. Under `Skip` and
-//! `UserMean` the tail is rescored from its member list with the full
-//! engine ([`GroupRecommender::top_k`]).
+//! Under [`MissingPolicy::Min`] it is scored from a [`TailAgg`]: dense
+//! per-item aggregates of the tail members' ratings, filled by one pass
+//! over their rows in ascending user order, which an
+//! [`IncrementalFormer`](super::IncrementalFormer) then maintains under
+//! member churn. Under `Skip` and `UserMean` the tail is rescored from its
+//! member list with the full engine ([`GroupRecommender::top_k`]).
 
 use super::FormationConfig;
 use crate::grouping::Group;
@@ -69,12 +67,11 @@ impl ItemAgg {
         if self.stale {
             return;
         }
-        if self.count == 1 || score < self.min {
-            self.min = score;
-            self.min_count = 1;
-        } else if score == self.min {
-            self.min_count += 1;
-        }
+        // Branch-free: raters arrive in no order of their scores.
+        let lower = self.count == 1 || score < self.min;
+        let tie = u32::from(score == self.min);
+        self.min_count = if lower { 1 } else { self.min_count + tie };
+        self.min = if lower { score } else { self.min };
     }
 }
 

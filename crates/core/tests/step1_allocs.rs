@@ -3,9 +3,15 @@
 //! the allocations of a sequential bucket build by a constant per bucket.
 //! Reading a user's top-`k` key into owned vectors would cost at least
 //! three allocations per user, about a hundred times this bound here.
+//! A whole cold formation, and the incremental former it is the first pass
+//! of, stays within two allocations per bucket: the former keeps the flat
+//! Step-1 table, not one key, member list and map entry per bucket.
 
 use gf_core::alg::bucket::build_buckets;
-use gf_core::{Aggregation, MissingPolicy, PrefIndex, RatingMatrix, RatingScale, Semantics};
+use gf_core::{
+    Aggregation, FormationConfig, GreedyFormer, GroupFormer, IncrementalFormer, MissingPolicy,
+    PrefIndex, RatingMatrix, RatingScale, Semantics,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,5 +115,32 @@ fn sequential_step1_allocates_per_bucket_not_per_user() {
             made <= 16 * b + 64,
             "{semantics} {aggregation}: {made} allocations for {b} buckets of 20000 users"
         );
+    }
+}
+
+#[test]
+fn a_cold_formation_allocates_per_bucket_not_per_user() {
+    let matrix = corpus();
+    let prefs = PrefIndex::build(&matrix);
+    for semantics in [Semantics::LeastMisery, Semantics::AggregateVoting] {
+        let cfg = FormationConfig::new(semantics, Aggregation::Min, 5, 10);
+        let before = allocations();
+        let former = IncrementalFormer::new(&matrix, &prefs, cfg).unwrap();
+        let made_new = allocations() - before;
+        let b = former.result().n_buckets as u64;
+        let before = allocations();
+        let formed = GreedyFormer::new().form(&matrix, &prefs, &cfg).unwrap();
+        let made_form = allocations() - before;
+        assert_eq!(&formed, former.result());
+        assert!(
+            (150..=300).contains(&b),
+            "{semantics}: {b} buckets, expected about 200"
+        );
+        for (what, made) in [("IncrementalFormer::new", made_new), ("form", made_form)] {
+            assert!(
+                made <= 2 * b + 64,
+                "{semantics} {what}: {made} allocations for {b} buckets of 20000 users"
+            );
+        }
     }
 }

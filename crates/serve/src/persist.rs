@@ -33,8 +33,8 @@
 //! `docs/OPERATIONS.md`.
 
 use crate::state::{ServeConfig, ServeState};
-use gf_core::{GfError, RatingMatrix, Result};
-use gf_persist::checkpoint::{self, CheckpointState};
+use gf_core::{GfError, IncrementalFormer, RatingMatrix, Result};
+use gf_persist::checkpoint::{self, CheckpointGrouping, CheckpointState};
 use gf_persist::wal::{SyncMode, Wal};
 use std::fs::{File, OpenOptions, TryLockError};
 use std::path::{Path, PathBuf};
@@ -206,8 +206,9 @@ fn lock_data_dir(dir: &Path) -> Result<File> {
 /// Returns the checkpointed version, or `None` when skipped.
 ///
 /// Serving never pauses: the snapshot is frozen from its immutable `Arc`
-/// bundle under a briefly-held lock, and the deep copy + encode + fsync
-/// all happen outside every serving lock.
+/// bundle, and each grouping's former copied, under a briefly-held lock;
+/// the former exports, deep copy, encode and fsync all happen outside
+/// every serving lock.
 pub fn checkpoint_now(state: &ServeState, opts: &DurabilityOptions) -> Result<Option<u64>> {
     let exported = state.export_for_checkpoint();
     if exported.version <= state.stats.checkpoint_version.load(Ordering::Relaxed) {
@@ -221,7 +222,14 @@ pub fn checkpoint_now(state: &ServeState, opts: &DurabilityOptions) -> Result<Op
         items_admitted: exported.progress.items_admitted,
         matrix: (*exported.matrix).clone(),
         prefs: (*exported.prefs).clone(),
-        groupings: exported.groupings,
+        groupings: exported
+            .groupings
+            .into_iter()
+            .map(|(grouping, former)| CheckpointGrouping {
+                former: former.as_ref().map(IncrementalFormer::export_state),
+                ..grouping
+            })
+            .collect(),
         feedback: (*exported.feedback).clone(),
     };
     checkpoint::write(&opts.data_dir, &ck).map_err(GfError::from)?;

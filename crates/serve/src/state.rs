@@ -540,17 +540,19 @@ struct CandidateCache {
 }
 
 /// A consistent bundle frozen for checkpointing: the snapshot's pieces
-/// plus each grouping's standing-former state. The matrix/prefs stay
+/// plus a copy of each grouping's standing former. The matrix/prefs stay
 /// `Arc`-shared — the (expensive) deep copy into an owned
-/// [`CheckpointState`] happens outside every lock.
+/// [`CheckpointState`] and the formers' [`IncrementalFormer::export_state`]
+/// happen outside every lock.
 pub(crate) struct ExportedState {
     pub version: u64,
     pub progress: Progress,
     pub matrix: Arc<RatingMatrix>,
     pub prefs: Arc<PrefIndex>,
-    /// Every grouping with its standing former's exported state (`None`
-    /// only while a grouping is without a former — module docs).
-    pub groupings: Vec<CheckpointGrouping>,
+    /// Every grouping, its `former` field still `None`, with a clone of
+    /// its standing former (`None` only while a grouping is without a
+    /// former — module docs).
+    pub groupings: Vec<(CheckpointGrouping, Option<IncrementalFormer>)>,
     pub feedback: Arc<OnlineEval>,
 }
 
@@ -1262,10 +1264,11 @@ impl ServeState {
     }
 
     /// Freezes a consistent bundle for the checkpointer. Taking `writer`
-    /// briefly excludes concurrent installs, so each exported former
-    /// state matches its exported grouping. Each formation clone shares
-    /// its member lists (`O(ell · k)`); the deep copy of the matrix and
-    /// preference index into owned checkpoint structures happens in the
+    /// briefly excludes concurrent installs, so each copied former
+    /// matches its exported grouping. Each formation clone shares its
+    /// member lists (`O(ell · k)`), and each former clone copies a few
+    /// flat arrays; the deep copy of the matrix and preference index into
+    /// owned checkpoint structures and the formers' exports happen in the
     /// caller, outside every lock.
     pub(crate) fn export_for_checkpoint(&self) -> ExportedState {
         let formers = self.writer.lock().expect("writer lock poisoned");
@@ -1273,12 +1276,15 @@ impl ServeState {
         let groupings = snap
             .groupings
             .iter()
-            .map(|(name, g)| CheckpointGrouping {
-                name: name.clone(),
-                version: g.version,
-                config: g.config,
-                formation: g.formation.clone(),
-                former: formers.get(name).map(IncrementalFormer::export_state),
+            .map(|(name, g)| {
+                let grouping = CheckpointGrouping {
+                    name: name.clone(),
+                    version: g.version,
+                    config: g.config,
+                    formation: g.formation.clone(),
+                    former: None,
+                };
+                (grouping, formers.get(name).cloned())
             })
             .collect();
         ExportedState {
