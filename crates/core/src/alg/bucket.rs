@@ -16,6 +16,12 @@
 //! scores; those are exactly the group's per-item scores under LM and AV
 //! respectively (see the module docs of [`crate::alg`]), so a bucket's
 //! satisfaction is read off in O(k) with no further passes over the data.
+//!
+//! Step 1 ([`build_buckets`]) costs `O(nk)`: it reads each user's key
+//! twice in place, makes one fingerprint-map lookup per user, and touches
+//! two per-bucket records per user — its key and member count, and its
+//! score vectors — in arrays sized once, for exactly the buckets the first
+//! read found.
 
 use crate::aggregate::{Aggregation, Pivot};
 use crate::fxhash::FxHashMap;
@@ -35,15 +41,6 @@ pub struct BucketKey {
     /// Bit patterns of the scores included in the key (empty for AV;
     /// pivot score for LM Min/Max; all `k` scores for LM Sum).
     pub score_bits: Box<[u64]>,
-}
-
-/// A bucket key read in place: the item sequence borrowed from the
-/// [`PrefIndex`] (or a padding buffer) and the score bits from a reused
-/// buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct KeyRef<'a> {
-    pub(crate) items: &'a [u32],
-    pub(crate) score_bits: &'a [u64],
 }
 
 /// An intermediate group: users indistinguishable under the current key.
@@ -238,8 +235,8 @@ impl Padding {
 /// Reads users' personal top-`k` lists and bucket keys in place: a user
 /// who rated at least `min(k, m)` items is read as borrowed slices of the
 /// [`PrefIndex`], a sparser one is padded into buffers the reader reuses,
-/// and the key's score bits go to one more reused buffer. Once its
-/// buffers have grown, reading a user allocates nothing.
+/// and the key's words go to one more reused buffer. Once its buffers
+/// have grown, reading a user allocates nothing.
 #[derive(Debug)]
 pub(crate) struct TopKReader<'a> {
     matrix: &'a RatingMatrix,
@@ -249,7 +246,8 @@ pub(crate) struct TopKReader<'a> {
     policy: MissingPolicy,
     k: usize,
     pad: Padding,
-    bits: Vec<u64>,
+    /// The words of the key read last (see [`KeyRef`]).
+    key: Vec<u32>,
 }
 
 impl<'a> TopKReader<'a> {
@@ -269,7 +267,7 @@ impl<'a> TopKReader<'a> {
             policy,
             k,
             pad: Padding::default(),
-            bits: Vec::new(),
+            key: Vec::new(),
         }
     }
 
@@ -301,46 +299,46 @@ impl<'a> TopKReader<'a> {
         let (items, scores) = self
             .pad
             .top_k(self.matrix, self.prefs, self.policy, u, self.k);
+        let key = &mut self.key;
+        key.clear();
+        key.extend_from_slice(items);
         key_bits(
             self.semantics,
             self.aggregation,
-            items,
+            items.len(),
             scores,
-            &mut self.bits,
+            |bits| key.extend(halves(bits)),
         );
-        let key = KeyRef {
-            items,
-            score_bits: &self.bits,
-        };
-        (key, scores)
+        (KeyRef(key), scores)
     }
 }
 
-/// Writes into `bits` the score bit patterns of the bucket key for a user
-/// with top-`k` list `items` scored `scores`.
+/// Passes to `push` the score bit patterns of the bucket key for a user
+/// with a top-`k` list of `len` items scored `scores`.
 fn key_bits(
     semantics: Semantics,
     aggregation: Aggregation,
-    items: &[u32],
+    len: usize,
     scores: &[f64],
-    bits: &mut Vec<u64>,
+    mut push: impl FnMut(u64),
 ) {
-    bits.clear();
     match semantics {
         Semantics::AggregateVoting => {}
-        Semantics::LeastMisery => match aggregation.pivot(items.len().max(1)) {
+        Semantics::LeastMisery => match aggregation.pivot(len.max(1)) {
             Pivot::Position(p) => {
                 let p = p.min(scores.len().saturating_sub(1));
-                bits.extend(scores.get(p).map(|s| s.to_bits()));
+                if let Some(s) = scores.get(p) {
+                    push(s.to_bits());
+                }
             }
-            Pivot::All => bits.extend(scores.iter().map(|s| s.to_bits())),
+            Pivot::All => scores.iter().for_each(|s| push(s.to_bits())),
         },
         // Moment-based semantics: bucket only users whose whole score
         // vector matches, so within a bucket every position is unanimous
         // and the group score collapses to the shared personal score
         // (zero consensus disagreement; leader-weighted mean of equals).
         Semantics::Consensus { .. } | Semantics::LeaderWeighted => {
-            bits.extend(scores.iter().map(|s| s.to_bits()))
+            scores.iter().for_each(|s| push(s.to_bits()))
         }
     }
 }
@@ -354,11 +352,18 @@ pub fn key_for(
     scores: &[f64],
 ) -> BucketKey {
     let mut bits = Vec::new();
-    key_bits(semantics, aggregation, items, scores, &mut bits);
+    key_bits(semantics, aggregation, items.len(), scores, |b| {
+        bits.push(b)
+    });
     BucketKey {
         items: items.into(),
         score_bits: bits.into(),
     }
+}
+
+/// A score bit pattern as the two key words that hold it, high first.
+fn halves(bits: u64) -> [u32; 2] {
+    [(bits >> 32) as u32, bits as u32]
 }
 
 /// Runs Step 1: hashes every user into buckets. Returns the buckets in
@@ -406,30 +411,60 @@ pub fn build_buckets_threaded(
 /// No bucket or user: the end of a fingerprint chain or a member list.
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// Step 1's bucket state: every bucket's key, size, members and
-/// per-position score aggregates in flat arrays indexed by `u32` bucket
-/// ids (a stride of `len` values per bucket; every key has the top-`k`
-/// length `min(k, m)` and one score-bit count), plus each user's bucket.
-/// A bucket's members form an ascending list threaded through per-user
-/// `next`/`prev` links, so no bucket owns an allocation. Building it
-/// allocates `O(log B)` times, whatever `n` and `B` are: a user's key,
-/// read in place ([`TopKReader::key`]), is looked up through a
-/// fingerprint-to-bucket map and an equality check on the flat key. An
+/// A bucket key as one slice of words: the top-`k` items, then each key
+/// score bit pattern as its high and low halves. Every key of a table has
+/// the same length, so two keys compare as their (items, score bits)
+/// pairs do.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct KeyRef<'a>(pub(crate) &'a [u32]);
+
+impl<'a> KeyRef<'a> {
+    /// The key of `items` and `score_bits`, written into `words`.
+    pub(crate) fn encode(items: &[u32], score_bits: &[u64], words: &'a mut Vec<u32>) -> Self {
+        words.clear();
+        words.extend_from_slice(items);
+        words.extend(score_bits.iter().flat_map(|&bits| halves(bits)));
+        KeyRef(words)
+    }
+
+    /// The key's score bit patterns, after its `len` items.
+    pub(crate) fn score_bits(self, len: usize) -> impl Iterator<Item = u64> + 'a {
+        self.0[len..]
+            .chunks_exact(2)
+            .map(|w| (u64::from(w[0]) << 32) | u64::from(w[1]))
+    }
+}
+
+/// Step 1's bucket state, in two flat arrays of per-bucket records indexed
+/// by `u32` bucket ids: a `u32` record of the bucket's key (a [`KeyRef`]:
+/// every key has the top-`k` length `len = min(k, m)` and one score-bit
+/// count) and member count, and an `f64` record of its per-position minima
+/// and sums, so everything a user's placement reads or writes of one
+/// bucket sits together. Each user's bucket is kept too, and a bucket's
+/// members form an ascending list threaded through per-user `next`/`prev`
+/// links, so no bucket owns an allocation.
+///
+/// [`BucketTable::build`] reads every user's key in place
+/// ([`TopKReader::key`]) twice: once to give each key fingerprint an id in
+/// order of first appearance, and once, with the records sized exactly, to
+/// seat the users in ascending order, each one an equality check against
+/// its id's record and a fold of `2 len` scores. Building allocates
+/// `O(log B)` times, whatever `n` and `B` are. An
 /// [`IncrementalFormer`](super::IncrementalFormer) keeps the table and
-/// moves users through the same lookup; the id of a bucket it
-/// [releases](BucketTable::release) is reused by a later one.
+/// moves users through the fingerprint-to-bucket map and an equality check
+/// on the key; the id of a bucket it [releases](BucketTable::release) is
+/// reused by a later one.
 #[derive(Debug, Clone)]
 pub(crate) struct BucketTable {
     /// Items (and scores) per bucket.
     len: usize,
-    /// Key score-bit words per bucket.
+    /// Key score-bit patterns per bucket.
     n_bits: usize,
-    items: Vec<u32>,
-    bits: Vec<u64>,
-    pos_min: Vec<f64>,
-    pos_sum: Vec<f64>,
-    /// Members per bucket; `0` marks an empty bucket.
-    size: Vec<u32>,
+    /// Per bucket, `len + 2 n_bits + 1` words: its key, then its member
+    /// count (`0` marks an empty bucket).
+    keys: Vec<u32>,
+    /// Per bucket, `2 len` scores: its per-position minima, then sums.
+    scores: Vec<f64>,
     /// Each bucket's lowest member, `NONE` when empty.
     first: Vec<u32>,
     /// Each bucket's highest member, `NONE` when empty.
@@ -446,12 +481,15 @@ pub(crate) struct BucketTable {
     same_fingerprint: Vec<u32>,
     /// Released bucket ids, reused by the next buckets opened.
     free: Vec<u32>,
+    /// The hash `index` is keyed by: [`fingerprint`], except in tests
+    /// that make keys collide.
+    fingerprint: fn(KeyRef<'_>) -> u64,
 }
 
 impl BucketTable {
     /// Runs Step 1 over every user on `n_threads` workers (see
     /// [`build_buckets_threaded`] for the sharding and the exactness of
-    /// the merge; one worker inserts users in ascending id order).
+    /// the merge; one worker seats users in ascending id order).
     pub(crate) fn build(
         matrix: &RatingMatrix,
         prefs: &PrefIndex,
@@ -461,21 +499,23 @@ impl BucketTable {
         k: usize,
         n_threads: usize,
     ) -> Self {
-        let n = matrix.n_users() as usize;
+        let reader = || TopKReader::new(matrix, prefs, semantics, aggregation, policy, k);
+        let empty = || BucketTable::empty(matrix, semantics, aggregation, k);
+        Self::build_with(matrix.n_users() as usize, n_threads, reader, empty)
+    }
+
+    /// [`BucketTable::build`] over `n` users, each shard seated into a
+    /// table `empty` makes and read through a reader `reader` makes.
+    fn build_with<'a>(
+        n: usize,
+        n_threads: usize,
+        reader: impl Fn() -> TopKReader<'a> + Sync,
+        empty: impl Fn() -> BucketTable + Sync,
+    ) -> Self {
         let threads = crate::resolve_threads(n_threads, n);
         let build_range = |range: std::ops::Range<usize>| {
-            let mut table = BucketTable::empty(matrix, semantics, aggregation, k, range.len());
-            let mut reader = TopKReader::new(matrix, prefs, semantics, aggregation, policy, k);
-            for u in range {
-                let u = u as u32;
-                let (key, scores) = reader.key(u);
-                assert!(
-                    key.items.len() == table.len && key.score_bits.len() == table.n_bits,
-                    "every Step-1 key has the build's top-k length"
-                );
-                let b = table.add(key, scores, scores, 1, u);
-                table.bucket_of.push(b);
-            }
+            let mut table = empty();
+            table.seat(&mut reader(), range);
             table
         };
         let mut table = if threads <= 1 {
@@ -504,6 +544,97 @@ impl BucketTable {
         table
     }
 
+    /// [`BucketTable::build`] for `cfg` with a fingerprint of two bits, so
+    /// that nearly every key collides with another: what the collision
+    /// tests build.
+    #[cfg(test)]
+    pub(crate) fn build_colliding(
+        matrix: &RatingMatrix,
+        prefs: &PrefIndex,
+        cfg: &super::FormationConfig,
+    ) -> Self {
+        let reader = || TopKReader::for_config(matrix, prefs, cfg);
+        let empty = || BucketTable {
+            fingerprint: |key| fingerprint(key) & 3,
+            ..BucketTable::empty(matrix, cfg.semantics, cfg.aggregation, cfg.k)
+        };
+        Self::build_with(matrix.n_users() as usize, cfg.n_threads, reader, empty)
+    }
+
+    /// Test support: the fingerprint chains reach every bucket with
+    /// members exactly once, each from its key's fingerprint, and no
+    /// other bucket.
+    #[cfg(test)]
+    pub(crate) fn check_index(&self) -> Result<(), String> {
+        let mut reached = Vec::new();
+        for (&fingerprint, &newest) in &self.index {
+            let mut b = newest;
+            while b != NONE {
+                if (self.fingerprint)(self.key(b)) != fingerprint {
+                    return Err(format!("bucket {b} is chained under another fingerprint"));
+                }
+                reached.push(b);
+                b = self.same_fingerprint[b as usize];
+            }
+        }
+        reached.sort_unstable();
+        if reached.iter().copied().eq(self.ids()) {
+            Ok(())
+        } else {
+            Err(format!(
+                "the chains reach {} buckets, not the {} with members",
+                reached.len(),
+                self.ids().count()
+            ))
+        }
+    }
+
+    /// Seats the users `users` into this empty table, in two passes over
+    /// their keys. The first gives each key fingerprint a bucket id, in
+    /// order of first appearance, and reads nothing but the fingerprint
+    /// map. The second sizes the records for those ids and seats the users
+    /// in ascending order: an id's first user writes its key, and each
+    /// user whose key the record holds folds its scores in. A user whose
+    /// key it does not hold, since its fingerprint collided with an
+    /// earlier key's, goes through [`BucketTable::add`].
+    fn seat(&mut self, reader: &mut TopKReader<'_>, users: std::ops::Range<usize>) {
+        let mut bucket_of = Vec::with_capacity(users.len());
+        for u in users.clone() {
+            let (key, _) = reader.key(u as u32);
+            assert_eq!(
+                key.0.len() + 1,
+                self.width(),
+                "every Step-1 key has the build's top-k length"
+            );
+            let fresh = self.index.len() as u32;
+            bucket_of.push(*self.index.entry((self.fingerprint)(key)).or_insert(fresh));
+        }
+        let (ids, w) = (self.index.len(), self.width());
+        self.keys = vec![0; ids * w];
+        // +inf and -0.0 are the identities of min and of the sum, so an
+        // id's first user folds its scores in like every later one.
+        let fresh = [vec![f64::INFINITY; self.len], vec![-0.0; self.len]].concat();
+        self.scores = fresh.repeat(ids);
+        self.first = vec![NONE; ids];
+        self.last = vec![NONE; ids];
+        self.same_fingerprint = vec![NONE; ids];
+        for (b, u) in bucket_of.iter_mut().zip(users) {
+            let (key, scores) = reader.key(u as u32);
+            let (words, size) =
+                self.keys[*b as usize * w..(*b as usize + 1) * w].split_at_mut(w - 1);
+            // Not short-circuited: the test then almost always passes.
+            if (size[0] == 0) | (*words == *key.0) {
+                words.copy_from_slice(key.0);
+                size[0] += 1;
+                let (mins, sums) = self.scores_mut(*b);
+                fold_scores(mins, sums, scores, scores);
+            } else {
+                *b = self.add(key, scores, scores, 1);
+            }
+        }
+        self.bucket_of = bucket_of;
+    }
+
     /// A table with no bucket, for keys of a build of top-`k` lists over
     /// `matrix` under `semantics` and `aggregation`.
     pub(crate) fn empty(
@@ -511,41 +642,39 @@ impl BucketTable {
         semantics: Semantics,
         aggregation: Aggregation,
         k: usize,
-        n_users: usize,
     ) -> Self {
         let len = k.min(matrix.n_items() as usize);
         // Every key's score-bit count: that of any list of length `len`.
-        let mut probe = Vec::new();
-        key_bits(
-            semantics,
-            aggregation,
-            &vec![0; len],
-            &vec![0.0; len],
-            &mut probe,
-        );
+        let mut n_bits = 0;
+        key_bits(semantics, aggregation, len, &vec![0.0; len], |_| {
+            n_bits += 1
+        });
         BucketTable {
             len,
-            n_bits: probe.len(),
-            items: Vec::new(),
-            bits: Vec::new(),
-            pos_min: Vec::new(),
-            pos_sum: Vec::new(),
-            size: Vec::new(),
+            n_bits,
+            keys: Vec::new(),
+            scores: Vec::new(),
             first: Vec::new(),
             last: Vec::new(),
-            bucket_of: Vec::with_capacity(n_users),
+            bucket_of: Vec::new(),
             next: Vec::new(),
             prev: Vec::new(),
             index: FxHashMap::default(),
             same_fingerprint: Vec::new(),
             free: Vec::new(),
+            fingerprint,
         }
+    }
+
+    /// Words per key record: the key's, then the member count.
+    fn width(&self) -> usize {
+        self.len + 2 * self.n_bits + 1
     }
 
     /// How many bucket ids the table has handed out, released ones
     /// included.
     pub(crate) fn len(&self) -> usize {
-        self.size.len()
+        self.first.len()
     }
 
     /// How many buckets hold members or wait to be released.
@@ -555,7 +684,7 @@ impl BucketTable {
 
     /// The ids of the buckets that hold members, ascending.
     pub(crate) fn ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len() as u32).filter(|&b| self.size[b as usize] > 0)
+        (0..self.len() as u32).filter(|&b| self.size(b) > 0)
     }
 
     /// The top-`k` length and score-bit count of every key.
@@ -563,29 +692,42 @@ impl BucketTable {
         (self.len, self.n_bits)
     }
 
-    /// Bucket `b`'s member count.
-    pub(crate) fn size(&self, b: u32) -> u32 {
-        self.size[b as usize]
+    /// Bucket `b`'s key record.
+    fn record(&self, b: u32) -> &[u32] {
+        let w = self.width();
+        &self.keys[b as usize * w..(b as usize + 1) * w]
     }
 
-    /// Where bucket `b`'s items and scores sit in the flat arrays.
-    fn span(&self, b: u32) -> std::ops::Range<usize> {
-        b as usize * self.len..(b as usize + 1) * self.len
+    /// Bucket `b`'s member count.
+    pub(crate) fn size(&self, b: u32) -> u32 {
+        self.keys[(b as usize + 1) * self.width() - 1]
+    }
+
+    fn size_mut(&mut self, b: u32) -> &mut u32 {
+        let at = (b as usize + 1) * self.width() - 1;
+        &mut self.keys[at]
     }
 
     /// Bucket `b`'s key.
     pub(crate) fn key(&self, b: u32) -> KeyRef<'_> {
-        let bits = b as usize * self.n_bits..(b as usize + 1) * self.n_bits;
-        KeyRef {
-            items: &self.items[self.span(b)],
-            score_bits: &self.bits[bits],
-        }
+        let record = self.record(b);
+        KeyRef(&record[..record.len() - 1])
+    }
+
+    /// Bucket `b`'s top-`k` items.
+    pub(crate) fn items(&self, b: u32) -> &[u32] {
+        &self.record(b)[..self.len]
     }
 
     /// Bucket `b`'s per-position minima and sums.
     pub(crate) fn scores(&self, b: u32) -> (&[f64], &[f64]) {
-        let span = self.span(b);
-        (&self.pos_min[span.clone()], &self.pos_sum[span])
+        let at = b as usize * 2 * self.len;
+        self.scores[at..at + 2 * self.len].split_at(self.len)
+    }
+
+    fn scores_mut(&mut self, b: u32) -> (&mut [f64], &mut [f64]) {
+        let at = b as usize * 2 * self.len;
+        self.scores[at..at + 2 * self.len].split_at_mut(self.len)
     }
 
     /// Bucket `b`'s group score vector under `semantics` (see
@@ -602,8 +744,8 @@ impl BucketTable {
     pub(crate) fn ranked(&self, b: u32, semantics: Semantics) -> Ranked<'_> {
         Ranked {
             scores: self.score_vector(b, semantics),
-            size: self.size[b as usize] as usize,
-            items: self.key(b).items,
+            size: self.size(b) as usize,
+            items: self.items(b),
             first: Some(self.first[b as usize]),
         }
     }
@@ -624,7 +766,8 @@ impl BucketTable {
 
     /// The bucket with `key`, if one is indexed.
     pub(crate) fn find(&self, key: KeyRef<'_>) -> Option<u32> {
-        let mut b = self.index.get(&fingerprint(key)).copied().unwrap_or(NONE);
+        let fingerprint = (self.fingerprint)(key);
+        let mut b = self.index.get(&fingerprint).copied().unwrap_or(NONE);
         while b != NONE && self.key(b) != key {
             b = self.same_fingerprint[b as usize];
         }
@@ -632,53 +775,64 @@ impl BucketTable {
     }
 
     /// Folds `size` members with key `key` — their per-position minima
-    /// `pos_min` and sums `pos_sum`, their lowest `first` — into the
-    /// bucket with that key, opening it if the key is new, and returns
-    /// it. A build links the member lists once it is done.
-    fn add(
-        &mut self,
-        key: KeyRef<'_>,
-        pos_min: &[f64],
-        pos_sum: &[f64],
-        size: u32,
-        first: u32,
-    ) -> u32 {
-        let Some(b) = self.find(key) else {
-            return self.open(key, pos_min, pos_sum, size, first);
-        };
-        let span = self.span(b);
-        fold_scores(
-            &mut self.pos_min[span.clone()],
-            &mut self.pos_sum[span],
-            pos_min,
-            pos_sum,
-        );
-        self.size[b as usize] += size;
-        b
+    /// `pos_min` and sums `pos_sum` — into the bucket with that key,
+    /// opening it if the key is new, and returns it. A build links the
+    /// member lists once it is done.
+    fn add(&mut self, key: KeyRef<'_>, pos_min: &[f64], pos_sum: &[f64], size: u32) -> u32 {
+        match self.find(key) {
+            Some(b) => {
+                self.fold(b, pos_min, pos_sum, size);
+                b
+            }
+            None => self.open(key, pos_min, pos_sum, size),
+        }
+    }
+
+    /// Folds `size` members' per-position minima `pos_min` and sums
+    /// `pos_sum` into bucket `b`.
+    fn fold(&mut self, b: u32, pos_min: &[f64], pos_sum: &[f64], size: u32) {
+        let (mins, sums) = self.scores_mut(b);
+        fold_scores(mins, sums, pos_min, pos_sum);
+        *self.size_mut(b) += size;
+    }
+
+    /// Writes bucket `b`'s records — key `key`, `size` members, score
+    /// vectors `pos_min` and `pos_sum` — over its old ones, or as the next
+    /// bucket's.
+    fn put(&mut self, b: u32, key: KeyRef<'_>, pos_min: &[f64], pos_sum: &[f64], size: u32) {
+        let w = self.width();
+        let at = b as usize * w;
+        if at == self.keys.len() {
+            self.keys.resize(at + w, 0);
+            self.scores.resize(self.scores.len() + 2 * self.len, 0.0);
+        }
+        self.keys[at..at + w - 1].copy_from_slice(key.0);
+        self.keys[at + w - 1] = size;
+        let (mins, sums) = self.scores_mut(b);
+        mins.copy_from_slice(pos_min);
+        sums.copy_from_slice(pos_sum);
     }
 
     /// Opens a bucket for the new key `key` with score vectors `pos_min`
-    /// and `pos_sum`, `size` members and lowest member `first` (`0` and
-    /// `NONE` for members seated later by [`BucketTable::join`]), on a
-    /// released id if there is one, and indexes it.
+    /// and `pos_sum` and `size` members (`0` for members seated later by
+    /// [`BucketTable::join`]), on a released id if there is one, and
+    /// indexes it.
     pub(crate) fn open(
         &mut self,
         key: KeyRef<'_>,
         pos_min: &[f64],
         pos_sum: &[f64],
         size: u32,
-        first: u32,
     ) -> u32 {
         let b = self.free.pop().unwrap_or(self.len() as u32);
-        write_row(&mut self.items, b, key.items);
-        write_row(&mut self.bits, b, key.score_bits);
-        write_row(&mut self.pos_min, b, pos_min);
-        write_row(&mut self.pos_sum, b, pos_sum);
-        write_row(&mut self.size, b, &[size]);
-        write_row(&mut self.first, b, &[first]);
-        write_row(&mut self.last, b, &[first]);
-        let older = self.index.insert(fingerprint(key), b).unwrap_or(NONE);
-        write_row(&mut self.same_fingerprint, b, &[older]);
+        self.put(b, key, pos_min, pos_sum, size);
+        write_entry(&mut self.first, b, NONE);
+        write_entry(&mut self.last, b, NONE);
+        let older = self
+            .index
+            .insert((self.fingerprint)(key), b)
+            .unwrap_or(NONE);
+        write_entry(&mut self.same_fingerprint, b, older);
         b
     }
 
@@ -689,15 +843,14 @@ impl BucketTable {
         let to_merged: Vec<u32> = (0..shard.len() as u32)
             .map(|b| {
                 let (pos_min, pos_sum) = shard.scores(b);
-                let (size, first) = (shard.size[b as usize], shard.first[b as usize]);
-                self.add(shard.key(b), pos_min, pos_sum, size, first)
+                self.add(shard.key(b), pos_min, pos_sum, shard.size(b))
             })
             .collect();
         self.bucket_of
             .extend(shard.bucket_of.iter().map(|&b| to_merged[b as usize]));
     }
 
-    /// Installs `bucket_of` (every user's bucket, each bucket's `size`
+    /// Installs `bucket_of` (every user's bucket, each bucket's size
     /// already counting its users) and threads the member lists through
     /// it in one ascending pass.
     pub(crate) fn link_members(&mut self, bucket_of: Vec<u32>) {
@@ -732,7 +885,7 @@ impl BucketTable {
             NONE => self.last[b as usize] = u,
             above => self.prev[above as usize] = u,
         }
-        self.size[b as usize] += 1;
+        *self.size_mut(b) += 1;
         if u as usize == self.bucket_of.len() {
             self.bucket_of.push(b);
             self.next.push(above);
@@ -746,23 +899,23 @@ impl BucketTable {
     /// Takes user `u` out of its bucket's member list; the bucket stays
     /// indexed, empty or not, until it is [released](BucketTable::release).
     pub(crate) fn leave(&mut self, u: u32) {
-        let b = self.bucket_of[u as usize] as usize;
+        let b = self.bucket_of[u as usize];
         let (below, above) = (self.prev[u as usize], self.next[u as usize]);
         match below {
-            NONE => self.first[b] = above,
+            NONE => self.first[b as usize] = above,
             below => self.next[below as usize] = above,
         }
         match above {
-            NONE => self.last[b] = below,
+            NONE => self.last[b as usize] = below,
             above => self.prev[above as usize] = below,
         }
-        self.size[b] -= 1;
+        *self.size_mut(b) -= 1;
     }
 
     /// Unindexes the empty bucket `b` and frees its id for reuse.
     pub(crate) fn release(&mut self, b: u32) {
-        debug_assert_eq!(self.size[b as usize], 0, "only an empty bucket is released");
-        let fingerprint = fingerprint(self.key(b));
+        debug_assert_eq!(self.size(b), 0, "only an empty bucket is released");
+        let fingerprint = (self.fingerprint)(self.key(b));
         let older = self.same_fingerprint[b as usize];
         let newest = self.index[&fingerprint];
         if newest == b {
@@ -784,20 +937,16 @@ impl BucketTable {
     /// scores in ascending id order, the order of a sequential build, so
     /// they are bit for bit what [`build_buckets`] produces.
     pub(crate) fn rescore(&mut self, b: u32, reader: &mut TopKReader<'_>) {
-        let span = self.span(b);
         let mut u = self.first[b as usize];
         let mut fresh = true;
         while u != NONE {
             let (items, scores) = reader.top_k(u);
             debug_assert_eq!(
                 items,
-                &self.items[span.clone()],
+                self.items(b),
                 "member {u} no longer matches its bucket's item sequence"
             );
-            let (pos_min, pos_sum) = (
-                &mut self.pos_min[span.clone()],
-                &mut self.pos_sum[span.clone()],
-            );
+            let (pos_min, pos_sum) = self.scores_mut(b);
             if fresh {
                 pos_min.copy_from_slice(scores);
                 pos_sum.copy_from_slice(scores);
@@ -813,7 +962,7 @@ impl BucketTable {
     pub(crate) fn bucket(&self, b: u32) -> Bucket {
         let (pos_min, pos_sum) = self.scores(b);
         Bucket {
-            items: self.key(b).items.into(),
+            items: self.items(b).into(),
             users: self.members(b).collect(),
             pos_min: pos_min.to_vec(),
             pos_sum: pos_sum.to_vec(),
@@ -827,25 +976,23 @@ impl BucketTable {
     }
 }
 
-/// Writes `row` as row `b` of the flat array `v` of rows as wide as `row`:
-/// over the row if `b` has one, else appended as the next.
-fn write_row<T: Copy>(v: &mut Vec<T>, b: u32, row: &[T]) {
-    let at = b as usize * row.len();
-    if at == v.len() {
-        v.extend_from_slice(row);
-    } else {
-        v[at..at + row.len()].copy_from_slice(row);
+/// Writes `value` as entry `b` of `v`: over the entry if `b` has one, else
+/// appended as the next.
+fn write_entry(v: &mut Vec<u32>, b: u32, value: u32) {
+    match v.get_mut(b as usize) {
+        Some(slot) => *slot = value,
+        None => {
+            debug_assert_eq!(b as usize, v.len(), "a new entry is the next one");
+            v.push(value);
+        }
     }
 }
 
 /// The hash of a key, by which [`BucketTable`] indexes its buckets.
 fn fingerprint(key: KeyRef<'_>) -> u64 {
     let mut h = crate::fxhash::FxHasher::default();
-    for &item in key.items {
-        h.write_u32(item);
-    }
-    for &bits in key.score_bits {
-        h.write_u64(bits);
+    for &word in key.0 {
+        h.write_u32(word);
     }
     h.finish()
 }
@@ -898,29 +1045,32 @@ pub(crate) struct Ranked<'a> {
 }
 
 /// The Step-2 order: `Less` when the bucket `x` pops before `y`. Each
-/// side carries its satisfaction, cached by the caller so that it decides
-/// most comparisons without an `O(k)` aggregate, ahead of the fields
+/// side carries its satisfaction, cached by the caller so that no
+/// comparison recomputes an `O(k)` aggregate, ahead of the fields
 /// [`bucket_order`] compares. A total order, since memberships are
 /// disjoint.
-pub(crate) fn pop_order(x: (f64, Ranked<'_>), y: (f64, Ranked<'_>), agg: Aggregation) -> Ordering {
-    y.0.total_cmp(&x.0)
-        .then_with(|| ranked_order(x.1, y.1, agg))
+pub(crate) fn pop_order(x: (f64, Ranked<'_>), y: (f64, Ranked<'_>)) -> Ordering {
+    y.0.total_cmp(&x.0).then_with(|| tie_order(x.1, y.1))
 }
 
 /// [`bucket_order`] over the compared fields.
 pub(crate) fn ranked_order(a: Ranked<'_>, b: Ranked<'_>, agg: Aggregation) -> Ordering {
     let sa = agg.apply(a.scores);
     let sb = agg.apply(b.scores);
-    sb.total_cmp(&sa)
-        .then_with(|| {
-            for (x, y) in a.scores.iter().zip(b.scores.iter()) {
-                match y.total_cmp(x) {
-                    Ordering::Equal => continue,
-                    ord => return ord,
-                }
-            }
-            b.scores.len().cmp(&a.scores.len())
-        })
+    sb.total_cmp(&sa).then_with(|| tie_order(a, b))
+}
+
+/// [`bucket_order`] between two buckets of equal satisfaction.
+fn tie_order(a: Ranked<'_>, b: Ranked<'_>) -> Ordering {
+    for (x, y) in a.scores.iter().zip(b.scores.iter()) {
+        match y.total_cmp(x) {
+            Ordering::Equal => continue,
+            ord => return ord,
+        }
+    }
+    b.scores
+        .len()
+        .cmp(&a.scores.len())
         .then_with(|| b.size.cmp(&a.size))
         .then_with(|| a.items.cmp(b.items))
         .then_with(|| a.first.cmp(&b.first))
@@ -1210,6 +1360,52 @@ mod tests {
                     canonical(par),
                     "{policy:?} x{threads}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_fingerprints_build_the_production_table() {
+        // Twelve random profiles over 10 items, each copied by 5 users,
+        // and every seventh user rating only two items (a padded list):
+        // far more keys than the 4 fingerprints, so most users' keys miss
+        // their id's record in the second pass and take the find/open
+        // chain, on one shard and across shard merges.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(23);
+        let profiles: Vec<Vec<f64>> = (0..12)
+            .map(|_| (0..10).map(|_| rng.gen_range(1..=5) as f64).collect())
+            .collect();
+        let m = RatingMatrix::from_triples(
+            60,
+            10,
+            (0..60u32).flat_map(|u| {
+                let row = &profiles[u as usize % 12];
+                let rated = if u % 7 == 6 { 2 } else { 10 };
+                (0..rated).map(move |i| (u, i, row[i as usize]))
+            }),
+            RatingScale::one_to_five(),
+        )
+        .unwrap();
+        let p = PrefIndex::build(&m);
+        for sem in Semantics::all() {
+            for agg in Aggregation::paper_set() {
+                for k in [2usize, 4] {
+                    let cold = canonical(build_buckets(&m, &p, sem, agg, MissingPolicy::Min, k));
+                    for threads in [1usize, 3] {
+                        let cfg = crate::FormationConfig::new(sem, agg, k, 2).with_threads(threads);
+                        let table = BucketTable::build_colliding(&m, &p, &cfg);
+                        assert!(table.index.len() <= 4);
+                        assert!(table.live() > 4, "{sem} {agg} k={k}: no key collided");
+                        table.check_index().unwrap();
+                        assert_eq!(
+                            canonical(table.buckets().collect()),
+                            cold,
+                            "{sem} {agg} k={k} threads={threads}"
+                        );
+                    }
+                }
             }
         }
     }

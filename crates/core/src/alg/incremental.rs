@@ -29,9 +29,10 @@
 //! (whole or half stars — every built-in [`crate::RatingScale`]) under
 //! [`MissingPolicy::Min`] or [`MissingPolicy::Skip`]/[`MissingPolicy::UserMean`]
 //! (the latter two rescore the tail with the full engine and are exact on
-//! any input; the `Min` fast path maintains the tail's per-item count,
-//! sum, sum of squares and minimum incrementally, which off-grid can
-//! drift by one ulp per update). That holds for all four semantics:
+//! any input; the `Min` fast path maintains the tail's per-item rater
+//! count and what the semantics scores of it — minimum, sum, or sum and
+//! sum of squares — incrementally, which off-grid can drift by one ulp
+//! per update). That holds for all four semantics:
 //! Consensus scores the maintained moments through the same
 //! `consensus_score` closed form the cold engine uses, and LeaderWeighted
 //! adds the lowest-id tail member's row to the maintained sum.
@@ -68,9 +69,12 @@
 //!
 //! Building a former ([`IncrementalFormer::new`],
 //! [`IncrementalFormer::import_state`]) is the cold formation: one flat
-//! Step-1 table, which allocates per bucket, not per user, an `O(n)` pass
-//! that links the member lists, an `O(B)` heapify, and one pass over the
-//! tail members' rows for the tail aggregates. Its state is a few flat
+//! Step-1 table of per-bucket records, which [`IncrementalFormer::new`]
+//! builds in two reads of every user's key (the first sizes the records,
+//! the second fills them) and which allocates per bucket, not per user,
+//! an `O(n)` pass that links the member lists, an `O(B)` heapify, and one
+//! pass over the tail members' rows that accumulates, per item, the rater
+//! count and only what the semantics scores. Its state is a few flat
 //! arrays, so cloning or dropping a former costs a few `memcpy`s or
 //! frees, whatever `B` is.
 
@@ -366,12 +370,8 @@ impl IncrementalFormer {
     pub fn export_state(&self) -> FormerState {
         let t = &self.table;
         let mut order: Vec<u32> = t.ids().collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (t.key(a), t.key(b));
-            a.items
-                .cmp(b.items)
-                .then_with(|| a.score_bits.cmp(b.score_bits))
-        });
+        // Keys compare as their (items, score bits) pairs do.
+        order.sort_unstable_by(|&a, &b| t.key(a).0.cmp(t.key(b).0));
         let mut index_of = vec![NONE; t.len()];
         for (idx, &b) in order.iter().enumerate() {
             index_of[b as usize] = idx as u32;
@@ -380,10 +380,10 @@ impl IncrementalFormer {
         let buckets = order
             .iter()
             .map(|&b| {
-                let (key, (pos_min, pos_sum)) = (t.key(b), t.scores(b));
+                let (pos_min, pos_sum) = t.scores(b);
                 FormerBucket {
-                    items: key.items.to_vec(),
-                    key_score_bits: key.score_bits.to_vec(),
+                    items: t.items(b).to_vec(),
+                    key_score_bits: t.key(b).score_bits(t.widths().0).collect(),
                     users: t.members(b).collect(),
                     pos_min_bits: bits(pos_min),
                     pos_sum_bits: bits(pos_sum),
@@ -421,9 +421,10 @@ impl IncrementalFormer {
         cfg.validate(matrix)?;
         let corrupt = |msg: String| GfError::Persist(format!("invalid former state: {msg}"));
         let n = matrix.n_users() as usize;
-        let mut table = BucketTable::empty(matrix, cfg.semantics, cfg.aggregation, cfg.k, n);
+        let mut table = BucketTable::empty(matrix, cfg.semantics, cfg.aggregation, cfg.k);
         let (len, n_bits) = table.widths();
         let mut bucket_of = vec![NONE; n];
+        let mut words = Vec::new();
         let floats =
             |bits: &[u64]| -> Vec<f64> { bits.iter().map(|&b| f64::from_bits(b)).collect() };
         for (idx, fb) in state.buckets.iter().enumerate() {
@@ -454,15 +455,12 @@ impl IncrementalFormer {
                 }
                 bucket_of[u as usize] = idx as u32;
             }
-            let key = KeyRef {
-                items: &fb.items,
-                score_bits: &fb.key_score_bits,
-            };
+            let key = KeyRef::encode(&fb.items, &fb.key_score_bits, &mut words);
             if table.find(key).is_some() {
                 return Err(corrupt(format!("bucket {idx} repeats an earlier key")));
             }
             let (pos_min, pos_sum) = (floats(&fb.pos_min_bits), floats(&fb.pos_sum_bits));
-            let b = table.open(key, &pos_min, &pos_sum, fb.users.len() as u32, NONE);
+            let b = table.open(key, &pos_min, &pos_sum, fb.users.len() as u32);
             debug_assert_eq!(b, idx as u32, "bucket ids are state indices");
         }
         if let Some(u) = bucket_of.iter().position(|&b| b == NONE) {
@@ -662,7 +660,7 @@ impl IncrementalFormer {
                 self.table.join(b, u);
             }
             None => {
-                let b = self.table.open(key, scores, scores, 0, NONE);
+                let b = self.table.open(key, scores, scores, 0);
                 self.table.join(b, u);
                 touched.push(b);
             }
@@ -1071,6 +1069,45 @@ mod tests {
                 let deltas = apply(&mut m, &mut p, &batch);
                 former.refresh(&m, &p, &deltas).unwrap();
                 assert_matches_cold(&former, &m, &p, &cfg);
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_moves_users_between_colliding_buckets_exactly() {
+        // A table whose fingerprint has two bits chains nearly every bucket
+        // behind another with the same fingerprint: users leave and join
+        // buckets found down those chains, and emptied buckets are
+        // released from the middle of them.
+        let rows: Vec<Vec<f64>> = (0..14)
+            .map(|u: u32| {
+                (0..6)
+                    .map(|i: u32| 1.0 + ((u % 5) * 3 + i * (u % 5 + 1)) as f64 % 5.0)
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let m0 = RatingMatrix::from_dense(&refs, RatingScale::one_to_five()).unwrap();
+        let p0 = PrefIndex::build(&m0);
+        for sem in Semantics::all() {
+            for threads in [1usize, 3] {
+                let cfg = FormationConfig::new(sem, Aggregation::Min, 3, 3).with_threads(threads);
+                let (mut m, mut p) = (m0.clone(), p0.clone());
+                let table = BucketTable::build_colliding(&m, &p, &cfg);
+                assert!(table.live() > 4, "{sem}: no key collided");
+                let mut former = IncrementalFormer::from_parts(&m, cfg, table, None);
+                assert_matches_cold(&former, &m, &p, &cfg);
+                for batch in [
+                    vec![(0u32, 5u32, 5.0), (7, 0, 1.0)],
+                    vec![(2, 2, 5.0), (3, 3, 5.0), (12, 1, 2.0)],
+                    vec![(0, 5, 1.0), (5, 4, 5.0), (9, 0, 5.0), (13, 2, 1.0)],
+                    vec![(7, 0, 4.0), (1, 1, 1.0)],
+                ] {
+                    let deltas = apply(&mut m, &mut p, &batch);
+                    former.refresh(&m, &p, &deltas).unwrap();
+                    assert_matches_cold(&former, &m, &p, &cfg);
+                    former.table.check_index().unwrap();
+                }
             }
         }
     }

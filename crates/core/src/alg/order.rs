@@ -53,7 +53,7 @@ impl Order {
     /// when `up` (not while heapifying, where the slots above are not yet
     /// in order).
     fn sift(&mut self, table: &BucketTable, i: usize, up: bool) {
-        let before = pops_before(table, self.semantics, self.aggregation);
+        let before = pops_before(table, self.semantics);
         let slot = &mut self.slot;
         let mut placed = |(_, b): Entry, i: usize| slot[b as usize] = i as u32;
         let i = if up {
@@ -91,7 +91,7 @@ impl Order {
     /// down the heap, whose frontier is a small heap of its slots.
     pub(crate) fn best(&self, table: &BucketTable, n: usize) -> Vec<u32> {
         let mut out = Vec::with_capacity(n.min(self.heap.len()));
-        let pops = pops_before(table, self.semantics, self.aggregation);
+        let pops = pops_before(table, self.semantics);
         let before = |x: usize, y: usize| pops(self.heap[x], self.heap[y]);
         let mut frontier: Vec<usize> = (!self.heap.is_empty()).then_some(0).into_iter().collect();
         while out.len() < n && !frontier.is_empty() {
@@ -125,7 +125,7 @@ impl Order {
                 heaped.len()
             ));
         }
-        let pops = pops_before(table, self.semantics, self.aggregation);
+        let pops = pops_before(table, self.semantics);
         for (i, &(sat, b)) in self.heap.iter().enumerate() {
             let fresh = self
                 .aggregation
@@ -150,14 +150,10 @@ impl Order {
 
 /// The Step-2 order over heaped buckets of `table`: whether `x` pops
 /// before `y`.
-fn pops_before(
-    table: &BucketTable,
-    semantics: Semantics,
-    aggregation: Aggregation,
-) -> impl Fn(Entry, Entry) -> bool + '_ {
+fn pops_before(table: &BucketTable, semantics: Semantics) -> impl Fn(Entry, Entry) -> bool + '_ {
     move |x, y| {
         let rank = |(sat, b): Entry| (sat, table.ranked(b, semantics));
-        bucket::pop_order(rank(x), rank(y), aggregation).is_lt()
+        bucket::pop_order(rank(x), rank(y)).is_lt()
     }
 }
 

@@ -2,8 +2,9 @@
 //! `ell`-th group that merges every user Step 2 left unselected.
 //!
 //! Under [`MissingPolicy::Min`] it is scored from a [`TailAgg`]: dense
-//! per-item aggregates of the tail members' ratings, filled by one pass
-//! over their rows in ascending user order, which an
+//! per-item aggregates of the tail members' ratings, only those the
+//! semantics scores, filled by one pass over their rows in ascending user
+//! order, which an
 //! [`IncrementalFormer`](super::IncrementalFormer) then maintains under
 //! member churn. Under `Skip` and `UserMean` the tail is rescored from its
 //! member list with the full engine ([`GroupRecommender::top_k`]).
@@ -17,101 +18,166 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Per-item aggregates of the tail group's ratings under
-/// [`MissingPolicy::Min`]: rater count, score sum (AV and LeaderWeighted
-/// scoring), sum of squares (Consensus scoring) and rater minimum with lazy
-/// recomputation (LM scoring).
+/// [`MissingPolicy::Min`], as many as the grouping's semantics scores
+/// ([`Moments`]): each item's rater count, and its rater minimum with lazy
+/// recomputation (LM), score sum (AV and LeaderWeighted) or score sum and
+/// sum of squares (Consensus).
 ///
-/// A fresh `TailAgg` ([`TailAgg::of_members`]) accumulates each item's
+/// A fresh `TailAgg` ([`TailAgg::for_config`]) accumulates each item's
 /// raters in ascending user order, the order
-/// [`GroupRecommender::top_k`] accumulates a sorted member list in, and
+/// [`GroupRecommender::top_k`] accumulates a sorted member list in, in one
+/// pass over the members' rows that updates only those aggregates, and
 /// [`TailAgg::top_k`] applies the engine's closed forms, so a cold tail
 /// scores bit for bit as the engine scores it on any input.
-/// [`TailAgg::add`]/[`TailAgg::remove`] keep it current as users enter and
-/// leave the tail; off a dyadic rating grid a removal can leave a sum one
-/// ulp from a fresh accumulation.
+/// [`TailAgg::add`]/[`TailAgg::remove`] keep the same aggregates current
+/// as users enter and leave the tail; off a dyadic rating grid a removal
+/// can leave a sum one ulp from a fresh accumulation.
 #[derive(Debug, Clone)]
 pub(crate) struct TailAgg {
     r_min: f64,
-    /// One slot per item: the slots a rating touches sit together.
+    moments: Moments,
+    /// One 16-byte slot per item.
     items: Vec<ItemAgg>,
+    /// Per item, the raters' sum of squared scores under
+    /// [`Moments::SumSq`]; empty otherwise.
+    sum_sq: Vec<f64>,
+}
+
+/// The aggregates a [`TailAgg`] keeps besides the rater count: what its
+/// semantics' closed form reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Moments {
+    /// The rater minimum and how many raters sit at it (LM).
+    Min,
+    /// The score sum (AV, LeaderWeighted).
+    Sum,
+    /// The score sum and sum of squares (Consensus).
+    SumSq,
+}
+
+impl Moments {
+    /// The slot of an item no tail member rated.
+    fn empty(self) -> ItemAgg {
+        let value = match self {
+            Moments::Min => f64::INFINITY,
+            Moments::Sum | Moments::SumSq => 0.0,
+        };
+        ItemAgg {
+            value,
+            count: 0,
+            min_count: 0,
+        }
+    }
 }
 
 /// One item's aggregates over the tail's raters of it.
 #[derive(Debug, Clone, Copy)]
 struct ItemAgg {
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
+    /// The raters' minimum score under [`Moments::Min`], else their score
+    /// sum.
+    value: f64,
     count: u32,
-    /// How many raters sit at `min`; when removals drain it the minimum is
-    /// marked stale and lazily recomputed at scoring time (only ever
-    /// needed for items every tail member rated).
+    /// Under [`Moments::Min`], how many raters sit at the minimum. When
+    /// removals drain it while raters remain, the minimum is stale and is
+    /// recomputed at scoring time (only ever needed for items every tail
+    /// member rated).
     min_count: u32,
-    stale: bool,
 }
 
 impl ItemAgg {
-    const EMPTY: ItemAgg = ItemAgg {
-        sum: 0.0,
-        sum_sq: 0.0,
-        min: f64::INFINITY,
-        count: 0,
-        min_count: 0,
-        stale: false,
-    };
+    fn stale(&self) -> bool {
+        self.count > 0 && self.min_count == 0
+    }
 
-    fn add(&mut self, score: f64) {
-        self.count += 1;
-        self.sum += score;
-        self.sum_sq += score * score;
-        if self.stale {
-            return;
+    /// Counts a rater's `score` under [`Moments::Min`].
+    fn add_min(&mut self, score: f64) {
+        if self.stale() {
+            self.count += 1;
+        } else {
+            self.add_to_min(score);
         }
-        // Branch-free: raters arrive in no order of their scores.
-        let lower = self.count == 1 || score < self.min;
-        let tie = u32::from(score == self.min);
+    }
+
+    /// [`ItemAgg::add_min`] into a slot whose minimum is not stale, as
+    /// every slot of a fresh fill is.
+    fn add_to_min(&mut self, score: f64) {
+        self.count += 1;
+        // Branch-free: raters arrive in no order of their scores, and an
+        // empty slot's minimum is +inf.
+        let lower = score < self.value;
+        let tie = u32::from(score == self.value);
         self.min_count = if lower { 1 } else { self.min_count + tie };
-        self.min = if lower { score } else { self.min };
+        self.value = if lower { score } else { self.value };
+    }
+
+    fn add_sum(&mut self, score: f64) {
+        self.count += 1;
+        self.value += score;
     }
 }
 
 impl TailAgg {
     /// The maintained tail for `cfg` over the tail members `members`
-    /// (ascending): `Some` under `MissingPolicy::Min`, for every semantics
-    /// (the moments kept here cover all four closed forms). `Skip` and
-    /// `UserMean` rescore the tail from its members instead.
+    /// (ascending): `Some` under `MissingPolicy::Min`, for every semantics.
+    /// `Skip` and `UserMean` rescore the tail from its members instead.
     pub(crate) fn for_config(
         cfg: &FormationConfig,
         matrix: &RatingMatrix,
         members: &[u32],
     ) -> Option<Self> {
-        matches!(cfg.policy, MissingPolicy::Min).then(|| TailAgg::of_members(matrix, members))
-    }
-
-    /// The aggregates of `members` (ascending), filled by one pass over
-    /// their rows.
-    fn of_members(matrix: &RatingMatrix, members: &[u32]) -> Self {
-        let mut items = vec![ItemAgg::EMPTY; matrix.n_items() as usize];
-        for &u in members {
-            for (&i, &s) in matrix.user_items(u).iter().zip(matrix.user_scores(u)) {
-                items[i as usize].add(s);
+        if !matches!(cfg.policy, MissingPolicy::Min) {
+            return None;
+        }
+        let moments = match cfg.semantics {
+            Semantics::LeastMisery => Moments::Min,
+            Semantics::AggregateVoting | Semantics::LeaderWeighted => Moments::Sum,
+            Semantics::Consensus { .. } => Moments::SumSq,
+        };
+        let m = matrix.n_items() as usize;
+        let mut agg = TailAgg {
+            r_min: matrix.scale().min(),
+            moments,
+            items: vec![moments.empty(); m],
+            sum_sq: Vec::new(),
+        };
+        let ratings = members.iter().flat_map(|&u| {
+            matrix
+                .user_items(u)
+                .iter()
+                .copied()
+                .zip(matrix.user_scores(u).iter().copied())
+        });
+        match moments {
+            Moments::Min => ratings.for_each(|(i, s)| agg.items[i as usize].add_to_min(s)),
+            Moments::Sum => ratings.for_each(|(i, s)| agg.items[i as usize].add_sum(s)),
+            Moments::SumSq => {
+                agg.sum_sq = vec![0.0; m];
+                ratings.for_each(|(i, s)| agg.add(i, s));
             }
         }
-        TailAgg {
-            r_min: matrix.scale().min(),
-            items,
-        }
+        Some(agg)
     }
 
     /// Extends the per-item aggregates for newly admitted items (which no
     /// tail member has rated yet, so every new slot starts empty).
     pub(crate) fn grow_items(&mut self, n_items: usize) {
-        self.items.resize(n_items, ItemAgg::EMPTY);
+        self.items.resize(n_items, self.moments.empty());
+        if self.moments == Moments::SumSq {
+            self.sum_sq.resize(n_items, 0.0);
+        }
     }
 
     /// Counts a tail member's rating of `item`.
     pub(crate) fn add(&mut self, item: u32, score: f64) {
-        self.items[item as usize].add(score);
+        let a = &mut self.items[item as usize];
+        match self.moments {
+            Moments::Min => a.add_min(score),
+            Moments::Sum => a.add_sum(score),
+            Moments::SumSq => {
+                a.add_sum(score);
+                self.sum_sq[item as usize] += score * score;
+            }
+        }
     }
 
     /// Uncounts a tail member's rating of `item`.
@@ -119,20 +185,24 @@ impl TailAgg {
         let a = &mut self.items[item as usize];
         debug_assert!(a.count > 0, "removing unseen rating");
         a.count -= 1;
-        a.sum -= score;
-        a.sum_sq -= score * score;
         if a.count == 0 {
             // Empty items reset exactly, killing any off-grid sum drift.
-            *a = ItemAgg::EMPTY;
+            *a = self.moments.empty();
+            if let Some(sq) = self.sum_sq.get_mut(item as usize) {
+                *sq = 0.0;
+            }
             return;
         }
-        if a.stale {
-            return;
-        }
-        if score == a.min {
-            a.min_count -= 1;
-            if a.min_count == 0 {
-                a.stale = true;
+        match self.moments {
+            Moments::Min => {
+                if a.min_count > 0 && score == a.value {
+                    a.min_count -= 1;
+                }
+            }
+            Moments::Sum => a.value -= score,
+            Moments::SumSq => {
+                a.value -= score;
+                self.sum_sq[item as usize] -= score * score;
             }
         }
     }
@@ -162,9 +232,8 @@ impl TailAgg {
             }
         }
         let a = &mut self.items[item as usize];
-        a.min = mn;
+        a.value = mn;
         a.min_count = cnt;
-        a.stale = false;
     }
 
     /// The tail's top-`k` list, exactly as [`GroupRecommender::top_k`]
@@ -191,25 +260,25 @@ impl TailAgg {
             let score = match semantics {
                 Semantics::LeastMisery => {
                     if count == tail_len {
-                        if a.stale {
+                        if a.stale() {
                             self.recompute_min(matrix, tail, i as u32);
                         }
-                        self.items[i].min
+                        self.items[i].value
                     } else {
                         r_min
                     }
                 }
-                Semantics::AggregateVoting => a.sum + miss * r_min,
+                Semantics::AggregateVoting => a.value + miss * r_min,
                 _ if count == 0 => r_min,
                 Semantics::Consensus { lambda } => consensus_score(
                     lambda,
                     g,
-                    a.sum + miss * r_min,
-                    a.sum_sq + miss * r_min * r_min,
+                    a.value + miss * r_min,
+                    self.sum_sq[i] + miss * r_min * r_min,
                 ),
                 Semantics::LeaderWeighted => {
                     let s_l = matrix.get(leader, i as u32).unwrap_or(r_min);
-                    (a.sum + miss * r_min + s_l) / (g + 1.0)
+                    (a.value + miss * r_min + s_l) / (g + 1.0)
                 }
             };
             scored.push((i as u32, score));
@@ -296,5 +365,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_maintained_tail_scores_bit_for_bit_as_the_engine() {
+        // The cold fill above, then members leave and join one at a time
+        // and the maintained aggregates must score as the engine scores
+        // the current members after every step. Half-star ratings keep
+        // the maintained sums exact. The last instance is fully dense:
+        // every tail member rates every item, so LM's minima are drained
+        // by removals and recomputed at scoring time.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut drained = false;
+        for trial in 0..30 {
+            let dense = trial == 29;
+            let (n, m) = (rng.gen_range(2..24u32), rng.gen_range(1..9u32));
+            let mut triples = Vec::new();
+            for (u, i) in (0..n).flat_map(|u| (0..m).map(move |i| (u, i))) {
+                if dense || rng.gen_range(0..3) != 0 {
+                    triples.push((u, i, rng.gen_range(2..=10) as f64 / 2.0));
+                }
+            }
+            let matrix =
+                RatingMatrix::from_triples(n, m, triples, RatingScale::one_to_five()).unwrap();
+            let steps: Vec<u32> = (0..3 * n).map(|_| rng.gen_range(0..n)).collect();
+            for semantics in Semantics::all() {
+                let cfg = FormationConfig::new(semantics, Aggregation::Sum, 3, 2);
+                let mut members: Vec<u32> = (0..n).filter(|u| (u + trial) % 2 == 0).collect();
+                let mut agg = TailAgg::for_config(&cfg, &matrix, &members).unwrap();
+                for &u in &steps {
+                    match members.binary_search(&u) {
+                        Ok(at) if members.len() > 1 => {
+                            members.remove(at);
+                            for (i, s) in matrix.user_ratings(u) {
+                                agg.remove(i, s);
+                            }
+                        }
+                        Ok(_) => continue,
+                        Err(at) => {
+                            members.insert(at, u);
+                            for (i, s) in matrix.user_ratings(u) {
+                                agg.add(i, s);
+                            }
+                        }
+                    }
+                    drained |= agg.moments == Moments::Min && agg.items.iter().any(ItemAgg::stale);
+                    let kept = tail_group(&matrix, &cfg, members.clone().into(), Some(&mut agg));
+                    let engine = tail_group(&matrix, &cfg, members.clone().into(), None);
+                    assert_eq!(kept, engine, "trial {trial} {semantics} after user {u}");
+                }
+            }
+        }
+        assert!(drained, "no LM minimum was drained");
     }
 }

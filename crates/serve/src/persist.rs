@@ -203,15 +203,20 @@ fn lock_data_dir(dir: &Path) -> Result<File> {
 
 /// Writes a checkpoint of the current state to `opts.data_dir` unless the
 /// newest on-disk checkpoint already covers this snapshot version.
-/// Returns the checkpointed version, or `None` when skipped.
+/// Returns the checkpointed version, or `None` when skipped. A skip reads
+/// the snapshot version alone: it takes no lock and copies nothing.
 ///
 /// Serving never pauses: the snapshot is frozen from its immutable `Arc`
 /// bundle, and each grouping's former copied, under a briefly-held lock;
 /// the former exports, deep copy, encode and fsync all happen outside
 /// every serving lock.
 pub fn checkpoint_now(state: &ServeState, opts: &DurabilityOptions) -> Result<Option<u64>> {
+    let covered = || state.stats.checkpoint_version.load(Ordering::Relaxed);
+    if state.snapshot().version <= covered() {
+        return Ok(None);
+    }
     let exported = state.export_for_checkpoint();
-    if exported.version <= state.stats.checkpoint_version.load(Ordering::Relaxed) {
+    if exported.version <= covered() {
         return Ok(None);
     }
     let ck = CheckpointState {

@@ -1560,6 +1560,38 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpointed_version_is_skipped_without_the_writer_lock() {
+        let dir = std::env::temp_dir().join(format!("gf-ckpt-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = crate::persist::DurabilityOptions::new(&dir);
+        let s = state(10, 5, 3);
+        s.rate(1, 1, 5.0).unwrap();
+        s.flush().unwrap();
+        let version = s.snapshot().version;
+        assert_eq!(
+            crate::persist::checkpoint_now(&s, &opts).unwrap(),
+            Some(version)
+        );
+        // With the writer lock held, a second checkpoint of the same
+        // version must return at once rather than wait to export.
+        let held = s.writer.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = {
+            let (s, opts) = (Arc::clone(&s), opts.clone());
+            std::thread::spawn(move || {
+                let _ =
+                    tx.send(crate::persist::checkpoint_now(&s, &opts).map_err(|e| e.to_string()));
+            })
+        };
+        let skipped = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        worker.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(skipped.expect("blocked on the writer lock"), Ok(None));
+    }
+
+    #[test]
     fn a_failed_refresh_rebuilds_the_former() {
         let s = state(10, 5, 3);
         // A former built for a larger population rejects this matrix as
